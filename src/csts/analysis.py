@@ -116,10 +116,7 @@ class CstsSet:
 def is_pi_strong_via_csts(q: Pattern, csts: CstsSet) -> bool:
     """Whether the summary proves q passes the mining threshold: q is
     threshold-passing iff some member contains it (possibly equal)."""
-    q = tuple(q)
-    if q in csts:
-        return True
-    return any(is_supersequence(m, q) for m in csts.patterns())
+    return approximate_pi(q, csts) is not None
 
 
 def approximate_pi(q: Pattern, csts: CstsSet,

@@ -111,11 +111,11 @@ def extract_csts(tree: MaxTree) -> list[PatternNode]:
     return members
 
 
-def mine_csts(dataset, cfg, threads: int = 1):
+def mine_csts(dataset, cfg):
     """End-to-end convenience: grow the tree, run the closure phase at the
     config's epsilon, extract. Returns (tree, members)."""
     from .topdown import mine_all
 
-    tree = mine_all(dataset, cfg, threads=threads)
+    tree = mine_all(dataset, cfg)
     run_bottom_up(tree)
     return tree, extract_csts(tree)

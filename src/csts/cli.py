@@ -5,7 +5,7 @@ stdout): one ``dataset`` record, one ``run`` (or per-grid-point
 ``sweep_point``) record, ``pattern`` records sorted canonically, and for
 sweeps the ratio ``series`` records. Records never contain wall-clock
 numbers — timings go to the stderr summary — so identical inputs produce
-byte-identical record streams regardless of run or thread count.
+byte-identical record streams on every run.
 
 Exit codes: 0 success; 2 usage or data errors; 3 oracle size guard.
 """
@@ -87,9 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="keep patterns with pi > theta (gt, default) "
                                "or pi >= theta (ge)")
         mine.add_argument("--max-length", type=int, default=None)
-        mine.add_argument("--threads", type=int, default=1,
-                          help="within-level mining parallelism; output is "
-                               "identical for every value")
         out = p.add_argument_group("output")
         out.add_argument("--out", help="record file (default: stdout)")
 
@@ -205,9 +202,8 @@ def _dec(value: Optional[Fraction]):
 
 
 def _config_echo(cfg: MiningConfig) -> dict:
-    # Thread count and wall-clock numbers stay out of the records on
-    # purpose: the record stream must be byte-identical across runs and
-    # across --threads values. Both are reported on stderr instead.
+    # Wall-clock numbers stay out of the records on purpose: the record
+    # stream must be byte-identical across runs. Timings go to stderr.
     return {
         "radius": cfg.radius,
         "window": cfg.window,
@@ -276,11 +272,11 @@ class _MineResult:
     depth: int
 
 
-def _run_tree_algorithms(dataset, cfg, algorithm, threads) -> _MineResult:
+def _run_tree_algorithms(dataset, cfg, algorithm) -> _MineResult:
     t0 = time.perf_counter()
     try:
-        tree = mine_all(dataset, cfg, threads=threads)
-    except ValueError as exc:  # e.g. unbounded theta=0 in ge mode
+        tree = mine_all(dataset, cfg)
+    except ValueError as exc:  # unbounded theta=0 in ge mode, bad degrees
         raise _CliError(str(exc)) from exc
     t_top = time.perf_counter() - t0
     timings = {"topdown_s": t_top}
@@ -343,7 +339,9 @@ def _run_oracle_algorithm(dataset, cfg) -> _MineResult:
     counts = {"all": len(universe), "closed": len(closed),
               "csts": len(member_set)}
     depth = max((len(p) for p, _ in universe), default=0)
-    return _MineResult(counts, listing, timings, False, depth)
+    # Like MaxTree.capped: the search stopped at its length limit with
+    # patterns still passing there, so longer ones may be missing.
+    return _MineResult(counts, listing, timings, depth >= max_len, depth)
 
 
 def cmd_mine(args) -> int:
@@ -357,8 +355,7 @@ def cmd_mine(args) -> int:
     if args.algorithm == "oracle":
         result = _run_oracle_algorithm(dataset, cfg)
     else:
-        result = _run_tree_algorithms(dataset, cfg, args.algorithm,
-                                      args.threads)
+        result = _run_tree_algorithms(dataset, cfg, args.algorithm)
 
     run_record = {
         "record": "run",
@@ -381,8 +378,7 @@ def cmd_mine(args) -> int:
          f"types={ds_record['types']}")
     _say(f"algorithm={args.algorithm} theta={theta}"
          f"({args.theta_strictness}) epsilon={epsilon} "
-         f"radius={args.radius} window={args.window} metric={args.metric} "
-         f"threads={args.threads}")
+         f"radius={args.radius} window={args.window} metric={args.metric}")
     _say("patterns: " + " ".join(
         f"{k}={v}" for k, v in c.items() if v is not None)
         + (f" depth={result.depth}" + (" (capped)" if result.capped else "")))
@@ -407,7 +403,7 @@ def cmd_sweep(args) -> int:
         cfg = _config(args, theta, epsilons[0])
         t0 = time.perf_counter()
         try:
-            tree = mine_all(dataset, cfg, threads=args.threads)
+            tree = mine_all(dataset, cfg)
         except ValueError as exc:
             raise _CliError(str(exc)) from exc
         t_top = time.perf_counter() - t0

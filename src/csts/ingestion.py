@@ -3,6 +3,8 @@ crime-incident exports.
 
 Every loader is a streaming row filter: rows with missing or unparseable
 mapped fields are rejected and counted by reason, never aborting the file.
+A type label containing the pattern separator ``->`` is unparseable, since
+patterns over it could not be read back.
 The generic format is this package's own interchange schema
 (``type,x,y,time_minutes``); the portal loaders map the public exports'
 column names, parse timestamps into minutes from a fixed epoch, and apply
@@ -110,10 +112,11 @@ def _finite(value: float) -> float:
 
 
 def _load_rows(path, schema: ColumnSchema, report: IngestReport,
-               parse_time, row_filter=None) -> list[_Row]:
+               parse_time, row_filter=None, degrees: bool = False) -> list[_Row]:
     """Shared row loop. ``parse_time`` maps the raw time field to integer
     minutes; ``row_filter`` may veto an otherwise valid row (date range or
-    whitelist), counting it as filtered."""
+    whitelist), counting it as filtered. With ``degrees`` the coordinates
+    are (longitude, latitude) and must lie in [-180, 180] x [-90, 90]."""
     rows: list[_Row] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
@@ -139,8 +142,12 @@ def _load_rows(path, schema: ColumnSchema, report: IngestReport,
                 report.missing_time += 1
                 continue
             try:
+                if "->" in label:
+                    raise ValueError("type label holds the pattern separator")
                 x = _finite(float(x_text))
                 y = _finite(float(y_text))
+                if degrees and not (abs(x) <= 180.0 and abs(y) <= 90.0):
+                    raise ValueError("coordinate outside the degree range")
                 minutes = parse_time(t_text)
             except ValueError:
                 report.unparseable += 1
@@ -191,6 +198,7 @@ def load_generic(path, schema: Optional[ColumnSchema] = None,
 def _portal_loader(path, schema: ColumnSchema, epoch_iso: str,
                    year_lo: int, year_hi: int,
                    whitelist: Optional[set[str]] = None,
+                   degrees: bool = False,
                    ) -> tuple[EventDataset, IngestReport]:
     report = IngestReport(source=str(path))
     epoch = datetime.fromisoformat(epoch_iso)
@@ -207,7 +215,7 @@ def _portal_loader(path, schema: ColumnSchema, epoch_iso: str,
             return False
         return whitelist is None or row.label.lower() in whitelist
 
-    rows = _load_rows(path, schema, report, parse_minutes, in_scope)
+    rows = _load_rows(path, schema, report, parse_minutes, in_scope, degrees)
     return _build_dataset(rows, epoch_iso, report), report
 
 
@@ -229,7 +237,9 @@ def load_boston(path, reduced: bool = False,
     2014, counts minutes from 2014-01-01T00:00, and restricts to a crime-type
     whitelist: the ten-type reduced list or the 26-type complete list, both
     read (case-insensitively) from an editable JSON file so they can be
-    adapted to whatever taxonomy a given portal snapshot uses.
+    adapted to whatever taxonomy a given portal snapshot uses. Rows whose
+    Long lies outside [-180, 180] or Lat outside [-90, 90] count as
+    unparseable.
     """
     types_path = Path(types_file) if types_file is not None else BOSTON_TYPES_FILE
     with open(types_path, encoding="utf-8") as fh:
@@ -239,7 +249,7 @@ def load_boston(path, reduced: bool = False,
         raise ValueError(f"{types_path}: expected a non-empty {key!r} list")
     whitelist = {str(label).lower() for label in lists[key]}
     return _portal_loader(path, BOSTON_SCHEMA, "2014-01-01T00:00",
-                          2014, 2014, whitelist)
+                          2014, 2014, whitelist, degrees=True)
 
 
 def export_generic(dataset: EventDataset, path) -> None:

@@ -179,7 +179,7 @@ def canonical_key(pattern: Pattern) -> tuple[int, Pattern]:
     """Total order: length ascending, then lexicographic by type ids.
 
     Every listing this package emits is sorted by this key, which makes
-    output deterministic regardless of generation (or thread) order.
+    output deterministic regardless of generation order.
     """
     return (len(pattern), pattern)
 
@@ -208,8 +208,6 @@ class MiningConfig:
     strict_theta : bool
     max_length : int or None
         Optional cap on pattern length; hitting it is reported, not silent.
-    earth_radius_km : float
-        Globe radius used by the geodesic metric.
     """
 
     radius: float
@@ -219,7 +217,6 @@ class MiningConfig:
     metric: str = METRIC_EUCLIDEAN
     strict_theta: bool = True
     max_length: Optional[int] = None
-    earth_radius_km: float = 6371.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", as_fraction(self.theta))
@@ -236,8 +233,6 @@ class MiningConfig:
             raise ValueError(f"metric must be one of {VALID_METRICS}")
         if self.max_length is not None and self.max_length < 1:
             raise ValueError("max_length must be >= 1")
-        if not self.earth_radius_km > 0:
-            raise ValueError("earth_radius_km must be > 0")
 
     def passes_theta(self, pi: Fraction) -> bool:
         return pi > self.theta if self.strict_theta else pi >= self.theta

@@ -6,7 +6,9 @@ type F within ``radius`` of e that occurs strictly later than e but at most
 hot loop: instances are sorted by time once, each query walks only the
 forward time window, and distances inside the window are evaluated with
 vectorized numpy. Planar mode compares squared distances so integer-valued
-coordinates on the radius boundary stay exact.
+coordinates on the radius boundary stay exact; geodesic mode treats (x, y)
+as (longitude, latitude) in degrees and uses the haversine great-circle
+distance in meters.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .model import (
     METRIC_EUCLIDEAN,
 )
 
+#: Globe radius of the geodesic metric, in meters.
+EARTH_RADIUS_M = 6_371_000.0
+
 
 class NeighborhoodIndex:
     """Per-(instance, type) neighbor sets under one config.
@@ -29,9 +34,7 @@ class NeighborhoodIndex:
     Neighbor sets are materialized lazily — the first query for an instance
     computes its whole forward window and caches the per-type split — but
     the answers are semantically total and identical to a naive double-loop
-    filter. The index is safe for concurrent readers: cache entries are
-    pure values keyed by instance idx, so duplicated computation under races
-    is idempotent.
+    filter.
     """
 
     def __init__(self, dataset: EventDataset, config: MiningConfig) -> None:
@@ -48,6 +51,10 @@ class NeighborhoodIndex:
         self._types = np.asarray(
             [dataset.instances[i].event_type for i in order], dtype=np.int64)
         if config.metric != METRIC_EUCLIDEAN:
+            if not (np.all(np.abs(self._xs) <= 180.0)
+                    and np.all(np.abs(self._ys) <= 90.0)):
+                raise ValueError("geodesic coordinates must lie within "
+                                 "[-180, 180] x [-90, 90] degrees")
             self._rad_lats = np.radians(self._ys)
             self._half_lats = self._rad_lats / 2.0
             self._half_lons = np.radians(self._xs) / 2.0
@@ -96,7 +103,7 @@ class NeighborhoodIndex:
                 h = s_lat * s_lat + s_lon * s_lon * (
                     np.cos(self._rad_lats[lo:hi]) * math.cos(math.radians(e.y)))
                 np.clip(h, 0.0, 1.0, out=h)
-                dist = 2.0 * float(self.config.earth_radius_km) * 1000.0 * np.arcsin(np.sqrt(h))
+                dist = 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))
                 ok = dist <= float(self.config.radius)
             kept_pos = np.nonzero(ok)[0] + lo
             if kept_pos.size:
@@ -111,7 +118,9 @@ class NeighborhoodIndex:
 
 
 def build_index(dataset: EventDataset, config: MiningConfig) -> NeighborhoodIndex:
-    """Construct the sweep index for a dataset/config pair."""
+    """Construct the sweep index for a dataset/config pair. Raises
+    ValueError for an empty dataset or, in geodesic mode, degrees out of
+    range."""
     if len(dataset.instances) == 0:
         raise ValueError("cannot index an empty dataset")
     return NeighborhoodIndex(dataset, config)

@@ -50,7 +50,7 @@ def _contains(outer: Pattern, inner: Pattern) -> bool:
 
 
 def _distance(a: EventInstance, b: EventInstance, cfg: MiningConfig) -> float:
-    # The oracle's own distance arithmetic, kept separate from geo.py.
+    # The oracle's own distance arithmetic, kept separate from the index's.
     if cfg.metric == "euclidean":
         dx = a.x - b.x
         dy = a.y - b.y
@@ -58,7 +58,7 @@ def _distance(a: EventInstance, b: EventInstance, cfg: MiningConfig) -> float:
     s_lat = math.sin(math.radians(b.y - a.y) / 2.0)
     s_lon = math.sin(math.radians(b.x - a.x) / 2.0)
     h = s_lat * s_lat + s_lon * s_lon * math.cos(math.radians(a.y)) * math.cos(math.radians(b.y))
-    return 2.0 * cfg.earth_radius_km * 1000.0 * math.asin(min(1.0, math.sqrt(h)))
+    return 2.0 * 6_371_000.0 * math.asin(min(1.0, math.sqrt(h)))
 
 
 class _NaiveNeighbors:

@@ -12,11 +12,10 @@ because the participation index can only shrink as a pattern grows.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .model import EventDataset, MaxTree, MiningConfig, PatternNode, canonical_key
+from .model import EventDataset, MaxTree, MiningConfig, PatternNode
 from .neighborhoods import NeighborhoodIndex, build_index
 
 
@@ -50,9 +49,10 @@ def mine_level1(dataset: EventDataset) -> list[PatternNode]:
     return nodes
 
 
-def _make_child(parent1: PatternNode, parent2: PatternNode, new_type: int,
+def _make_child(parent1: PatternNode, parent2: PatternNode,
                 index: NeighborhoodIndex, cfg: MiningConfig) -> Optional[PatternNode]:
     # One candidate: extend parent1's pattern by parent2's final element.
+    new_type = parent2.pattern[-1]
     support = index.union_over(parent1.last_support, new_type)
     ratio = Fraction(len(support), index.dataset.count(new_type))
     pi = min(parent1.pi, ratio)
@@ -67,66 +67,29 @@ def _make_child(parent1: PatternNode, parent2: PatternNode, new_type: int,
     )
 
 
-def _expand_level2(si: PatternNode, level1: Sequence[PatternNode],
-                   index: NeighborhoodIndex, cfg: MiningConfig) -> list[PatternNode]:
-    kept = []
-    for sj in level1:  # ordered pairs, self-pairing included
-        node = _make_child(si, sj, sj.pattern[0], index, cfg)
-        if node is not None:
-            kept.append(node)
-            si.children.append(node)
-    return kept
-
-
-def _expand_deeper(si: PatternNode, index: NeighborhoodIndex,
-                   cfg: MiningConfig) -> list[PatternNode]:
-    kept = []
-    sl = si.parent2
-    for sj in sl.children:
-        node = _make_child(si, sj, sj.pattern[-1], index, cfg)
-        if node is not None:
-            kept.append(node)
-            si.children.append(node)
-    return kept
-
-
-def mine_level2(level1: Sequence[PatternNode], index: NeighborhoodIndex,
-                cfg: MiningConfig, threads: int = 1) -> list[PatternNode]:
-    """All verified length-2 patterns from ordered pairs of root nodes."""
-    return _run_level(
-        level1, lambda si: _expand_level2(si, level1, index, cfg), threads)
-
-
 def gen_and_verify(level_prev: Sequence[PatternNode], index: NeighborhoodIndex,
-                   cfg: MiningConfig, threads: int = 1) -> list[PatternNode]:
+                   cfg: MiningConfig) -> list[PatternNode]:
     """All verified length-k patterns from the verified length-(k-1) level.
 
     For each node, the viable suffixes are exactly the children of its second
     parent: those are the verified patterns overlapping it in all but the
-    first position. The (prefix, suffix) pairing generates every candidate
-    exactly once.
+    first position. Roots have no second parent, so every root pairs with
+    every root, itself included. The (prefix, suffix) pairing generates every
+    candidate exactly once, and in canonical order: sources are canonical and
+    each children list is, by induction, sorted by its final element.
     """
-    return _run_level(
-        level_prev, lambda si: _expand_deeper(si, index, cfg), threads)
+    level = []
+    for si in level_prev:
+        suffixes = level_prev if si.parent2 is None else si.parent2.children
+        for sj in suffixes:
+            node = _make_child(si, sj, index, cfg)
+            if node is not None:
+                level.append(node)
+                si.children.append(node)
+    return level
 
 
-def _run_level(sources, expand_one, threads: int) -> list[PatternNode]:
-    # Each worker only touches its own source node's children list, so the
-    # per-si split is race-free; the canonical sort makes the merged level
-    # (and therefore the whole tree) independent of thread count.
-    if threads > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(expand_one, sources))
-    else:
-        chunks = [expand_one(si) for si in sources]
-    merged = [node for chunk in chunks for node in chunk]
-    merged.sort(key=lambda n: canonical_key(n.pattern))
-    for si in sources:
-        si.children.sort(key=lambda n: canonical_key(n.pattern))
-    return merged
-
-
-def mine_all(dataset: EventDataset, cfg: MiningConfig, threads: int = 1) -> MaxTree:
+def mine_all(dataset: EventDataset, cfg: MiningConfig) -> MaxTree:
     """Grow the full tree of threshold-passing patterns.
 
     Levels are generated until one comes back empty or ``cfg.max_length`` is
@@ -145,13 +108,9 @@ def mine_all(dataset: EventDataset, cfg: MiningConfig, threads: int = 1) -> MaxT
     index = build_index(dataset, cfg)
     capped = False
     while level:
-        level.sort(key=lambda n: canonical_key(n.pattern))
         levels.append(level)
         if cfg.max_length is not None and len(levels) >= cfg.max_length:
             capped = True
             break
-        if len(levels) == 1:
-            level = mine_level2(level, index, cfg, threads)
-        else:
-            level = gen_and_verify(level, index, cfg, threads)
+        level = gen_and_verify(level, index, cfg)
     return MaxTree(levels, cfg, capped=capped)

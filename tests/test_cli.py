@@ -134,26 +134,57 @@ class TestMine:
         run = run_of(recs)
         assert run["capped"] is True and run["depth"] == 3
 
-    def test_geodesic_metric_accepted(self, tmp_path):
-        recs = run_records(tmp_path, "geo.jsonl", [
-            "mine", "--synthetic", "3,30", "--seed", "1",
-            "--radius", "200000", "--window", "120",
-            "--metric", "geodesic", "--theta", "0.1", "--algorithm", "all"])
+    def test_oracle_reports_cap(self, tmp_path):
+        # A 40-instance one-type chain, each step one meter and one minute
+        # on: every length passes, so the oracle stops at its default
+        # length limit of 7 and must say so.
+        chain = tmp_path / "chain.csv"
+        chain.write_text("type,x,y,time_minutes\n" + "".join(
+            f"A,{i},0,{i}\n" for i in range(40)))
+        recs = run_records(tmp_path, "o.jsonl", [
+            "mine", "--input", str(chain), "--radius", "1", "--window", "1",
+            "--theta", "0.5", "--algorithm", "oracle"])
+        run = run_of(recs)
+        assert run["depth"] == 7 and run["capped"] is True
+
+    def test_pattern_separator_label_rows_rejected(self, tmp_path, capsys):
+        data = tmp_path / "arrow.csv"
+        data.write_text("type,x,y,time_minutes\n"
+                        "A->B,0,0,0\nC,0,0,1\nA->B,5,5,10\nC,5,5,11\n")
+        saved = tmp_path / "arrow.jsonl"
+        recs = run_records(tmp_path, saved.name, [
+            "mine", "--input", str(data), "--radius", "10", "--window", "5",
+            "--algorithm", "csts"])
+        (ds,) = [r for r in recs if r["record"] == "dataset"]
+        assert ds["rows_read"] == 4 and ds["rejected"]["unparseable"] == 2
+        assert run_of(recs)["types"] == ["C"]
+        assert [r["pattern"] for r in patterns_of(recs)] == ["C"]
+        assert main(["query", "--from", str(saved),
+                     "--pattern", "C"]) == 0
+        assert "exact pi 1" in capsys.readouterr().out
+
+    def test_geodesic_metric_accepted(self, tmp_path, capsys):
+        # The default synthetic area spans 0..100, past latitude 90, so
+        # the geodesic run needs the smaller area to be valid degrees.
+        argv = ["mine", "--seed", "1", "--radius", "200000", "--window", "120",
+                "--metric", "geodesic", "--theta", "0.1", "--algorithm", "all"]
+        recs = run_records(tmp_path, "geo.jsonl",
+                           argv + ["--synthetic", "3,30,80,300"])
         assert run_of(recs)["config"]["metric"] == "geodesic"
+        assert main(argv + ["--synthetic", "3,30"]) == 2
+        assert "degrees" in capsys.readouterr().err
 
 
 class TestDeterminism:
-    def test_byte_identical_across_runs_and_threads(self, tmp_path):
+    def test_byte_identical_across_runs(self, tmp_path):
         argv = BASE + ["--theta", "0.2", "--epsilon", "0.25",
                        "--algorithm", "csts"]
         blobs = []
-        for name, extra in [("a.jsonl", []), ("b.jsonl", []),
-                            ("c.jsonl", ["--threads", "4"]),
-                            ("d.jsonl", ["--threads", "13"])]:
+        for name in ("a.jsonl", "b.jsonl", "c.jsonl"):
             out = tmp_path / name
-            assert main(argv + extra + ["--out", str(out)]) == 0
+            assert main(argv + ["--out", str(out)]) == 0
             blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
+        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_no_timing_keys_in_records(self, tmp_path):
         recs = run_records(tmp_path, "run.jsonl", BASE + [
@@ -298,6 +329,7 @@ class TestErrors:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(BASE + ["--frobnicate"]) == 2
+        assert main(BASE + ["--threads", "2"]) == 2
 
 
 def test_console_script_help_runs():

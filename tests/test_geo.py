@@ -1,42 +1,53 @@
-"""Distance metrics and timestamp conversion.
+"""Distances and timestamps on the live paths: the neighborhood index's
+planar and geodesic radius tests, its degree-range check, and the portal
+loaders' minute arithmetic.
 
-The haversine implementation is checked against an independent 50-digit
-mpmath reimplementation of the same half-angle formula.
+Geodesic neighborhoods are checked against an independent 50-digit mpmath
+reimplementation of the half-angle haversine formula.
 """
 
 import math
 import random
-from datetime import datetime
 
 import mpmath
 import pytest
 
-from csts.geo import (
-    euclidean_distance,
-    geodesic_distance,
-    haversine_meters,
-    timestamp_to_minutes,
-)
-from csts.model import EventInstance
+from csts import EventDataset, EventInstance, EventType, MiningConfig
+from csts.ingestion import load_boston, load_pittsburgh
+from csts.neighborhoods import build_index
+
+EARTH_RADIUS_KM = 6371.0
 
 
-def inst(x, y, t=0.0, idx=0, et=0):
-    return EventInstance(idx, et, x, y, t)
+def _dataset(points):
+    """One instance per (x, y), one minute apart, all of type A."""
+    return EventDataset(
+        [EventType(0, "A")],
+        [EventInstance(i, 0, float(x), float(y), i) for i, (x, y) in enumerate(points)],
+    )
+
+
+def _reaches(a, b, radius, metric="euclidean"):
+    """Whether an instance at b, one minute after one at a, is its neighbor."""
+    index = build_index(_dataset([a, b]),
+                        MiningConfig(radius=radius, window=10.0, metric=metric))
+    return index.neighborhood(0, 0) == (1,)
 
 
 class TestEuclidean:
     def test_three_four_five(self):
-        assert euclidean_distance(inst(0, 0), inst(3, 4)) == 5.0
+        assert _reaches((0, 0), (3, 4), 5.0)
+        assert not _reaches((0, 0), (3, 4), 4.999)
 
     def test_identity(self):
-        a = inst(2.5, -7.0)
-        assert euclidean_distance(a, a) == 0.0
+        assert _reaches((2.5, -7.0), (2.5, -7.0), 1e-9)
 
     def test_radius_boundary(self):
-        assert euclidean_distance(inst(0, 0), inst(10, 0)) == 10.0
+        assert _reaches((0, 0), (10, 0), 10.0)
+        assert not _reaches((0, 0), (10.000001, 0), 10.0)
 
 
-def mp_haversine(lon1, lat1, lon2, lat2, radius_km=6371.0):
+def mp_haversine(lon1, lat1, lon2, lat2, radius_km=EARTH_RADIUS_KM):
     """Independent high-precision route: same formula, 50-digit arithmetic."""
     with mpmath.workdps(50):
         rad = lambda d: mpmath.mpf(d) * mpmath.pi / 180
@@ -46,70 +57,102 @@ def mp_haversine(lon1, lat1, lon2, lat2, radius_km=6371.0):
         return float(2 * mpmath.mpf(radius_km) * 1000 * mpmath.asin(mpmath.sqrt(h)))
 
 
+def _random_point(rng):
+    return rng.uniform(-180, 180), rng.uniform(-90, 90)
+
+
+def _geo_reaches(a, b, radius):
+    return _reaches(a, b, radius, metric="geodesic")
+
+
 class TestHaversine:
     def test_identity(self):
-        a = inst(-71.06, 42.36)
-        assert geodesic_distance(a, a) == 0.0
+        assert _geo_reaches((-71.06, 42.36), (-71.06, 42.36), 1e-9)
 
     def test_one_degree_of_latitude(self):
-        # One degree of arc: R * pi / 180.
-        d = haversine_meters(0.0, 0.0, 0.0, 1.0)
-        assert d == pytest.approx(111194.9, abs=0.1)
+        # One degree of arc: R * pi / 180 = 111194.93 m.
+        assert mp_haversine(0.0, 0.0, 0.0, 1.0) == pytest.approx(111194.9, abs=0.1)
+        assert _geo_reaches((0.0, 0.0), (0.0, 1.0), 111195.0)
+        assert not _geo_reaches((0.0, 0.0), (0.0, 1.0), 111194.9)
 
     def test_symmetry(self):
         rng = random.Random(3)
-        for _ in range(1000):
-            lon1, lat1 = rng.uniform(-180, 180), rng.uniform(-90, 90)
-            lon2, lat2 = rng.uniform(-180, 180), rng.uniform(-90, 90)
-            assert haversine_meters(lon1, lat1, lon2, lat2) == pytest.approx(
-                haversine_meters(lon2, lat2, lon1, lat1), rel=1e-12
-            )
+        for _ in range(200):
+            a, b = _random_point(rng), _random_point(rng)
+            radius = mp_haversine(*a, *b) * rng.choice([1 - 1e-6, 1 + 1e-6])
+            assert _geo_reaches(a, b, radius) == _geo_reaches(b, a, radius)
 
     def test_never_exceeds_half_circumference(self):
+        # Within half the circumference every point of the globe, the
+        # antipode included, is a neighbor of the first instance.
         rng = random.Random(4)
-        bound = math.pi * 6371.0 * 1000.0
-        for _ in range(500):
-            d = haversine_meters(
-                rng.uniform(-180, 180), rng.uniform(-90, 90),
-                rng.uniform(-180, 180), rng.uniform(-90, 90),
-            )
-            assert 0.0 <= d <= bound + 1e-6
+        points = [(10.0, 20.0), (-170.0, -20.0)]
+        points += [_random_point(rng) for _ in range(500)]
+        bound = math.pi * EARTH_RADIUS_KM * 1000.0
+        index = build_index(_dataset(points), MiningConfig(
+            radius=bound + 1e-6, window=len(points), metric="geodesic"))
+        assert index.neighborhood(0, 0) == tuple(range(1, len(points)))
 
     def test_against_high_precision_reference(self):
+        # Radii a millionth inside and outside the reference distance, for
+        # pairs across the globe and pairs a few kilometers apart.
         rng = random.Random(5)
-        for _ in range(1000):
-            lon1, lat1 = rng.uniform(-180, 180), rng.uniform(-90, 90)
-            lon2, lat2 = rng.uniform(-180, 180), rng.uniform(-90, 90)
-            fast = haversine_meters(lon1, lat1, lon2, lat2)
-            ref = mp_haversine(lon1, lat1, lon2, lat2)
-            assert fast == pytest.approx(ref, rel=1e-6, abs=1e-6)
+        for trial in range(500):
+            a = _random_point(rng)
+            if trial % 2:
+                b = _random_point(rng)
+            else:
+                b = (a[0] + rng.uniform(-0.05, 0.05),
+                     max(-90.0, min(90.0, a[1] + rng.uniform(-0.05, 0.05))))
+            ref = mp_haversine(*a, *b)
+            if ref == 0.0:
+                continue
+            assert _geo_reaches(a, b, ref * (1 + 1e-6)), (a, b, ref)
+            assert not _geo_reaches(a, b, ref * (1 - 1e-6)), (a, b, ref)
 
-    def test_custom_radius(self):
-        d_default = haversine_meters(10, 10, 20, 20)
-        d_double = haversine_meters(10, 10, 20, 20, earth_radius_km=2 * 6371.0)
-        assert d_double == pytest.approx(2 * d_default, rel=1e-12)
-
-    @pytest.mark.parametrize("bad", [(200, 0), (-181, 0), (0, 91), (0, -90.5)])
+    @pytest.mark.parametrize("bad", [(200, 0), (-181, 0), (0, 91), (0, -90.5),
+                                     (200, 95)])
     def test_degree_range_enforced(self, bad):
-        lon, lat = bad
-        with pytest.raises(ValueError):
-            haversine_meters(lon, lat, 0.0, 0.0)
+        with pytest.raises(ValueError, match="degrees"):
+            _geo_reaches((0.0, 0.0), bad, 1000.0)
+        # In planar mode the same numbers are meters and load fine.
+        assert not _reaches((0.0, 0.0), bad, 1.0)
+
+
+PGH_HEADER = "_id,INCIDENTTIME,INCIDENTHIERARCHYDESC,X,Y\n"
+BOS_HEADER = "INCIDENT_NUMBER,OFFENSE_CODE_GROUP,OCCURRED_ON_DATE,Lat,Long\n"
+
+
+def _portal_minutes(tmp_path, stamps):
+    """Minutes each portal loader (Pittsburgh, then Boston) assigns to
+    ``"MM-DD HH:MM:SS"`` stamps in the first year of its range, counted
+    from that year's start."""
+    pgh = tmp_path / "p.csv"
+    pgh.write_text(PGH_HEADER + "".join(
+        f"{n},2017-{s},THEFT,-79.99,40.44\n" for n, s in enumerate(stamps)))
+    bos = tmp_path / "b.csv"
+    bos.write_text(BOS_HEADER + "".join(
+        f"I{n},Arson,2014-{s},42.35,-71.06\n" for n, s in enumerate(stamps)))
+    return [[inst.time for inst in ds.instances]
+            for ds, _ in (load_pittsburgh(pgh), load_boston(bos))]
 
 
 class TestTimestampToMinutes:
-    EPOCH = datetime(2017, 1, 1, 0, 0)
+    def test_epoch_maps_to_zero(self, tmp_path):
+        assert _portal_minutes(tmp_path, ["01-01 00:00:00"]) == [[0], [0]]
 
-    def test_epoch_maps_to_zero(self):
-        assert timestamp_to_minutes(self.EPOCH, self.EPOCH) == 0
+    def test_eight_days(self, tmp_path):
+        assert _portal_minutes(tmp_path, ["01-09 00:00:00"]) == [[11520]] * 2
 
-    def test_eight_days(self):
-        t = datetime(2017, 1, 9, 0, 0)
-        assert timestamp_to_minutes(t, self.EPOCH) == 11520
+    def test_seconds_truncate(self, tmp_path):
+        stamps = ["01-01 00:00:59", "01-01 00:01:00", "01-01 00:01:59"]
+        assert _portal_minutes(tmp_path, stamps) == [[0, 1, 1]] * 2
 
-    def test_seconds_truncate(self):
-        t = datetime(2017, 1, 1, 0, 0, 59)
-        assert timestamp_to_minutes(t, self.EPOCH) == 0
-
-    def test_before_epoch_rejected(self):
-        with pytest.raises(ValueError):
-            timestamp_to_minutes(datetime(2016, 12, 31, 23, 59), self.EPOCH)
+    def test_before_epoch_rejected(self, tmp_path):
+        pgh = tmp_path / "p.csv"
+        pgh.write_text(PGH_HEADER + "1,2016-12-31T23:59:59,THEFT,-79.99,40.44\n")
+        bos = tmp_path / "b.csv"
+        bos.write_text(BOS_HEADER + "I1,Arson,2013-12-31 23:59:59,42.35,-71.06\n")
+        for ds, report in (load_pittsburgh(pgh), load_boston(bos)):
+            assert report.filtered == 1
+            assert report.instances_kept == 0 and len(ds.instances) == 0

@@ -81,6 +81,19 @@ def test_rejection_reasons_are_disjoint(tmp_path):
     assert ds.instances[0].time == 7
 
 
+def test_pattern_separator_in_type_label_rejected(tmp_path):
+    # A type "A->B" would mine to patterns such as "A->B->C" that no query
+    # can read back as the two-element pattern they are.
+    path = _write(tmp_path, "f.csv", "type,x,y,time_minutes\n"
+                                     "A->B,0,0,0\n"
+                                     "C,0,0,1\n"
+                                     "C,1,1,2\n")
+    ds, report = load_generic(path)
+    assert report.unparseable == 1
+    assert report.rows_read == report.instances_kept + report.rows_rejected == 3
+    assert [t.label for t in ds.types] == ["C"]
+
+
 def test_type_ids_assigned_label_sorted(tmp_path):
     path = _write(tmp_path, "f.csv", "type,x,y,time_minutes\n"
                                      "zebra,0,0,0\n"
@@ -218,3 +231,16 @@ def test_boston_default_lists_are_sane():
     assert len(lists["reduced"]) == 10
     assert len(lists["complete"]) == 26
     assert set(lists["reduced"]) <= set(lists["complete"])
+
+
+@pytest.mark.parametrize("lon_lat", ["200,0", "-181,0", "0,91", "0,-90.5",
+                                     "200,95"])
+def test_boston_coordinates_outside_degree_range_unparseable(tmp_path, lon_lat):
+    lon, lat = lon_lat.split(",")
+    path = _write(tmp_path, "b.csv", BOS_HEADER +
+                  "I1,Arson,2014-06-15 13:00:00,42.35,-71.06\n"
+                  f"I2,Arson,2014-06-15 13:05:00,{lat},{lon}\n")
+    ds, report = load_boston(path)
+    assert report.unparseable == 1
+    assert report.rows_read == report.instances_kept + report.rows_rejected == 2
+    assert [(i.x, i.y) for i in ds.instances] == [(-71.06, 42.35)]

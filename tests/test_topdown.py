@@ -20,7 +20,6 @@ from csts.topdown import (
     gen_and_verify,
     mine_all,
     mine_level1,
-    mine_level2,
     participation_ratio,
 )
 
@@ -155,18 +154,6 @@ def test_matches_oracle_on_random_datasets():
             assert got == want, f"seed={spec.seed} theta={theta} strict={strict}"
 
 
-def test_thread_count_does_not_change_the_tree():
-    ds = example_dataset()
-    cfg = example_config()
-    serial = mine_all(ds, cfg, threads=1)
-    threaded = mine_all(ds, cfg, threads=4)
-    assert [[n.pattern for n in lv] for lv in serial.levels] == \
-           [[n.pattern for n in lv] for lv in threaded.levels]
-    assert [n.pi for n in serial] == [n.pi for n in threaded]
-    assert [[c.pattern for c in n.children] for n in serial] == \
-           [[c.pattern for c in n.children] for n in threaded]
-
-
 def test_max_length_cap():
     ds = example_dataset()
     capped = mine_all(ds, MiningConfig(radius=10.0, window=20.0, theta="0.2",
@@ -209,7 +196,7 @@ def test_level_functions_compose_like_mine_all():
     cfg = example_config()
     index = build_index(ds, cfg)
     l1 = mine_level1(ds)
-    l2 = mine_level2(l1, index, cfg)
+    l2 = gen_and_verify(l1, index, cfg)
     l3 = gen_and_verify(l2, index, cfg)
     tree = mine_all(ds, cfg)
     assert [n.pattern for n in l2] == [n.pattern for n in tree.levels[1]]
