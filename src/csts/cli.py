@@ -27,7 +27,7 @@ from .ingestion import (
     load_generic,
     load_pittsburgh,
 )
-from .model import EventDataset, MiningConfig, canonical_key
+from .model import EventDataset, MiningConfig, parse_pattern
 from .oracle import (
     OracleSizeError,
     RandomSpec,
@@ -314,7 +314,12 @@ def _run_tree_algorithms(dataset, cfg, algorithm) -> _MineResult:
 def _run_oracle_algorithm(dataset, cfg) -> _MineResult:
     t0 = time.perf_counter()
     max_len = cfg.max_length if cfg.max_length is not None else 7
-    universe = oracle_all_patterns(dataset, cfg, max_len=max_len)
+    try:
+        universe = oracle_all_patterns(dataset, cfg, max_len=max_len)
+    except OracleSizeError:
+        raise
+    except ValueError as exc:  # bad degrees
+        raise _CliError(str(exc)) from exc
     closed = {p for p, _ in oracle_closed(universe)}
     members, cmax_map = oracle_csts(universe, cfg.epsilon)
     member_set = {p for p, _ in members}
@@ -533,16 +538,13 @@ def _load_saved_csts(path) -> tuple[CstsSet, list[str]]:
 
 def cmd_query(args) -> int:
     summary, labels = _load_saved_csts(args.source)
-    elements = [e.strip() for e in args.pattern.split("->")]
-    if not all(elements):
-        raise _CliError(f"malformed pattern {args.pattern!r}")
-    known = set(labels)
-    unknown = [e for e in elements if e not in known]
-    if unknown:
+    try:
+        query = parse_pattern(args.pattern, {label: label for label in labels})
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
+    except KeyError as exc:
         raise _CliError(
-            f"unknown event type label(s): {', '.join(unknown)} "
-            f"(dataset types: {', '.join(labels)})")
-    query = tuple(elements)
+            f"{exc.args[0]} (dataset types: {', '.join(labels)})") from exc
     est = approximate_pi(query, summary)
     name = "->".join(query)
     if est is None:

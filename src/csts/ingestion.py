@@ -198,7 +198,6 @@ def load_generic(path, schema: Optional[ColumnSchema] = None,
 def _portal_loader(path, schema: ColumnSchema, epoch_iso: str,
                    year_lo: int, year_hi: int,
                    whitelist: Optional[set[str]] = None,
-                   degrees: bool = False,
                    ) -> tuple[EventDataset, IngestReport]:
     report = IngestReport(source=str(path))
     epoch = datetime.fromisoformat(epoch_iso)
@@ -215,7 +214,7 @@ def _portal_loader(path, schema: ColumnSchema, epoch_iso: str,
             return False
         return whitelist is None or row.label.lower() in whitelist
 
-    rows = _load_rows(path, schema, report, parse_minutes, in_scope, degrees)
+    rows = _load_rows(path, schema, report, parse_minutes, in_scope, degrees=True)
     return _build_dataset(rows, epoch_iso, report), report
 
 
@@ -224,6 +223,8 @@ def load_pittsburgh(path) -> tuple[EventDataset, IngestReport]:
 
     Maps INCIDENTHIERARCHYDESC / X / Y / INCIDENTTIME, keeps incidents from
     2017-01-01 through 2019-12-31, and counts minutes from 2017-01-01T00:00.
+    X and Y are longitude and latitude: rows whose X lies outside
+    [-180, 180] or Y outside [-90, 90] count as unparseable.
     """
     return _portal_loader(path, PITTSBURGH_SCHEMA, "2017-01-01T00:00",
                           2017, 2019)
@@ -249,7 +250,7 @@ def load_boston(path, reduced: bool = False,
         raise ValueError(f"{types_path}: expected a non-empty {key!r} list")
     whitelist = {str(label).lower() for label in lists[key]}
     return _portal_loader(path, BOSTON_SCHEMA, "2014-01-01T00:00",
-                          2014, 2014, whitelist, degrees=True)
+                          2014, 2014, whitelist)
 
 
 def export_generic(dataset: EventDataset, path) -> None:

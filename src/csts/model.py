@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
+import numpy as np
+
 # A pattern is a tuple of dense event-type ids. Plain tuples keep patterns
 # hashable, cheap to slice, and trivially comparable.
 Pattern = tuple[int, ...]
@@ -246,16 +248,16 @@ class MiningConfig:
 class PatternNode:
     """A pattern with its participation index and lattice links.
 
-    ``last_support`` holds the instance idx set supporting the final element
-    (the support of element i < m is the ``last_support`` of the length-i
-    prefix node, reachable along the ``parent1`` chain). ``cmax`` / ``rcmax``
-    are filled by the bottom-up phase; ``csts_flag`` is None until extraction
-    decides membership.
+    ``last_support`` holds the instances supporting the final element as a
+    sorted, unique ``int64`` array of idx (the support of element i < m is
+    the ``last_support`` of the length-i prefix node, reachable along the
+    ``parent1`` chain). ``cmax`` / ``rcmax`` are filled by the bottom-up
+    phase; ``csts_flag`` is None until extraction decides membership.
     """
 
     pattern: Pattern
     pi: Fraction
-    last_support: frozenset[int]
+    last_support: np.ndarray
     parent1: Optional["PatternNode"] = None
     parent2: Optional["PatternNode"] = None
     children: list["PatternNode"] = field(default_factory=list)

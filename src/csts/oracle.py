@@ -62,9 +62,15 @@ def _distance(a: EventInstance, b: EventInstance, cfg: MiningConfig) -> float:
 
 
 class _NaiveNeighbors:
-    """Double-loop neighborhood evaluation with memoization per (idx, type)."""
+    """Double-loop neighborhood evaluation with memoization per (idx, type).
+    Geodesic degrees outside [-180, 180] x [-90, 90] raise ValueError."""
 
     def __init__(self, dataset: EventDataset, cfg: MiningConfig) -> None:
+        if cfg.metric != "euclidean" and any(
+                not (-180.0 <= p.x <= 180.0 and -90.0 <= p.y <= 90.0)
+                for p in dataset.instances):
+            raise ValueError("geodesic coordinates must lie within "
+                             "[-180, 180] x [-90, 90] degrees")
         self.dataset = dataset
         self.cfg = cfg
         self._cache: dict[tuple[int, int], frozenset[int]] = {}

@@ -15,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .model import EventDataset, MaxTree, MiningConfig, PatternNode
 from .neighborhoods import NeighborhoodIndex, build_index
 
@@ -44,7 +46,7 @@ def mine_level1(dataset: EventDataset) -> list[PatternNode]:
         nodes.append(PatternNode(
             pattern=(type_id,),
             pi=Fraction(1),
-            last_support=frozenset(inst.idx for inst in members),
+            last_support=np.array(sorted(inst.idx for inst in members), dtype=np.int64),
         ))
     return nodes
 
@@ -67,6 +69,13 @@ def _make_child(parent1: PatternNode, parent2: PatternNode,
     )
 
 
+def _pairs(level_prev: Sequence[PatternNode]):
+    # The (prefix, suffix) candidates of the next level; see gen_and_verify.
+    for si in level_prev:
+        for sj in level_prev if si.parent2 is None else si.parent2.children:
+            yield si, sj
+
+
 def gen_and_verify(level_prev: Sequence[PatternNode], index: NeighborhoodIndex,
                    cfg: MiningConfig) -> list[PatternNode]:
     """All verified length-k patterns from the verified length-(k-1) level.
@@ -79,13 +88,11 @@ def gen_and_verify(level_prev: Sequence[PatternNode], index: NeighborhoodIndex,
     each children list is, by induction, sorted by its final element.
     """
     level = []
-    for si in level_prev:
-        suffixes = level_prev if si.parent2 is None else si.parent2.children
-        for sj in suffixes:
-            node = _make_child(si, sj, index, cfg)
-            if node is not None:
-                level.append(node)
-                si.children.append(node)
+    for si, sj in _pairs(level_prev):
+        node = _make_child(si, sj, index, cfg)
+        if node is not None:
+            level.append(node)
+            si.children.append(node)
     return level
 
 
@@ -93,9 +100,10 @@ def mine_all(dataset: EventDataset, cfg: MiningConfig) -> MaxTree:
     """Grow the full tree of threshold-passing patterns.
 
     Levels are generated until one comes back empty or ``cfg.max_length`` is
-    reached; stopping at the cap with a live frontier marks the tree as
-    ``capped`` (it may be missing longer patterns). With ``strict_theta=False``
-    and theta 0 every candidate passes, so a cap is required to terminate.
+    reached. At the cap the candidates of the next level are verified until
+    one passes, without being kept: the tree is ``capped`` exactly when
+    longer patterns pass. With ``strict_theta=False`` and theta 0 every
+    candidate passes, so a cap is required to terminate.
     """
     if not cfg.strict_theta and cfg.theta == 0 and cfg.max_length is None:
         raise ValueError(
@@ -103,14 +111,13 @@ def mine_all(dataset: EventDataset, cfg: MiningConfig) -> MaxTree:
             "set max_length to bound the search")
     levels: list[list[PatternNode]] = []
     level = mine_level1(dataset)
-    if not level:
-        return MaxTree(levels, cfg, capped=False)
-    index = build_index(dataset, cfg)
+    index = build_index(dataset, cfg) if level else None
     capped = False
     while level:
         levels.append(level)
-        if cfg.max_length is not None and len(levels) >= cfg.max_length:
-            capped = True
+        if len(levels) == cfg.max_length:
+            capped = any(_make_child(si, sj, index, cfg) is not None
+                         for si, sj in _pairs(level))
             break
         level = gen_and_verify(level, index, cfg)
     return MaxTree(levels, cfg, capped=capped)

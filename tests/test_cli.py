@@ -320,6 +320,15 @@ class TestErrors:
         assert main(BASE + ["--theta", "0", "--theta-strictness", "ge"]) == 2
         assert "max_length" in capsys.readouterr().err
 
+    def test_out_of_range_degrees_exit_2_for_both_algorithms(self, capsys):
+        # The default synthetic area 0..100 is not valid latitude.
+        argv = ["mine", "--synthetic", "3,30", "--seed", "1",
+                "--radius", "200000", "--window", "120",
+                "--metric", "geodesic", "--theta", "0.1", "--algorithm"]
+        for algorithm in ("csts", "oracle"):
+            assert main(argv + [algorithm]) == 2
+            assert "[-180, 180] x [-90, 90]" in capsys.readouterr().err
+
     def test_bad_synthetic_spec(self, capsys):
         assert main(["mine", "--synthetic", "5", "--radius", "10",
                      "--window", "20"]) == 2

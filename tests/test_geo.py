@@ -15,6 +15,7 @@ import pytest
 from csts import EventDataset, EventInstance, EventType, MiningConfig
 from csts.ingestion import load_boston, load_pittsburgh
 from csts.neighborhoods import build_index
+from csts.oracle import naive_neighborhood
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -115,6 +116,10 @@ class TestHaversine:
     def test_degree_range_enforced(self, bad):
         with pytest.raises(ValueError, match="degrees"):
             _geo_reaches((0.0, 0.0), bad, 1000.0)
+        # The oracle refuses them with its own check.
+        cfg = MiningConfig(radius=1000.0, window=10.0, metric="geodesic")
+        with pytest.raises(ValueError, match="degrees"):
+            naive_neighborhood(_dataset([(0.0, 0.0), bad]), cfg, 0, 0)
         # In planar mode the same numbers are meters and load fine.
         assert not _reaches((0.0, 0.0), bad, 1.0)
 

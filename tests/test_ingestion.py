@@ -158,13 +158,15 @@ def test_pittsburgh_loader(tmp_path):
                   "3,2016-12-31T23:59:00,THEFT,-79.98,40.43\n"   # before range
                   "4,2020-01-01T00:00:00,THEFT,-79.98,40.43\n"   # after range
                   "5,2017-05-01T08:00:00,,-79.97,40.41\n"        # no type
-                  "6,2017-06-01T09:00:00,THEFT,,40.41\n")        # no coord
+                  "6,2017-06-01T09:00:00,THEFT,,40.41\n"         # no coord
+                  "7,2018-04-01T12:00:00,THEFT,200,95\n")        # not degrees
     ds, report = load_pittsburgh(path)
-    assert report.rows_read == 6
+    assert report.rows_read == 7
     assert report.instances_kept == 2
     assert report.filtered == 2
     assert report.missing_type == 1
     assert report.missing_coordinates == 1
+    assert report.unparseable == 1
     assert ds.epoch == "2017-01-01T00:00"
     # minutes from the 2017 epoch
     assert ds.instances[0].time == 10

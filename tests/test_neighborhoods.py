@@ -73,30 +73,33 @@ def test_random_datasets_match_naive():
         _assert_index_matches_naive(generate_random(spec), cfg)
 
 
+def _random_geodesic(rng, n):
+    instances = [
+        EventInstance(
+            idx=i,
+            event_type=rng.randrange(3),
+            x=round(rng.uniform(-0.5, 0.5), 4),      # lon
+            y=round(rng.uniform(44.5, 45.5), 4),     # lat
+            time=rng.randint(0, 120),
+        )
+        for i in range(n)
+    ]
+    ds = EventDataset(
+        [EventType(0, "A"), EventType(1, "B"), EventType(2, "C")],
+        instances,
+    )
+    cfg = MiningConfig(
+        radius=rng.choice([2_000.0, 20_000.0, 60_000.0]),  # meters
+        window=30.0,
+        metric="geodesic",
+    )
+    return ds, cfg
+
+
 def test_geodesic_random_datasets_match_naive():
     rng = random.Random(5551212)
     for trial in range(30):
-        n = rng.randint(2, 40)
-        instances = [
-            EventInstance(
-                idx=i,
-                event_type=rng.randrange(3),
-                x=round(rng.uniform(-0.5, 0.5), 4),      # lon
-                y=round(rng.uniform(44.5, 45.5), 4),     # lat
-                time=rng.randint(0, 120),
-            )
-            for i in range(n)
-        ]
-        ds = EventDataset(
-            [EventType(0, "A"), EventType(1, "B"), EventType(2, "C")],
-            instances,
-        )
-        cfg = MiningConfig(
-            radius=rng.choice([2_000.0, 20_000.0, 60_000.0]),  # meters
-            window=30.0,
-            metric="geodesic",
-        )
-        _assert_index_matches_naive(ds, cfg)
+        _assert_index_matches_naive(*_random_geodesic(rng, rng.randint(2, 40)))
 
 
 def test_simultaneous_instances_are_never_neighbors():
@@ -144,17 +147,17 @@ def test_spatial_boundary_is_inclusive():
 
 
 def test_union_over_matches_per_instance_union():
-    ds = example_dataset()
-    cfg = example_config()
-    index = build_index(ds, cfg)
-    rng = random.Random(7)
-    for _ in range(50):
-        sources = rng.sample(range(len(ds.instances)), rng.randint(1, 10))
-        for type_id in range(len(ds.types)):
-            want = set()
-            for s in sources:
-                want.update(index.neighborhood(s, type_id))
-            assert index.union_over(sources, type_id) == frozenset(want)
+    geodesic = _random_geodesic(random.Random(2), 120)  # radius 20 km, 371 edges
+    for ds, cfg in [(example_dataset(), example_config()), geodesic]:
+        index = build_index(ds, cfg)
+        rng = random.Random(7)
+        for _ in range(50):
+            sources = rng.sample(range(len(ds.instances)), rng.randint(1, 10))
+            for type_id in range(len(ds.types)):
+                want = set()
+                for s in sources:
+                    want.update(index.neighborhood(s, type_id))
+                assert index.union_over(sources, type_id).tolist() == sorted(want)
 
 
 def test_relabeling_instances_relabels_neighborhoods():

@@ -4,6 +4,7 @@ agreement with the brute-force enumerator."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from csts import MiningConfig, canonical_key
@@ -38,7 +39,7 @@ def test_level1_roots(fixture_tree):
     for n in roots:
         assert n.pi == 1
         assert n.parent1 is None and n.parent2 is None
-        assert n.last_support == frozenset(i.idx for i in ds.by_type[n.pattern[0]])
+        assert n.last_support.tolist() == sorted(i.idx for i in ds.by_type[n.pattern[0]])
 
 
 def test_fixture_lattice_exact(fixture_tree):
@@ -131,8 +132,20 @@ def test_supports_match_recomputation(fixture_tree):
     cfg = example_config()
     for node in fixture_tree:
         support, pi = _support_chain_from_scratch(ds, cfg, node.pattern)
-        assert node.last_support == support
+        assert node.last_support.tolist() == sorted(support)
         assert node.pi == pi
+
+
+def test_supports_are_sorted_idx_arrays(fixture_tree):
+    # theta 0 in ge mode keeps zero-support candidates, so empty supports
+    # are covered too.
+    zero = mine_all(example_dataset(), MiningConfig(
+        radius=10.0, window=20.0, theta=0, strict_theta=False, max_length=3))
+    assert any(len(n.last_support) == 0 for n in zero)
+    for node in [*fixture_tree, *zero]:
+        support = node.last_support
+        assert support.dtype == np.int64 and support.ndim == 1
+        assert np.all(np.diff(support) > 0)
 
 
 def test_matches_oracle_on_random_datasets():
@@ -164,6 +177,14 @@ def test_max_length_cap():
                                       max_length=10))
     assert roomy.depth == 6
     assert not roomy.capped
+    # The flag is exact: nothing of length 7 passes, and the level probed
+    # past the cap leaves no node reachable outside the tree.
+    for max_length, want in [(6, False), (5, True)]:
+        tree = mine_all(ds, MiningConfig(radius=10.0, window=20.0, theta="0.2",
+                                         max_length=max_length))
+        assert tree.capped is want and tree.depth == max_length
+        members = set(tree)
+        assert all(c in members for n in tree for c in n.children)
 
 
 def test_nonstrict_zero_theta_requires_cap():
