@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .bottomup import extract_csts
 from .model import (
@@ -80,15 +80,14 @@ class PiEstimate:
 class CstsSet:
     """Pattern -> pi mapping of the constricted members, plus the margin
     they were extracted under. Detached from tree nodes so it can be
-    rebuilt from serialized output."""
+    rebuilt from serialized output. Members are kept in canonical order."""
 
-    def __init__(self, pis: Mapping[Pattern, Fraction] | Iterable[tuple[Pattern, Fraction]],
-                 epsilon) -> None:
-        items = pis.items() if isinstance(pis, Mapping) else pis
-        self._pi = {tuple(p): as_fraction(v) for p, v in items}
+    def __init__(self, pis: Mapping[Pattern, Fraction], epsilon) -> None:
         self.epsilon = as_fraction(epsilon)
         if not (0 <= self.epsilon <= 1):
             raise ValueError("epsilon must lie in [0, 1]")
+        self._pi = dict(sorted(((tuple(p), as_fraction(v)) for p, v in pis.items()),
+                               key=lambda item: canonical_key(item[0])))
 
     @classmethod
     def from_tree(cls, tree: MaxTree) -> "CstsSet":
@@ -107,10 +106,10 @@ class CstsSet:
         return self._pi[tuple(pattern)]
 
     def patterns(self) -> list[Pattern]:
-        return sorted(self._pi, key=canonical_key)
+        return list(self._pi)
 
     def items(self) -> list[tuple[Pattern, Fraction]]:
-        return [(p, self._pi[p]) for p in self.patterns()]
+        return list(self._pi.items())
 
 
 def is_pi_strong_via_csts(q: Pattern, csts: CstsSet) -> bool:
@@ -119,8 +118,7 @@ def is_pi_strong_via_csts(q: Pattern, csts: CstsSet) -> bool:
     return approximate_pi(q, csts) is not None
 
 
-def approximate_pi(q: Pattern, csts: CstsSet,
-                   eps=None) -> Optional[PiEstimate]:
+def approximate_pi(q: Pattern, csts: CstsSet) -> Optional[PiEstimate]:
     """Estimate pi(q) from the summary alone.
 
     A member equal to q gives the exact value. Otherwise every member
@@ -130,22 +128,25 @@ def approximate_pi(q: Pattern, csts: CstsSet,
     makes the interval sound: q's own representative is among the members
     with pi at least pi(q) - margin, so the best witness can only sit
     closer, while any witness underestimates pi(q) by containment. No
-    witness at all means q is not threshold-passing. ``eps`` defaults to
-    the margin the summary was built with.
+    witness at all means q is not threshold-passing.
     """
-    eps = csts.epsilon if eps is None else as_fraction(eps)
     q = tuple(q)
     if q in csts:
         value = csts.pi(q)
         return PiEstimate(lower=value, upper=value, witness=q, exact=True)
-    supers = [p for p in csts.patterns() if is_proper_supersequence(p, q)]
-    if not supers:
+    # One pass in canonical order: only a strictly greater pi replaces the
+    # witness, so the canonically smallest wins a tie. The containment test
+    # goes first because it rejects most members faster than a Fraction
+    # comparison would.
+    witness, best = None, Fraction(-1)
+    for p, pi in csts._pi.items():
+        if is_proper_supersequence(p, q) and pi > best:
+            witness, best = p, pi
+    if witness is None:
         return None
-    best_pi = max(csts.pi(p) for p in supers)
-    witness = min((p for p in supers if csts.pi(p) == best_pi), key=canonical_key)
     return PiEstimate(
-        lower=best_pi,
-        upper=min(best_pi + eps, Fraction(1)),
+        lower=best,
+        upper=min(best + csts.epsilon, Fraction(1)),
         witness=witness,
         exact=False,
     )

@@ -22,19 +22,16 @@ from .model import MaxTree, PatternNode, as_fraction
 
 
 def verify_supersequence(s: PatternNode, si: Optional[PatternNode],
-                         eps: Fraction,
-                         visited: Optional[set[PatternNode]] = None,
+                         eps: Fraction, visited: set[PatternNode],
                          ) -> set[PatternNode]:
     """Offer candidate ``s`` to substring ``si`` and all of si's ancestors.
 
     Mutates the ``cmax``/``rcmax`` fields. ``visited`` carries the already
     rejected-or-served substrings for this candidate so diamond-shaped
     ancestor lattices are walked once; callers verifying one candidate
-    against several starting points should pass the same set to every call.
+    against several starting points pass the same set to every call.
     Returns the visited set.
     """
-    if visited is None:
-        visited = set()
     stack = [si]
     while stack:
         cur = stack.pop()

@@ -16,17 +16,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .analysis import CstsSet, approximate_pi, extract_closed
 from .bottomup import extract_csts, run_bottom_up
-from .ingestion import (
-    load_boston,
-    load_generic,
-    load_pittsburgh,
-)
+from .ingestion import load_boston, load_generic, load_pittsburgh
 from .model import EventDataset, MiningConfig, parse_pattern
 from .oracle import (
     OracleSizeError,
@@ -156,7 +151,7 @@ def _load_dataset(args) -> tuple[EventDataset, dict]:
     if not args.input:
         raise _CliError("give --input FILE or --synthetic SPEC")
     loaders = {
-        "generic": lambda p: load_generic(p),
+        "generic": load_generic,
         "pittsburgh": load_pittsburgh,
         "boston": lambda p: load_boston(p, reduced=False),
         "boston-reduced": lambda p: load_boston(p, reduced=True),
@@ -217,42 +212,50 @@ def _config_echo(cfg: MiningConfig) -> dict:
     }
 
 
-def _ratios(counts: dict) -> dict:
-    def ratio(num_key, den_key):
-        num, den = counts.get(num_key), counts.get(den_key)
-        if num is None or den in (None, 0):
-            return None, None
-        value = Fraction(num, den)
-        return str(value), float(value)
+def _ratio(num: Optional[int], den: Optional[int]) -> Optional[Fraction]:
+    """num/den, or None when either count was not computed or den is 0."""
+    return None if num is None or not den else Fraction(num, den)
 
-    csts_all, csts_all_dec = ratio("csts", "all")
-    csts_closed, csts_closed_dec = ratio("csts", "closed")
+
+def _ratios(counts: dict) -> dict:
+    ratios = {}
+    for den in ("all", "closed"):
+        value = _ratio(counts["csts"], counts[den])
+        ratios[f"csts_over_{den}"] = _frac(value)
+        ratios[f"csts_over_{den}_decimal"] = _dec(value)
+    return ratios
+
+
+def _pattern_record(dataset: EventDataset, pattern, pi: Fraction, closed,
+                    csts, cmax_size, rcmax_size) -> dict:
     return {
-        "csts_over_all": csts_all,
-        "csts_over_all_decimal": csts_all_dec,
-        "csts_over_closed": csts_closed,
-        "csts_over_closed_decimal": csts_closed_dec,
+        "record": "pattern",
+        "pattern": "->".join(dataset.pattern_labels(pattern)),
+        "length": len(pattern),
+        "pi": _frac(pi),
+        "pi_decimal": _dec(pi),
+        "closed": closed,
+        "csts": csts,
+        "cmax_size": cmax_size,
+        "rcmax_size": rcmax_size,
     }
 
 
-class _Emitter:
-    def __init__(self, out_path: Optional[str]):
-        self._path = out_path
-        self._fh = None
+def _write_records(path: Optional[str], records: list[dict]) -> None:
+    text = "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+                   for rec in records)
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
-    def __enter__(self):
-        self._fh = (open(self._path, "w", encoding="utf-8", newline="\n")
-                    if self._path else sys.stdout)
-        return self
 
-    def __exit__(self, *exc):
-        if self._path and self._fh is not None:
-            self._fh.close()
-        return False
-
-    def emit(self, record: dict) -> None:
-        self._fh.write(json.dumps(record, sort_keys=True,
-                                  separators=(",", ":")) + "\n")
+def _mine(dataset: EventDataset, cfg: MiningConfig):
+    try:
+        return mine_all(dataset, cfg)
+    except ValueError as exc:  # unbounded theta=0 in ge mode, bad degrees
+        raise _CliError(str(exc)) from exc
 
 
 def _say(text: str) -> None:
@@ -263,55 +266,35 @@ def _say(text: str) -> None:
 # mine
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _MineResult:
-    counts: dict
-    listing: list[dict]
-    timings: dict
-    capped: bool
-    depth: int
-
-
-def _run_tree_algorithms(dataset, cfg, algorithm) -> _MineResult:
+def _run_tree_algorithms(dataset, cfg, algorithm):
+    """Returns (counts, capped, depth, pattern records, timings)."""
     t0 = time.perf_counter()
-    try:
-        tree = mine_all(dataset, cfg)
-    except ValueError as exc:  # unbounded theta=0 in ge mode, bad degrees
-        raise _CliError(str(exc)) from exc
-    t_top = time.perf_counter() - t0
-    timings = {"topdown_s": t_top}
+    tree = _mine(dataset, cfg)
+    timings = {"topdown_s": time.perf_counter() - t0}
     counts = {"all": len(tree), "closed": None, "csts": None}
 
     closed_nodes = None
     if algorithm in ("closed", "csts"):
         closed_nodes = set(extract_closed(tree))
         counts["closed"] = len(closed_nodes)
-    members = None
     if algorithm == "csts":
         t1 = time.perf_counter()
         run_bottom_up(tree)
-        members = extract_csts(tree)
+        counts["csts"] = len(extract_csts(tree))
         timings["bottomup_s"] = time.perf_counter() - t1
-        counts["csts"] = len(members)
 
     listing = []
     for node in tree:
-        rec = {
-            "record": "pattern",
-            "pattern": "->".join(dataset.pattern_labels(node.pattern)),
-            "length": node.length,
-            "pi": _frac(node.pi),
-            "pi_decimal": _dec(node.pi),
-            "closed": None if closed_nodes is None else node in closed_nodes,
-            "csts": None if members is None else node.csts_flag,
-            "cmax_size": len(node.cmax) if members is not None else None,
-            "rcmax_size": len(node.rcmax) if members is not None else None,
-        }
-        listing.append(rec)
-    return _MineResult(counts, listing, timings, tree.capped, tree.depth)
+        closed = None if closed_nodes is None else node in closed_nodes
+        summary = ((None, None, None) if counts["csts"] is None
+                   else (node.csts_flag, len(node.cmax), len(node.rcmax)))
+        listing.append(_pattern_record(dataset, node.pattern, node.pi,
+                                       closed, *summary))
+    return counts, tree.capped, tree.depth, listing, timings
 
 
-def _run_oracle_algorithm(dataset, cfg) -> _MineResult:
+def _run_oracle_algorithm(dataset, cfg):
+    """Returns (counts, capped, depth, pattern records, timings)."""
     t0 = time.perf_counter()
     max_len = cfg.max_length if cfg.max_length is not None else 7
     try:
@@ -328,25 +311,15 @@ def _run_oracle_algorithm(dataset, cfg) -> _MineResult:
         for q in reps:
             rcmax_size[q] = rcmax_size.get(q, 0) + 1
     timings = {"oracle_s": time.perf_counter() - t0}
-    listing = []
-    for p, pi in universe:
-        listing.append({
-            "record": "pattern",
-            "pattern": "->".join(dataset.pattern_labels(p)),
-            "length": len(p),
-            "pi": _frac(pi),
-            "pi_decimal": _dec(pi),
-            "closed": p in closed,
-            "csts": p in member_set,
-            "cmax_size": len(cmax_map[p]),
-            "rcmax_size": rcmax_size.get(p, 0),
-        })
+    listing = [_pattern_record(dataset, p, pi, p in closed, p in member_set,
+                               len(cmax_map[p]), rcmax_size.get(p, 0))
+               for p, pi in universe]
     counts = {"all": len(universe), "closed": len(closed),
               "csts": len(member_set)}
     depth = max((len(p) for p, _ in universe), default=0)
     # Like MaxTree.capped: the search stopped at its length limit with
     # patterns still passing there, so longer ones may be missing.
-    return _MineResult(counts, listing, timings, depth >= max_len, depth)
+    return counts, depth >= max_len, depth, listing, timings
 
 
 def cmd_mine(args) -> int:
@@ -358,37 +331,33 @@ def cmd_mine(args) -> int:
     cfg = _config(args, theta, epsilon)
 
     if args.algorithm == "oracle":
-        result = _run_oracle_algorithm(dataset, cfg)
+        counts, capped, depth, listing, timings = _run_oracle_algorithm(dataset, cfg)
     else:
-        result = _run_tree_algorithms(dataset, cfg, args.algorithm)
+        counts, capped, depth, listing, timings = _run_tree_algorithms(
+            dataset, cfg, args.algorithm)
 
     run_record = {
         "record": "run",
         "algorithm": args.algorithm,
         "config": _config_echo(cfg),
         "types": [t.label for t in dataset.types],
-        "counts": result.counts,
-        "ratios": _ratios(result.counts),
-        "capped": result.capped,
-        "depth": result.depth,
+        "counts": counts,
+        "ratios": _ratios(counts),
+        "capped": capped,
+        "depth": depth,
     }
-    with _Emitter(args.out) as out:
-        out.emit(ds_record)
-        out.emit(run_record)
-        for rec in result.listing:
-            out.emit(rec)
+    _write_records(args.out, [ds_record, run_record, *listing])
 
-    c = result.counts
     _say(f"input={ds_record['source']} instances={ds_record['instances']} "
          f"types={ds_record['types']}")
     _say(f"algorithm={args.algorithm} theta={theta}"
          f"({args.theta_strictness}) epsilon={epsilon} "
          f"radius={args.radius} window={args.window} metric={args.metric}")
     _say("patterns: " + " ".join(
-        f"{k}={v}" for k, v in c.items() if v is not None)
-        + (f" depth={result.depth}" + (" (capped)" if result.capped else "")))
+        f"{k}={v}" for k, v in counts.items() if v is not None)
+        + f" depth={depth}" + (" (capped)" if capped else ""))
     phase_text = " ".join(f"{k.replace('_s', '')}={v:.3f}s"
-                          for k, v in result.timings.items())
+                          for k, v in timings.items())
     _say(f"time: load={t_load:.3f}s {phase_text}")
     return 0
 
@@ -407,10 +376,7 @@ def cmd_sweep(args) -> int:
     for theta in thetas:
         cfg = _config(args, theta, epsilons[0])
         t0 = time.perf_counter()
-        try:
-            tree = mine_all(dataset, cfg)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        tree = _mine(dataset, cfg)
         t_top = time.perf_counter() - t0
         closed_count = len(extract_closed(tree))
         for epsilon in epsilons:
@@ -434,13 +400,7 @@ def cmd_sweep(args) -> int:
                 "depth": tree.depth,
             })
 
-    series_records = _ratio_series(points)
-    with _Emitter(args.out) as out:
-        out.emit(ds_record)
-        for rec in grid_records:
-            out.emit(rec)
-        for rec in series_records:
-            out.emit(rec)
+    _write_records(args.out, [ds_record, *grid_records, *_ratio_series(points)])
 
     _say(f"input={ds_record['source']} instances={ds_record['instances']} "
          f"types={ds_record['types']}")
@@ -459,46 +419,30 @@ def cmd_sweep(args) -> int:
 def _ratio_series(points) -> list[dict]:
     """Percent-of-patterns-kept series: csts/all and csts/closed, once per
     epsilon (varying theta) and once per theta (varying epsilon)."""
-    records = []
 
-    def pct(counts, num, den):
-        if counts[den] == 0:
-            return None, None
-        value = Fraction(counts[num], counts[den])
-        return str(value), float(100 * value)
-
-    def series(axis, fixed_key, fixed_value, ratio_name, num, den):
-        pts = [p for p in points if p[fixed_key] == fixed_value]
-        pts.sort(key=lambda p: p[axis])
+    def series(axis, fixed_key, fixed_value, den):
+        pts = sorted((p for p in points if p[fixed_key] == fixed_value),
+                     key=lambda p: p[axis])
         out_points = []
         for p in pts:
-            frac, percent = pct(p["counts"], num, den)
+            value = _ratio(p["counts"]["csts"], p["counts"][den])
             out_points.append({
                 axis: str(p[axis]),
-                "value": frac,
-                "percent": percent,
+                "value": _frac(value),
+                "percent": None if value is None else float(100 * value),
             })
         return {
             "record": "series",
-            "ratio": ratio_name,
+            "ratio": f"csts_over_{den}",
             "axis": axis,
             fixed_key: str(fixed_value),
             "points": out_points,
         }
 
-    epsilons = sorted({p["epsilon"] for p in points})
-    thetas = sorted({p["theta"] for p in points})
-    for eps in epsilons:
-        records.append(series("theta", "epsilon", eps,
-                              "csts_over_all", "csts", "all"))
-        records.append(series("theta", "epsilon", eps,
-                              "csts_over_closed", "csts", "closed"))
-    for theta in thetas:
-        records.append(series("epsilon", "theta", theta,
-                              "csts_over_all", "csts", "all"))
-        records.append(series("epsilon", "theta", theta,
-                              "csts_over_closed", "csts", "closed"))
-    return records
+    return [series(axis, fixed_key, fixed_value, den)
+            for axis, fixed_key in (("theta", "epsilon"), ("epsilon", "theta"))
+            for fixed_value in sorted({p[fixed_key] for p in points})
+            for den in ("all", "closed")]
 
 
 # ---------------------------------------------------------------------------
@@ -522,18 +466,22 @@ def _load_saved_csts(path) -> tuple[CstsSet, list[str]]:
                 elif rec.get("record") == "pattern" and rec.get("csts"):
                     members[tuple(rec["pattern"].split("->"))] = \
                         Fraction(rec["pi"])
+        if run_record is None:
+            raise _CliError(f"{path} holds no run record (was it a sweep?)")
+        if run_record["counts"].get("csts") is None:
+            raise _CliError(
+                f"{path} was mined with --algorithm {run_record['algorithm']}; "
+                "query needs --algorithm csts or oracle output")
+        summary = CstsSet(members, Fraction(run_record["config"]["epsilon"]))
+        labels = run_record.get("types", [])
+        if not (isinstance(labels, list)
+                and all(isinstance(label, str) for label in labels)):
+            raise ValueError("the run record's types are not a list of labels")
+        return summary, labels
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _CliError(f"{path} is not a record file: {exc}") from exc
-    if run_record is None:
-        raise _CliError(f"{path} holds no run record (was it a sweep?)")
-    if run_record["counts"].get("csts") is None:
-        raise _CliError(
-            f"{path} was mined with --algorithm {run_record['algorithm']}; "
-            "query needs --algorithm csts or oracle output")
-    epsilon = Fraction(run_record["config"]["epsilon"])
-    return CstsSet(members, epsilon), list(run_record.get("types", []))
 
 
 def cmd_query(args) -> int:

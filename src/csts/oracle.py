@@ -106,7 +106,6 @@ def oracle_all_patterns(
     dataset: EventDataset,
     cfg: MiningConfig,
     max_len: int = 7,
-    size_guard: int = ORACLE_MAX_INSTANCES,
 ) -> list[tuple[Pattern, Fraction]]:
     """Enumerate every threshold-passing pattern with its exact pi.
 
@@ -118,9 +117,9 @@ def oracle_all_patterns(
 
     Returns (pattern, pi) pairs sorted by canonical key.
     """
-    if len(dataset) > size_guard:
-        raise OracleSizeError(
-            f"oracle refuses {len(dataset)} instances (guard: {size_guard})")
+    if len(dataset) > ORACLE_MAX_INSTANCES:
+        raise OracleSizeError(f"oracle refuses {len(dataset)} instances "
+                              f"(guard: {ORACLE_MAX_INSTANCES})")
     if max_len > ORACLE_MAX_LENGTH:
         raise OracleSizeError(
             f"oracle refuses max_len {max_len} (guard: {ORACLE_MAX_LENGTH})")

@@ -208,3 +208,25 @@ def test_csts_set_roundtrips_through_plain_pairs(fixture_csts):
 def test_csts_set_validates_epsilon():
     with pytest.raises(ValueError):
         CstsSet({}, "1.5")
+
+
+def test_witness_tie_goes_to_canonically_smallest():
+    # Both members contain q with the same pi; the mapping lists the
+    # canonically larger one first.
+    csts = CstsSet({(0, 1, 2): Fraction(1, 2), (0, 1, 0): Fraction(1, 2)},
+                   "1/4")
+    est = approximate_pi((0, 1), csts)
+    assert est == PiEstimate(lower=Fraction(1, 2), upper=Fraction(3, 4),
+                             witness=(0, 1, 0), exact=False)
+
+
+def test_witness_tie_goes_to_shorter_member():
+    # (0, 1, 2, 3) sorts before (1, 2, 3) by type ids, but length comes
+    # first in the canonical order.
+    csts = CstsSet({(0, 1, 2, 3): Fraction(2, 5), (1, 2, 3): Fraction(2, 5)},
+                   "0.1")
+    assert approximate_pi((1, 2), csts).witness == (1, 2, 3)
+
+
+def test_empty_summary_answers_none():
+    assert approximate_pi((0,), CstsSet({}, "0.25")) is None

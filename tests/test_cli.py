@@ -7,6 +7,7 @@ fast; one subprocess test proves the installed console script works.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,18 @@ from csts.ingestion import EXAMPLE_EVENTS_FILE
 FIXTURE = str(EXAMPLE_EVENTS_FILE)
 
 BASE = ["mine", "--input", FIXTURE, "--radius", "10", "--window", "20"]
+
+# The bundled example's record streams, committed byte for byte under
+# tests/data/streams/ with the dataset record's source reduced to the
+# file name.
+STREAMS = Path(__file__).parent / "data" / "streams"
+STREAM_ARGV = {
+    **{f"mine-{alg}": BASE + ["--theta", "0.2", "--epsilon", "0.25",
+                              "--algorithm", alg]
+       for alg in ("all", "closed", "csts", "oracle")},
+    "sweep": ["sweep", "--input", FIXTURE, "--radius", "10", "--window", "20",
+              "--theta", "0,0.2,0.4", "--epsilon", "0,0.1,0.25"],
+}
 
 
 def run_records(tmp_path, name, argv):
@@ -186,6 +199,18 @@ class TestDeterminism:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
+    @pytest.mark.parametrize("name", sorted(STREAM_ARGV))
+    def test_example_stream_matches_committed_bytes(self, tmp_path, name):
+        out = tmp_path / "out.jsonl"
+        assert main(STREAM_ARGV[name] + ["--out", str(out)]) == 0
+        first, rest = out.read_bytes().split(b"\n", 1)
+        dataset = json.loads(first)
+        assert dataset["record"] == "dataset" and dataset["source"] == FIXTURE
+        dataset["source"] = Path(FIXTURE).name
+        got = json.dumps(dataset, sort_keys=True,
+                         separators=(",", ":")).encode() + b"\n" + rest
+        assert got == (STREAMS / f"{name}.jsonl").read_bytes()
+
     def test_no_timing_keys_in_records(self, tmp_path):
         recs = run_records(tmp_path, "run.jsonl", BASE + [
             "--theta", "0.2", "--epsilon", "0.25", "--algorithm", "csts"])
@@ -284,6 +309,32 @@ class TestQuery:
                             "--out", str(out)]) == 0
         assert main(["query", "--from", str(out), "--pattern", "B->B"]) == 2
         assert "--algorithm csts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["run-without-counts",
+                                      "run-without-epsilon",
+                                      "line-not-an-object",
+                                      "epsilon-above-one",
+                                      "types-not-labels"])
+    def test_malformed_record_file_exits_2(self, saved, tmp_path, capsys,
+                                           case):
+        recs = [json.loads(line) for line in open(saved)]
+        run = run_of(recs)
+        if case == "run-without-counts":
+            del run["counts"]
+        elif case == "run-without-epsilon":
+            del run["config"]["epsilon"]
+        elif case == "epsilon-above-one":
+            run["config"]["epsilon"] = "3/2"
+        elif case == "types-not-labels":
+            run["types"] = [["A"], "B"]
+        lines = [json.dumps(rec) for rec in recs]
+        if case == "line-not-an-object":
+            lines.insert(1, "[1,2]")
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        assert main(["query", "--from", str(broken),
+                     "--pattern", "B->B->C"]) == 2
+        assert "is not a record file" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["query", "--from", "/nonexistent/x.jsonl",
