@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .bottomup import extract_csts
 from .model import (
     MaxTree,
     Pattern,
     PatternNode,
     as_fraction,
     canonical_key,
+    format_pattern,
     is_proper_supersequence,
     is_supersequence,
 )
@@ -80,7 +80,8 @@ class PiEstimate:
 class CstsSet:
     """Pattern -> pi mapping of the constricted members, plus the margin
     they were extracted under. Detached from tree nodes so it can be
-    rebuilt from serialized output. Members are kept in canonical order."""
+    rebuilt from serialized output. Members are kept in canonical order;
+    a margin or a member pi outside [0, 1] raises ValueError."""
 
     def __init__(self, pis: Mapping[Pattern, Fraction], epsilon) -> None:
         self.epsilon = as_fraction(epsilon)
@@ -88,13 +89,10 @@ class CstsSet:
             raise ValueError("epsilon must lie in [0, 1]")
         self._pi = dict(sorted(((tuple(p), as_fraction(v)) for p, v in pis.items()),
                                key=lambda item: canonical_key(item[0])))
-
-    @classmethod
-    def from_tree(cls, tree: MaxTree) -> "CstsSet":
-        """Snapshot a tree whose closure phase has run (extracting members
-        if the flags are not set yet)."""
-        members = extract_csts(tree)
-        return cls({n.pattern: n.pi for n in members}, tree.closure_epsilon)
+        # Integer tests: Fraction comparisons cost several times more per load.
+        for p, v in self._pi.items():
+            if not 0 <= v.numerator <= v.denominator:
+                raise ValueError(f"member {format_pattern(p)} has pi {v} outside [0, 1]")
 
     def __contains__(self, pattern: Pattern) -> bool:
         return tuple(pattern) in self._pi

@@ -10,7 +10,9 @@ substrings only have higher participation indexes the shorter they get.
 
 After the walk, every pattern nobody represents becomes its own
 representative, and the constricted set is exactly the patterns that
-represent someone.
+represent someone. The phase is a function of (tree, margin): it returns the
+cmax map and leaves the tree untouched, so one tree serves any number of
+margins at once.
 """
 
 from __future__ import annotations
@@ -20,16 +22,21 @@ from typing import Optional
 
 from .model import MaxTree, PatternNode, as_fraction
 
+#: Each node's cmax set: its longest, highest-pi supersequences within the
+#: margin (possibly only itself).
+CmaxMap = dict[PatternNode, set[PatternNode]]
+
 
 def verify_supersequence(s: PatternNode, si: Optional[PatternNode],
                          eps: Fraction, visited: set[PatternNode],
-                         ) -> set[PatternNode]:
-    """Offer candidate ``s`` to substring ``si`` and all of si's ancestors.
+                         cmax: CmaxMap) -> set[PatternNode]:
+    """Offer candidate ``s`` to substring ``si`` and all of si's ancestors,
+    updating ``cmax``.
 
-    Mutates the ``cmax``/``rcmax`` fields. ``visited`` carries the already
-    rejected-or-served substrings for this candidate so diamond-shaped
-    ancestor lattices are walked once; callers verifying one candidate
-    against several starting points pass the same set to every call.
+    ``visited`` carries the already rejected-or-served substrings for this
+    candidate so diamond-shaped ancestor lattices are walked once; callers
+    verifying one candidate against several starting points pass the same
+    set to every call, so each substring hears of ``s`` at most once.
     Returns the visited set.
     """
     stack = [si]
@@ -43,69 +50,50 @@ def verify_supersequence(s: PatternNode, si: Optional[PatternNode],
         # tightens further down.
         if s.pi < cur.pi - eps:
             continue
-        if cur not in s.rcmax:  # not already recorded for this pair
-            if not cur.cmax:
-                cur.cmax.add(s)
-                s.rcmax.add(cur)
-            else:
-                holder = next(iter(cur.cmax))
-                if s.length == holder.length:
-                    if s.pi == holder.pi:
-                        cur.cmax.add(s)
-                        s.rcmax.add(cur)
-                    elif s.pi > holder.pi:
-                        # Displace: the same-length holders lose this
-                        # substring to the better candidate.
-                        for t in cur.cmax:
-                            t.rcmax.discard(cur)
-                        cur.cmax.clear()
-                        cur.cmax.add(s)
-                        s.rcmax.add(cur)
-                # A longer holder means cur was already claimed at a greater
-                # length; a shorter candidate never displaces it.
+        holders = cmax.get(cur)
+        if not holders:
+            cmax[cur] = {s}
+        else:
+            holder = next(iter(holders))
+            if s.length == holder.length:
+                if s.pi == holder.pi:
+                    holders.add(s)
+                elif s.pi > holder.pi:
+                    # Displace: the same-length holders lose this substring
+                    # to the better candidate.
+                    cmax[cur] = {s}
+            # A longer holder means cur was already claimed at a greater
+            # length; a shorter candidate never displaces it.
         stack.append(cur.parent2)
         stack.append(cur.parent1)
     return visited
 
 
-def run_bottom_up(tree: MaxTree, eps=None) -> None:
-    """Fill cmax/rcmax for every node of the tree.
+def run_bottom_up(tree: MaxTree, eps) -> CmaxMap:
+    """The cmax map of every node of the tree at margin ``eps``, in tree
+    order.
 
     Processes levels deepest-first so that representatives always arrive in
-    non-increasing length order. ``eps`` defaults to the tree config's
-    epsilon; passing a different value (re-)runs the phase for that margin,
-    clearing any previous closure state first.
+    non-increasing length order.
     """
-    eps = tree.config.epsilon if eps is None else as_fraction(eps)
+    eps = as_fraction(eps)
     if not (0 <= eps <= 1):
         raise ValueError("eps must lie in [0, 1]")
-    if tree.closure_done:
-        tree.reset_closure_state()
+    cmax: CmaxMap = {}
     for level in reversed(tree.levels[1:]):
         for s in level:
             visited: set[PatternNode] = set()
-            verify_supersequence(s, s.parent1, eps, visited)
-            verify_supersequence(s, s.parent2, eps, visited)
+            verify_supersequence(s, s.parent1, eps, visited, cmax)
+            verify_supersequence(s, s.parent2, eps, visited, cmax)
     # Patterns nobody represents stand for themselves.
-    for node in tree:
-        if not node.cmax:
-            node.cmax.add(node)
-            node.rcmax.add(node)
-    tree.closure_epsilon = eps
+    return {node: cmax.get(node) or {node} for node in tree}
 
 
-def extract_csts(tree: MaxTree) -> list[PatternNode]:
-    """The constricted pattern set: every node that represents at least one
-    pattern (possibly only itself). Sets ``csts_flag`` on all nodes; returns
-    members in canonical order. Requires a completed closure phase."""
-    if not tree.closure_done:
-        raise RuntimeError("extract_csts called before the closure phase ran")
-    members = []
-    for node in tree:
-        node.csts_flag = bool(node.rcmax)
-        if node.csts_flag:
-            members.append(node)
-    return members
+def extract_csts(tree: MaxTree, cmax: CmaxMap) -> list[PatternNode]:
+    """The constricted pattern set: every node that appears in some cmax
+    set (possibly only its own), in canonical order."""
+    members = {rep for reps in cmax.values() for rep in reps}
+    return [node for node in tree if node in members]
 
 
 def mine_csts(dataset, cfg):
@@ -114,5 +102,4 @@ def mine_csts(dataset, cfg):
     from .topdown import mine_all
 
     tree = mine_all(dataset, cfg)
-    run_bottom_up(tree)
-    return tree, extract_csts(tree)
+    return tree, extract_csts(tree, run_bottom_up(tree, cfg.epsilon))

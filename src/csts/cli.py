@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
@@ -29,7 +30,7 @@ from .oracle import (
     generate_random,
     oracle_all_patterns,
     oracle_closed,
-    oracle_csts,
+    oracle_cmax,
 )
 from .topdown import mine_all
 
@@ -241,6 +242,12 @@ def _pattern_record(dataset: EventDataset, pattern, pi: Fraction, closed,
     }
 
 
+def _rcmax_sizes(cmax) -> Counter:
+    """How many patterns name each pattern in their cmax set: its rcmax
+    size. The constricted members are exactly the keys."""
+    return Counter(rep for reps in cmax.values() for rep in reps)
+
+
 def _write_records(path: Optional[str], records: list[dict]) -> None:
     text = "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
                    for rec in records)
@@ -273,21 +280,22 @@ def _run_tree_algorithms(dataset, cfg, algorithm):
     timings = {"topdown_s": time.perf_counter() - t0}
     counts = {"all": len(tree), "closed": None, "csts": None}
 
-    closed_nodes = None
+    closed_nodes = cmax = None
     if algorithm in ("closed", "csts"):
         closed_nodes = set(extract_closed(tree))
         counts["closed"] = len(closed_nodes)
     if algorithm == "csts":
         t1 = time.perf_counter()
-        run_bottom_up(tree)
-        counts["csts"] = len(extract_csts(tree))
+        cmax = run_bottom_up(tree, cfg.epsilon)
+        counts["csts"] = len(extract_csts(tree, cmax))
+        rcmax = _rcmax_sizes(cmax)
         timings["bottomup_s"] = time.perf_counter() - t1
 
     listing = []
     for node in tree:
         closed = None if closed_nodes is None else node in closed_nodes
-        summary = ((None, None, None) if counts["csts"] is None
-                   else (node.csts_flag, len(node.cmax), len(node.rcmax)))
+        summary = ((None, None, None) if cmax is None
+                   else (node in rcmax, len(cmax[node]), rcmax[node]))
         listing.append(_pattern_record(dataset, node.pattern, node.pi,
                                        closed, *summary))
     return counts, tree.capped, tree.depth, listing, timings
@@ -304,18 +312,13 @@ def _run_oracle_algorithm(dataset, cfg):
     except ValueError as exc:  # bad degrees
         raise _CliError(str(exc)) from exc
     closed = {p for p, _ in oracle_closed(universe)}
-    members, cmax_map = oracle_csts(universe, cfg.epsilon)
-    member_set = {p for p, _ in members}
-    rcmax_size: dict = {}
-    for p, reps in cmax_map.items():
-        for q in reps:
-            rcmax_size[q] = rcmax_size.get(q, 0) + 1
+    cmax = oracle_cmax(universe, cfg.epsilon)
+    rcmax = _rcmax_sizes(cmax)
     timings = {"oracle_s": time.perf_counter() - t0}
-    listing = [_pattern_record(dataset, p, pi, p in closed, p in member_set,
-                               len(cmax_map[p]), rcmax_size.get(p, 0))
+    listing = [_pattern_record(dataset, p, pi, p in closed, p in rcmax,
+                               len(cmax[p]), rcmax[p])
                for p, pi in universe]
-    counts = {"all": len(universe), "closed": len(closed),
-              "csts": len(member_set)}
+    counts = {"all": len(universe), "closed": len(closed), "csts": len(rcmax)}
     depth = max((len(p) for p, _ in universe), default=0)
     # Like MaxTree.capped: the search stopped at its length limit with
     # patterns still passing there, so longer ones may be missing.
@@ -382,8 +385,7 @@ def cmd_sweep(args) -> int:
         for epsilon in epsilons:
             cfg_pt = _config(args, theta, epsilon)
             t1 = time.perf_counter()
-            run_bottom_up(tree, cfg_pt.epsilon)
-            members = extract_csts(tree)
+            members = extract_csts(tree, run_bottom_up(tree, cfg_pt.epsilon))
             t_bot = time.perf_counter() - t1
             counts = {"all": len(tree), "closed": closed_count,
                       "csts": len(members)}

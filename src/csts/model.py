@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -251,8 +251,7 @@ class PatternNode:
     ``last_support`` holds the instances supporting the final element as a
     sorted, unique ``int64`` array of idx (the support of element i < m is
     the ``last_support`` of the length-i prefix node, reachable along the
-    ``parent1`` chain). ``cmax`` / ``rcmax`` are filled by the bottom-up
-    phase; ``csts_flag`` is None until extraction decides membership.
+    ``parent1`` chain). Nodes hash and compare by identity.
     """
 
     pattern: Pattern
@@ -261,12 +260,6 @@ class PatternNode:
     parent1: Optional["PatternNode"] = None
     parent2: Optional["PatternNode"] = None
     children: list["PatternNode"] = field(default_factory=list)
-    cmax: set["PatternNode"] = field(default_factory=set)
-    rcmax: set["PatternNode"] = field(default_factory=set)
-    csts_flag: Optional[bool] = None
-
-    def __hash__(self) -> int:  # identity hashing; nodes are unique per tree
-        return id(self)
 
     def __repr__(self) -> str:
         return f"PatternNode({format_pattern(self.pattern)}, pi={self.pi})"
@@ -280,17 +273,13 @@ class MaxTree:
     """Level-structured lattice of all threshold-passing patterns.
 
     ``levels[k-1]`` holds the length-k nodes, each level sorted by
-    :func:`canonical_key`. The tree is immutable after the growth phase
-    except for the closure fields (``cmax``/``rcmax``/``csts_flag``), which
-    belong to the bottom-up pass.
+    :func:`canonical_key`. The tree is never changed after the growth phase;
+    the closure phase returns its result instead of storing it on the nodes.
     """
 
-    def __init__(self, levels: Sequence[Sequence[PatternNode]], config: MiningConfig,
-                 capped: bool = False) -> None:
+    def __init__(self, levels: Sequence[Sequence[PatternNode]], capped: bool = False) -> None:
         self.levels: list[list[PatternNode]] = [list(level) for level in levels]
-        self.config = config
         self.capped = capped
-        self.closure_epsilon: Optional[Fraction] = None
         self._by_pattern: dict[Pattern, PatternNode] = {
             node.pattern: node for level in self.levels for node in level
         }
@@ -305,22 +294,6 @@ class MaxTree:
     def node(self, pattern: Pattern) -> Optional[PatternNode]:
         return self._by_pattern.get(tuple(pattern))
 
-    def patterns(self) -> list[Pattern]:
-        return [node.pattern for node in self]
-
     @property
     def depth(self) -> int:
         return len(self.levels)
-
-    @property
-    def closure_done(self) -> bool:
-        return self.closure_epsilon is not None
-
-    def reset_closure_state(self) -> None:
-        """Clear cmax/rcmax/csts flags so the bottom-up pass can re-run
-        (used when sweeping several epsilon values over one tree)."""
-        for node in self:
-            node.cmax.clear()
-            node.rcmax.clear()
-            node.csts_flag = None
-        self.closure_epsilon = None

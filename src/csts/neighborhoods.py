@@ -50,12 +50,22 @@ class NeighborhoodIndex:
             half_lats = rad_lats / 2.0
             half_lons = np.radians(xs) / 2.0
 
+        # Each source's window [lo, hi) of strictly later instances, decided by
+        # the oracle's test t_f - t_e <= window, not by the rounded sum t_e +
+        # window. Searching to the float after the sum finds a superset (times
+        # are non-negative); float subtraction is monotone, so trimming runs of
+        # equal times off the end until the last one passes leaves the window.
+        window = float(config.window)
+        lows = np.searchsorted(times, times, side="right")
+        highs = np.searchsorted(times, np.nextafter(times + window, np.inf), side="right")
+        over = (highs > lows) & (times[highs - 1] - times > window)
+        while over.any():
+            highs[over] = np.searchsorted(times, times[highs[over] - 1], side="left")
+            over = (highs > lows) & (times[highs - 1] - times > window)
+        lows, highs = lows.tolist(), highs.tolist()
         targets = []
-        for e_idx in order:
+        for e_idx, lo, hi in zip(order, lows, highs):
             e = dataset.instances[e_idx]
-            # Window of strictly-later instances within the temporal threshold.
-            lo = int(np.searchsorted(times, float(e.time), side="right"))
-            hi = int(np.searchsorted(times, float(e.time + config.window), side="right"))
             if not geodesic:
                 dx = xs[lo:hi] - e.x
                 dy = ys[lo:hi] - e.y

@@ -120,4 +120,4 @@ def mine_all(dataset: EventDataset, cfg: MiningConfig) -> MaxTree:
                          for si, sj in _pairs(level))
             break
         level = gen_and_verify(level, index, cfg)
-    return MaxTree(levels, cfg, capped=capped)
+    return MaxTree(levels, capped=capped)

@@ -95,10 +95,9 @@ def grid():
                 oracle_closed={p for p, _ in oracle_closed(universe)},
             )
             for eps in EPSILONS:
-                run_bottom_up(tree, Fraction(eps))
-                members = extract_csts(tree)
+                members = extract_csts(tree, run_bottom_up(tree, Fraction(eps)))
                 run.miner_members[eps] = {n.pattern: n.pi for n in members}
-                run.summaries[eps] = CstsSet.from_tree(tree)
+                run.summaries[eps] = CstsSet(run.miner_members[eps], eps)
                 oracle_m, _ = oracle_csts(universe, Fraction(eps))
                 run.oracle_members[eps] = dict(oracle_m)
             runs.append(run)
@@ -137,15 +136,15 @@ def test_02_example_cmax_sets_at_two_margins():
     t0 = time.perf_counter()
     tree = mine_all(dataset, example_config(theta="0.2"))
 
-    def cmax_names(pattern_name):
+    def cmax_names(cmax, pattern_name):
         node = tree.node(dataset.parse_pattern(pattern_name))
         return {"->".join(dataset.pattern_labels(t.pattern))
-                for t in node.cmax}
+                for t in cmax[node]}
 
-    run_bottom_up(tree, Fraction(1, 4))
-    assert cmax_names("B->B") == {"B->B->C->E"}
-    run_bottom_up(tree, Fraction(1, 10))
-    assert cmax_names("B->C->E") == {"A->B->C->E", "B->B->C->E"}
+    cmax = run_bottom_up(tree, Fraction(1, 4))
+    assert cmax_names(cmax, "B->B") == {"B->B->C->E"}
+    cmax = run_bottom_up(tree, Fraction(1, 10))
+    assert cmax_names(cmax, "B->C->E") == {"A->B->C->E", "B->B->C->E"}
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
 
@@ -222,8 +221,8 @@ def test_06_example_estimate_interval():
     dataset = example_dataset()
     cfg = example_config(theta="0.25", epsilon="0.25", strict_theta=False)
     tree = mine_all(dataset, cfg)
-    run_bottom_up(tree)
-    summary = CstsSet.from_tree(tree)
+    members = extract_csts(tree, run_bottom_up(tree, cfg.epsilon))
+    summary = CstsSet({n.pattern: n.pi for n in members}, cfg.epsilon)
     query = dataset.parse_pattern("B->B->C")
     est = approximate_pi(query, summary)
     assert est.lower == Fraction(3, 8)
@@ -248,14 +247,13 @@ def test_07_large_synthetic_end_to_end():
                        epsilon="0.25", max_length=MAX_LEN)
     t0 = time.perf_counter()
     tree = mine_all(dataset, cfg)
-    run_bottom_up(tree)
-    members = extract_csts(tree)
+    members = extract_csts(tree, run_bottom_up(tree, cfg.epsilon))
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
     assert tree.depth >= 3 and len(tree) > 100
 
     member_pis = {n.pattern: n.pi for n in members}
-    summary = CstsSet.from_tree(tree)
+    summary = CstsSet(member_pis, cfg.epsilon)
     closed = {n.pattern for n in extract_closed(tree)}
     universe = {n.pattern: n.pi for n in tree}
     # (a)
@@ -273,8 +271,8 @@ def test_07_large_synthetic_end_to_end():
         assert est.upper - est.lower <= eps
         assert any(is_supersequence(m, q) for m in member_pis)
     # (c) zero margin reproduces the closed set exactly
-    run_bottom_up(tree, Fraction(0))
-    assert {n.pattern for n in extract_csts(tree)} == closed
+    members = extract_csts(tree, run_bottom_up(tree, Fraction(0)))
+    assert {n.pattern for n in members} == closed
 
 
 # --------------------------------------------------------------------------

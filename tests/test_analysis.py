@@ -14,7 +14,7 @@ from csts.analysis import (
     extract_closed,
     is_pi_strong_via_csts,
 )
-from csts.bottomup import mine_csts, run_bottom_up
+from csts.bottomup import mine_csts
 from csts.oracle import (
     RandomSpec,
     example_config,
@@ -46,10 +46,10 @@ def fixture_tree():
 @pytest.fixture(scope="module")
 def fixture_csts():
     ds = example_dataset()
-    tree = mine_all(ds, MiningConfig(radius=10.0, window=20.0, theta="0.25",
-                                     epsilon="0.25", strict_theta=False))
-    run_bottom_up(tree)
-    return CstsSet.from_tree(tree), tree
+    cfg = MiningConfig(radius=10.0, window=20.0, theta="0.25",
+                       epsilon="0.25", strict_theta=False)
+    tree, members = mine_csts(ds, cfg)
+    return CstsSet({n.pattern: n.pi for n in members}, cfg.epsilon), tree
 
 
 def test_closed_set_exact(fixture_tree):
@@ -186,7 +186,7 @@ def test_coverage_across_margins():
     for eps in ["0", "0.05", "0.25", "1"]:
         cfg = MiningConfig(radius=10.0, window=20.0, theta="0.2", epsilon=eps)
         tree, members = mine_csts(ds, cfg)
-        csts = CstsSet.from_tree(tree)
+        csts = CstsSet({n.pattern: n.pi for n in members}, eps)
         for node in tree:
             est = approximate_pi(node.pattern, csts)
             assert est is not None
@@ -208,6 +208,14 @@ def test_csts_set_roundtrips_through_plain_pairs(fixture_csts):
 def test_csts_set_validates_epsilon():
     with pytest.raises(ValueError):
         CstsSet({}, "1.5")
+
+
+@pytest.mark.parametrize("pi", ["3/2", "-1/8"])
+def test_csts_set_validates_member_pi(pi):
+    with pytest.raises(ValueError, match=r"member 0->1 has pi .* outside \[0, 1\]"):
+        CstsSet({(0,): Fraction(1), (0, 1): Fraction(pi)}, "0.1")
+    for edge in ["0", "1"]:
+        assert CstsSet({(0, 1): Fraction(edge)}, "0.1").pi((0, 1)) == Fraction(edge)
 
 
 def test_witness_tie_goes_to_canonically_smallest():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from csts import MiningConfig
+from csts import MiningConfig, is_supersequence
 from csts.bottomup import extract_csts, mine_csts, run_bottom_up
 from csts.oracle import (
     RandomSpec,
@@ -38,49 +38,71 @@ def fixture_tree():
     return mine_all(example_dataset(), example_config())
 
 
+def _assert_full_cmax_map_at_quarter(ds, tree, cmax):
+    assert list(cmax) == list(tree)
+    for node in tree:
+        name = "->".join(ds.pattern_labels(node.pattern))
+        assert _names(ds, cmax[node]) == EXPECTED_CMAX_EPS_25[name], name
+
+
 def test_worked_example_bb_at_quarter(fixture_tree):
     ds = example_dataset()
-    run_bottom_up(fixture_tree, "0.25")
+    cmax = run_bottom_up(fixture_tree, "0.25")
     bb = fixture_tree.node(ds.parse_pattern("B->B"))
-    assert _names(ds, bb.cmax) == {"B->B->C->E"}
+    assert _names(ds, cmax[bb]) == {"B->B->C->E"}
 
 
 def test_worked_example_bce_at_tenth(fixture_tree):
     ds = example_dataset()
-    run_bottom_up(fixture_tree, "0.1")
+    cmax = run_bottom_up(fixture_tree, "0.1")
     bce = fixture_tree.node(ds.parse_pattern("B->C->E"))
-    assert _names(ds, bce.cmax) == EXPECTED_CMAX_BCE_EPS_10
-    for member in bce.cmax:
+    assert _names(ds, cmax[bce]) == EXPECTED_CMAX_BCE_EPS_10
+    for member in cmax[bce]:
         assert member.pi == Fraction(3, 8)
 
 
 def test_full_cmax_map_at_quarter(fixture_tree):
     ds = example_dataset()
-    run_bottom_up(fixture_tree, "0.25")
-    for node in fixture_tree:
-        name = "->".join(ds.pattern_labels(node.pattern))
-        assert _names(ds, node.cmax) == EXPECTED_CMAX_EPS_25[name], name
+    _assert_full_cmax_map_at_quarter(ds, fixture_tree,
+                                     run_bottom_up(fixture_tree, "0.25"))
+
+
+def test_one_tree_serves_several_margins_at_once(fixture_tree):
+    ds = example_dataset()
+    at_quarter = run_bottom_up(fixture_tree, "0.25")
+    at_tenth = run_bottom_up(fixture_tree, "0.1")
+    _assert_full_cmax_map_at_quarter(ds, fixture_tree, at_quarter)
+    bce = fixture_tree.node(ds.parse_pattern("B->C->E"))
+    assert _names(ds, at_tenth[bce]) == EXPECTED_CMAX_BCE_EPS_10
+
+
+def test_margin_is_required_and_range_checked(fixture_tree):
+    with pytest.raises(TypeError):
+        run_bottom_up(fixture_tree)
+    for eps in ["-0.1", "1.5"]:
+        with pytest.raises(ValueError):
+            run_bottom_up(fixture_tree, eps)
 
 
 def test_csts_set_at_quarter(fixture_tree):
     ds = example_dataset()
-    run_bottom_up(fixture_tree, "0.25")
-    members = extract_csts(fixture_tree)
+    cmax = run_bottom_up(fixture_tree, "0.25")
+    members = extract_csts(fixture_tree, cmax)
     assert _names(ds, members) == EXPECTED_CSTS_EPS_25
-    # flags cover the whole tree, not just the members
-    for node in fixture_tree:
-        assert node.csts_flag is not None
-        assert node.csts_flag == (node in set(members))
+    # canonical order, and extraction leaves the map as it was
+    assert members == [node for node in fixture_tree if node in set(members)]
+    _assert_full_cmax_map_at_quarter(ds, fixture_tree, cmax)
 
 
 def test_rcmax_of_deepest_pattern(fixture_tree):
     ds = example_dataset()
-    run_bottom_up(fixture_tree, "0.25")
+    cmax = run_bottom_up(fixture_tree, "0.25")
     full = fixture_tree.node(ds.parse_pattern(FULL))
-    assert _names(ds, full.rcmax) == EXPECTED_RCMAX_FULL_EPS_25
+    rcmax = {node for node in fixture_tree if full in cmax[node]}
+    assert _names(ds, rcmax) == EXPECTED_RCMAX_FULL_EPS_25
     # the published 12-name listing is a subset (one member was left out of
     # the prose); the true set has 13
-    assert len(full.rcmax) == 13
+    assert len(rcmax) == 13
     listed = {
         FULL, "A->B->B->C->E", "B->B->C->E->C", "A->B->B->C", "B->B->C->E",
         "B->C->E->C", "A->B->B", "B->B->C", "B->C->E", "A->B", "B->C", "E->C",
@@ -89,27 +111,23 @@ def test_rcmax_of_deepest_pattern(fixture_tree):
 
 
 def test_symmetry_and_cmax_homogeneity(fixture_tree):
-    run_bottom_up(fixture_tree, "0.25")
+    eps = Fraction(1, 4)
+    cmax = run_bottom_up(fixture_tree, eps)
     for node in fixture_tree:
-        for rep in node.cmax:
-            assert node in rep.rcmax
-        for sub in node.rcmax:
-            assert node in sub.cmax
-        lengths = {rep.length for rep in node.cmax}
-        pis = {rep.pi for rep in node.cmax}
+        for rep in cmax[node]:
+            assert is_supersequence(rep.pattern, node.pattern)
+            assert rep.pi >= node.pi - eps
+        lengths = {rep.length for rep in cmax[node]}
+        pis = {rep.pi for rep in cmax[node]}
         assert len(lengths) == 1 and len(pis) == 1
 
 
 def test_deepest_level_nodes_represent_themselves(fixture_tree):
-    run_bottom_up(fixture_tree, "0.25")
+    cmax = run_bottom_up(fixture_tree, "0.25")
+    members = extract_csts(fixture_tree, cmax)
     for node in fixture_tree.levels[-1]:
-        assert node.cmax == {node}
-        assert node in node.rcmax
-
-
-def test_extract_requires_closure_run(fixture_tree):
-    with pytest.raises(RuntimeError):
-        extract_csts(fixture_tree)
+        assert cmax[node] == {node}
+        assert node in members
 
 
 def test_epsilon_sweep_resets_cleanly(fixture_tree):
@@ -117,18 +135,17 @@ def test_epsilon_sweep_resets_cleanly(fixture_tree):
     # Sweep one tree through several margins; each pass must equal a fresh
     # tree's result for that margin.
     for eps in ["1", "0", "0.25", "0.05", "0.25"]:
-        run_bottom_up(fixture_tree, eps)
-        swept = _names(ds, extract_csts(fixture_tree))
+        swept = _names(ds, extract_csts(fixture_tree,
+                                        run_bottom_up(fixture_tree, eps)))
         fresh = mine_all(ds, example_config())
-        run_bottom_up(fresh, eps)
-        assert swept == _names(ds, extract_csts(fresh)), f"eps={eps}"
-    assert fixture_tree.closure_epsilon == Fraction(1, 4)
+        assert swept == _names(ds, extract_csts(fresh, run_bottom_up(fresh, eps))), \
+            f"eps={eps}"
 
 
 def test_zero_margin_equals_closed_set(fixture_tree):
     ds = example_dataset()
-    run_bottom_up(fixture_tree, 0)
-    got = {n.pattern for n in extract_csts(fixture_tree)}
+    got = {n.pattern for n in extract_csts(fixture_tree,
+                                           run_bottom_up(fixture_tree, 0))}
     universe = oracle_all_patterns(ds, example_config())
     want = {p for p, _ in oracle_closed(universe)}
     assert got == want
@@ -139,8 +156,9 @@ def test_single_level_tree_members():
     cfg = MiningConfig(radius=10.0, window=20.0, theta="0.2", max_length=1)
     tree, members = mine_csts(ds, cfg)
     assert [n.pattern for n in members] == [(t,) for t in range(5)]
+    cmax = run_bottom_up(tree, cfg.epsilon)
     for n in members:
-        assert n.cmax == {n}
+        assert cmax[n] == {n}
 
 
 def test_matches_oracle_on_random_datasets():
@@ -157,14 +175,16 @@ def test_matches_oracle_on_random_datasets():
                               max_length=7)
             for eps in ["0", "0.05", "0.25", "1"]:
                 cfg = MiningConfig(epsilon=eps, **cfg_kwargs)
-                tree, members = mine_csts(ds, cfg)
+                tree = mine_all(ds, cfg)
+                cmax = run_bottom_up(tree, cfg.epsilon)
+                members = extract_csts(tree, cmax)
                 universe = oracle_all_patterns(ds, cfg, max_len=7)
                 want_members, want_cmax = oracle_csts(universe, cfg.epsilon)
                 tag = f"seed={spec.seed} theta={theta} eps={eps}"
                 assert {n.pattern for n in members} == \
                     {p for p, _ in want_members}, tag
                 for node in tree:
-                    got = {t.pattern for t in node.cmax}
+                    got = {t.pattern for t in cmax[node]}
                     assert got == set(want_cmax[node.pattern]), \
                         f"{tag} pattern={node.pattern}"
 
@@ -172,5 +192,4 @@ def test_matches_oracle_on_random_datasets():
 def test_mine_csts_uses_config_epsilon():
     ds = example_dataset()
     tree, members = mine_csts(ds, example_config())  # epsilon 0.25
-    assert tree.closure_epsilon == Fraction(1, 4)
     assert _names(ds, members) == EXPECTED_CSTS_EPS_25

@@ -314,7 +314,9 @@ class TestQuery:
                                       "run-without-epsilon",
                                       "line-not-an-object",
                                       "epsilon-above-one",
-                                      "types-not-labels"])
+                                      "types-not-labels",
+                                      "pi-above-one",
+                                      "pi-below-zero"])
     def test_malformed_record_file_exits_2(self, saved, tmp_path, capsys,
                                            case):
         recs = [json.loads(line) for line in open(saved)]
@@ -327,6 +329,9 @@ class TestQuery:
             run["config"]["epsilon"] = "3/2"
         elif case == "types-not-labels":
             run["types"] = [["A"], "B"]
+        elif case in ("pi-above-one", "pi-below-zero"):
+            member, = [rec for rec in recs if rec.get("pattern") == "B->B->C->E"]
+            member["pi"] = "3/2" if case == "pi-above-one" else "-1/8"
         lines = [json.dumps(rec) for rec in recs]
         if case == "line-not-an-object":
             lines.insert(1, "[1,2]")

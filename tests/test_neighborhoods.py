@@ -6,12 +6,14 @@ import pytest
 
 from csts import EventDataset, EventInstance, EventType, MiningConfig
 from csts.neighborhoods import NeighborhoodIndex, build_index
+from csts.topdown import mine_all
 from csts.oracle import (
     RandomSpec,
     example_config,
     example_dataset,
     generate_random,
     naive_neighborhood,
+    oracle_all_patterns,
     EXAMPLE_NAME_TO_IDX,
 )
 
@@ -100,6 +102,38 @@ def test_geodesic_random_datasets_match_naive():
     rng = random.Random(5551212)
     for trial in range(30):
         _assert_index_matches_naive(*_random_geodesic(rng, rng.randint(2, 40)))
+
+
+@pytest.mark.parametrize("window", [0.1, 0.3, 0.7, 2.3, 15.5])
+def test_float_times_on_the_window_boundary_match_naive(window):
+    # A partner at round(t + window, 2) is on the boundary in decimal, and
+    # the float sum t + window can land on either side of it; the index
+    # must decide as the naive filter does, with t_f - t_e <= window. Each
+    # boundary time is doubled so whole runs of equal times are decided.
+    rng = random.Random(str(window))
+    for trial in range(10):
+        times = []
+        for _ in range(rng.randint(5, 30)):
+            t = round(rng.uniform(0.0, 2000.0), rng.choice([1, 2]))
+            times += [t, round(t + window, 2), round(t + window, 2)]
+        ds = EventDataset(
+            [EventType(0, "A"), EventType(1, "B")],
+            [EventInstance(i, rng.randrange(2), 0.0, 0.0, t)
+             for i, t in enumerate(times)],
+        )
+        _assert_index_matches_naive(ds, MiningConfig(radius=1.0, window=window))
+
+
+def test_float_time_boundary_pair_mines_like_the_oracle():
+    # 901.5 - 901.4 > 0.1 in floats, although 901.4 + 0.1 rounds to 901.5.
+    ds = EventDataset(
+        [EventType(0, "A"), EventType(1, "B")],
+        [EventInstance(0, 0, 0.0, 0.0, 901.4), EventInstance(1, 1, 0.0, 0.0, 901.5)],
+    )
+    cfg = MiningConfig(radius=1.0, window=0.1)
+    assert build_index(ds, cfg).neighborhood(0, 1) == ()
+    assert [n.pattern for n in mine_all(ds, cfg)] == \
+        [p for p, _ in oracle_all_patterns(ds, cfg)] == [(0,), (1,)]
 
 
 def test_simultaneous_instances_are_never_neighbors():
