@@ -24,6 +24,7 @@ from .analysis import CstsSet, approximate_pi, extract_closed
 from .bottomup import extract_csts, run_bottom_up
 from .ingestion import load_boston, load_generic, load_pittsburgh
 from .model import EventDataset, MiningConfig, parse_pattern
+from .neighborhoods import NeighborhoodIndex, build_index
 from .oracle import (
     OracleSizeError,
     RandomSpec,
@@ -258,10 +259,21 @@ def _write_records(path: Optional[str], records: list[dict]) -> None:
         sys.stdout.write(text)
 
 
-def _mine(dataset: EventDataset, cfg: MiningConfig):
+def _index(dataset: EventDataset, cfg: MiningConfig):
+    """(neighbor index, build seconds); no index for an empty dataset."""
+    t0 = time.perf_counter()
     try:
-        return mine_all(dataset, cfg)
-    except ValueError as exc:  # unbounded theta=0 in ge mode, bad degrees
+        index = build_index(dataset, cfg) if dataset.instances else None
+    except ValueError as exc:  # bad degrees
+        raise _CliError(str(exc)) from exc
+    return index, time.perf_counter() - t0
+
+
+def _mine(dataset: EventDataset, cfg: MiningConfig,
+          index: Optional[NeighborhoodIndex]):
+    try:
+        return mine_all(dataset, cfg, index=index)
+    except ValueError as exc:  # unbounded theta=0 in ge mode
         raise _CliError(str(exc)) from exc
 
 
@@ -275,9 +287,10 @@ def _say(text: str) -> None:
 
 def _run_tree_algorithms(dataset, cfg, algorithm):
     """Returns (counts, capped, depth, pattern records, timings)."""
+    index, t_index = _index(dataset, cfg)
     t0 = time.perf_counter()
-    tree = _mine(dataset, cfg)
-    timings = {"topdown_s": time.perf_counter() - t0}
+    tree = _mine(dataset, cfg, index)
+    timings = {"index_s": t_index, "topdown_s": time.perf_counter() - t0}
     counts = {"all": len(tree), "closed": None, "csts": None}
 
     closed_nodes = cmax = None
@@ -373,13 +386,15 @@ def cmd_sweep(args) -> int:
     thetas = _parse_threshold_list(args.theta, "--theta", multi=True)
     epsilons = _parse_threshold_list(args.epsilon, "--epsilon", multi=True)
     dataset, ds_record = _load_dataset(args)
+    # The index depends only on radius, window and metric: one for the grid.
+    index, t_index = _index(dataset, _config(args, thetas[0], epsilons[0]))
 
     points = []
     grid_records = []
     for theta in thetas:
         cfg = _config(args, theta, epsilons[0])
         t0 = time.perf_counter()
-        tree = _mine(dataset, cfg)
+        tree = _mine(dataset, cfg, index)
         t_top = time.perf_counter() - t0
         closed_count = len(extract_closed(tree))
         for epsilon in epsilons:
@@ -407,6 +422,7 @@ def cmd_sweep(args) -> int:
     _say(f"input={ds_record['source']} instances={ds_record['instances']} "
          f"types={ds_record['types']}")
     _say(f"sweep: {len(thetas)} theta x {len(epsilons)} epsilon points")
+    _say(f"index: {t_index:.3f}s edges={0 if index is None else index.edge_count}")
     header = f"{'theta':>8} {'epsilon':>8} {'all':>7} {'closed':>7} " \
              f"{'csts':>7} {'top(s)':>8} {'bottom(s)':>9}"
     _say(header)

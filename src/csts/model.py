@@ -10,6 +10,7 @@ tests between patterns never suffer float drift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
@@ -70,6 +71,8 @@ class EventInstance:
     def __post_init__(self) -> None:
         if not (self.time >= 0 and self.time == self.time and self.time != float("inf")):
             raise ValueError(f"instance time must be finite and non-negative, got {self.time!r}")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"instance coordinates must be finite, got ({self.x!r}, {self.y!r})")
 
 
 class EventDataset:

@@ -3,19 +3,31 @@
 For an instance e and event type F, the neighborhood is every instance of
 type F within ``radius`` of e that occurs strictly later than e but at most
 ``window`` minutes later. The index computes the whole relation at
-construction: instances are sorted by time once, each source walks only its
-forward time window, and distances inside the window are evaluated with
-vectorized numpy. Planar mode compares squared distances so integer-valued
-coordinates on the radius boundary stay exact; geodesic mode treats (x, y)
-as (longitude, latitude) in degrees and uses the haversine great-circle
-distance in meters. The result is kept per target type as two parallel
-arrays of (source idx, target idx). Supports are sorted, unique ``int64``
-arrays of instance idx.
+construction with whole-array numpy work:
+
+- instances are sorted by time once, and each source's forward time window
+  is a [lo, hi) range of time positions found by binary search;
+- space is cut into cells at least ``radius`` wide: squares in planar mode,
+  latitude bands in geodesic mode (a great-circle distance is at least the
+  globe radius times the latitude difference, so bands need no wrap at 180
+  degrees and no care at the poles);
+- sorting by (cell, time position) makes the window of every source inside
+  one neighbouring cell a contiguous run, found by two vectorized binary
+  searches per cell offset (9 planar, 3 geodesic), and only those candidates
+  are tested for distance.
+
+Planar mode compares squared distances so integer-valued coordinates on the
+radius boundary stay exact; geodesic mode treats (x, y) as (longitude,
+latitude) in degrees and uses the haversine great-circle distance in meters,
+with the source latitude's cosine from ``math.cos``. The result is kept per
+target type as two parallel arrays of (source idx, target idx). Supports are
+sorted, unique ``int64`` arrays of instance idx.
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -25,22 +37,58 @@ from .model import EventDataset, MiningConfig, METRIC_EUCLIDEAN
 #: Globe radius of the geodesic metric, in meters.
 EARTH_RADIUS_M = 6_371_000.0
 
+# Cell keys are cell * n + time position; every key, and every key searched
+# for, stays below 2**63.
+_KEY_LIMIT = 2 ** 62
+
+
+def _column(instances, name: str, dtype) -> np.ndarray:
+    return np.fromiter(map(attrgetter(name), instances), dtype=dtype,
+                       count=len(instances))
+
+
+def _cells(coords: Sequence[np.ndarray], size: float) -> tuple[np.ndarray, np.ndarray]:
+    """(cell id per point, id offsets of the 3**d cells around any cell) for
+    a grid over the d coordinate arrays whose cells are at least ``size``
+    wide. A pair of points closer than ``size`` along every coordinate lies
+    in neighbouring cells."""
+    n = coords[0].size
+    extent = max(float(np.abs(c).max()) for c in coords)
+    per_axis = max(1, int((_KEY_LIMIT / n) ** (1 / len(coords))) // 2 - 2)
+    # The margins keep float rounding from putting a pair that passes the
+    # distance test two cells apart: the relative one covers c / side, the
+    # absolute one the rounding of the coordinates inside the distance
+    # terms, which outweighs a radius that is tiny next to them (geodesic
+    # radii under about 1 m). Cells are coarsened when needed to keep at
+    # most 2 * per_axis + 1 per axis.
+    side = max(size * (1 + 1e-9) + extent * 2.0 ** -46, extent / per_axis)
+    cell = np.zeros(n, dtype=np.int64)
+    offsets = np.zeros(1, dtype=np.int64)
+    for c in coords:
+        k = np.floor(c / side).astype(np.int64)
+        k -= k.min()
+        width = int(k.max()) + 2  # a spare slot: offsets never alias a cell
+        cell = cell * width + k
+        offsets = (offsets[:, None] * width + np.arange(-1, 2)).ravel()
+    return cell, offsets
+
 
 class NeighborhoodIndex:
-    """The neighbor relation of one dataset under one config."""
+    """The neighbor relation of one dataset under one config.
+    ``edge_count`` is the number of (source, target) pairs in it."""
 
     def __init__(self, dataset: EventDataset, config: MiningConfig) -> None:
         self.dataset = dataset
         self.config = config
 
-        order = sorted(range(len(dataset.instances)),
-                       key=lambda i: (dataset.instances[i].time, i))
-        sorted_idx = np.asarray(order, dtype=np.int64)
-        times = np.asarray(
-            [dataset.instances[i].time for i in order], dtype=np.float64)
-        xs = np.asarray([dataset.instances[i].x for i in order], dtype=np.float64)
-        ys = np.asarray([dataset.instances[i].y for i in order], dtype=np.float64)
-        types = np.asarray([dataset.instances[i].event_type for i in order], dtype=np.int64)
+        instances = dataset.instances
+        n = len(instances)
+        times = _column(instances, "time", np.float64)
+        order = np.argsort(times, kind="stable")  # time position -> idx
+        times = times[order]
+        xs = _column(instances, "x", np.float64)[order]
+        ys = _column(instances, "y", np.float64)[order]
+        types = _column(instances, "event_type", np.int64)[order]
         geodesic = config.metric != METRIC_EUCLIDEAN
         if geodesic:
             if not (np.all(np.abs(xs) <= 180.0) and np.all(np.abs(ys) <= 90.0)):
@@ -49,6 +97,17 @@ class NeighborhoodIndex:
             rad_lats = np.radians(ys)
             half_lats = rad_lats / 2.0
             half_lons = np.radians(xs) / 2.0
+            cos_lats = np.cos(rad_lats)
+            # The source side's cosine comes from math.cos, as in the scalar
+            # formula: np.cos may differ from it in the last ulp and flip a
+            # pair on the radius boundary. np.radians is the same one
+            # multiplication as math.radians, so the halves are shared.
+            src_cos_lats = np.fromiter(map(math.cos, rad_lats.tolist()),
+                                       dtype=np.float64, count=n)
+            cell, offsets = _cells(
+                [ys], math.degrees(float(config.radius) / EARTH_RADIUS_M))
+        else:
+            cell, offsets = _cells([xs, ys], float(config.radius))
 
         # Each source's window [lo, hi) of strictly later instances, decided by
         # the oracle's test t_f - t_e <= window, not by the rounded sum t_e +
@@ -62,25 +121,39 @@ class NeighborhoodIndex:
         while over.any():
             highs[over] = np.searchsorted(times, times[highs[over] - 1], side="left")
             over = (highs > lows) & (times[highs - 1] - times > window)
-        lows, highs = lows.tolist(), highs.tolist()
-        targets = []
-        for e_idx, lo, hi in zip(order, lows, highs):
-            e = dataset.instances[e_idx]
+
+        # The candidates of all sources in one neighbouring cell at a time, so
+        # temporaries stay near a ninth (planar) of all candidates. Sources
+        # are taken in key order, which makes every array of searched keys
+        # sorted (lows and highs grow with the time position), and sorted
+        # searches run several times faster than scattered ones.
+        keys = cell * n + np.arange(n, dtype=np.int64)
+        by_key = np.argsort(keys)
+        keys, cell, lows, highs = keys[by_key], cell[by_key], lows[by_key], highs[by_key]
+        src_parts, dst_parts = [], []
+        for offset in offsets.tolist():
+            base = (cell + offset) * n
+            start = np.searchsorted(keys, base + lows)
+            counts = np.searchsorted(keys, base + highs) - start
+            src = np.repeat(by_key, counts)
+            run_start = np.repeat(start - (np.cumsum(counts) - counts), counts)
+            dst = by_key[run_start + np.arange(src.size)]
             if not geodesic:
-                dx = xs[lo:hi] - e.x
-                dy = ys[lo:hi] - e.y
+                dx = xs[dst] - xs[src]
+                dy = ys[dst] - ys[src]
                 ok = dx * dx + dy * dy <= float(config.radius * config.radius)
             else:
-                s_lat = np.sin(half_lats[lo:hi] - math.radians(e.y) / 2.0)
-                s_lon = np.sin(half_lons[lo:hi] - math.radians(e.x) / 2.0)
-                h = s_lat * s_lat + s_lon * s_lon * (
-                    np.cos(rad_lats[lo:hi]) * math.cos(math.radians(e.y)))
+                s_lat = np.sin(half_lats[dst] - half_lats[src])
+                s_lon = np.sin(half_lons[dst] - half_lons[src])
+                h = s_lat * s_lat + s_lon * s_lon * (cos_lats[dst] * src_cos_lats[src])
                 np.clip(h, 0.0, 1.0, out=h)
                 ok = 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h)) <= float(config.radius)
-            targets.append(np.flatnonzero(ok) + lo)
-        src = np.repeat(sorted_idx, [t.size for t in targets])
-        pos = np.concatenate(targets)
-        dst, dst_types = sorted_idx[pos], types[pos]
+            src_parts.append(src[ok])
+            dst_parts.append(dst[ok])
+        pos = np.concatenate(dst_parts)
+        src = order[np.concatenate(src_parts)]
+        dst, dst_types = order[pos], types[pos]
+        self.edge_count = int(src.size)
         self._edges: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for type_id in dataset.by_type:
             into = dst_types == type_id

@@ -96,7 +96,8 @@ def gen_and_verify(level_prev: Sequence[PatternNode], index: NeighborhoodIndex,
     return level
 
 
-def mine_all(dataset: EventDataset, cfg: MiningConfig) -> MaxTree:
+def mine_all(dataset: EventDataset, cfg: MiningConfig,
+             index: Optional[NeighborhoodIndex] = None) -> MaxTree:
     """Grow the full tree of threshold-passing patterns.
 
     Levels are generated until one comes back empty or ``cfg.max_length`` is
@@ -104,14 +105,28 @@ def mine_all(dataset: EventDataset, cfg: MiningConfig) -> MaxTree:
     one passes, without being kept: the tree is ``capped`` exactly when
     longer patterns pass. With ``strict_theta=False`` and theta 0 every
     candidate passes, so a cap is required to terminate.
+
+    ``index`` is a neighbor index already built for this dataset object
+    under the same radius, window and metric (a sweep over thresholds
+    builds it once); without one, it is built here. A mismatched index
+    raises ValueError.
     """
     if not cfg.strict_theta and cfg.theta == 0 and cfg.max_length is None:
         raise ValueError(
             "theta=0 with non-strict comparison accepts every candidate; "
             "set max_length to bound the search")
+    if index is not None:
+        if index.dataset is not dataset:
+            raise ValueError("the neighbor index was built for another dataset")
+        built = (index.config.radius, index.config.window, index.config.metric)
+        if built != (cfg.radius, cfg.window, cfg.metric):
+            raise ValueError(
+                f"the neighbor index was built for (radius, window, metric) "
+                f"{built}, not {(cfg.radius, cfg.window, cfg.metric)}")
     levels: list[list[PatternNode]] = []
     level = mine_level1(dataset)
-    index = build_index(dataset, cfg) if level else None
+    if index is None and level:
+        index = build_index(dataset, cfg)
     capped = False
     while level:
         levels.append(level)

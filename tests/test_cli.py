@@ -126,8 +126,9 @@ class TestMine:
         records = [json.loads(line) for line in
                    captured.out.strip().splitlines()]
         assert {r["record"] for r in records} == {"dataset", "run", "pattern"}
-        assert "time:" in captured.err
+        assert "time:" in captured.err and "index=" in captured.err
         assert "topdown=" not in captured.out and "load=" not in captured.out
+        assert "index=" not in captured.out
 
     def test_synthetic_input(self, tmp_path):
         recs = run_records(tmp_path, "syn.jsonl", [
@@ -214,9 +215,11 @@ class TestDeterminism:
     def test_no_timing_keys_in_records(self, tmp_path):
         recs = run_records(tmp_path, "run.jsonl", BASE + [
             "--theta", "0.2", "--epsilon", "0.25", "--algorithm", "csts"])
+        recs += run_records(tmp_path, "sweep.jsonl", STREAM_ARGV["sweep"])
         text = json.dumps(recs)
         assert "_s\"" not in text and "seconds" not in text
         assert "threads" not in text
+        assert "index" not in text and "edges" not in text
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +265,28 @@ class TestSweep:
         points = [r for r in recs if r["record"] == "sweep_point"]
         alls = [p["counts"]["all"] for p in points]
         assert alls == sorted(alls, reverse=True)
+
+    def test_index_built_once_and_reported_on_stderr(self, monkeypatch, capsys):
+        # mine_all would build its own index through csts.topdown if the
+        # sweep did not pass one, so both names are counted.
+        import csts.cli
+        import csts.topdown
+        built = []
+        real = csts.topdown.build_index
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(csts.cli, "build_index", counting)
+        monkeypatch.setattr(csts.topdown, "build_index", counting)
+        assert main(["sweep", "--input", FIXTURE, "--radius", "10",
+                     "--window", "20", "--theta", "0,0.2",
+                     "--epsilon", "0,0.25"]) == 0
+        assert len(built) == 1
+        captured = capsys.readouterr()
+        assert "index: " in captured.err and "edges=90" in captured.err
+        assert "index" not in captured.out and "edges" not in captured.out
 
     def test_empty_theta_list_is_usage_error(self, capsys):
         code = main(["sweep", "--input", FIXTURE,

@@ -170,3 +170,10 @@ class TestDataset:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             EventInstance(0, 0, 0.0, 0.0, -1.0)
+
+    @pytest.mark.parametrize("x, y", [(float("nan"), 1.0), (0.0, float("nan")),
+                                      (float("inf"), 0.0), (0.0, -float("inf"))])
+    def test_non_finite_coordinates_rejected(self, x, y):
+        # Every instance must fall into a well-defined cell of the index.
+        with pytest.raises(ValueError, match="finite"):
+            EventInstance(0, 0, x, y, 0.0)

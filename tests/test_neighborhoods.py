@@ -1,11 +1,14 @@
-"""The sweep index must agree exactly with the naive double-loop filter."""
+"""The index must agree exactly with the naive double-loop filter, and bit
+for bit with the per-source loop it replaced."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from csts import EventDataset, EventInstance, EventType, MiningConfig
-from csts.neighborhoods import NeighborhoodIndex, build_index
+from csts.neighborhoods import EARTH_RADIUS_M, NeighborhoodIndex, build_index
 from csts.topdown import mine_all
 from csts.oracle import (
     RandomSpec,
@@ -236,3 +239,158 @@ def test_empty_dataset_rejected():
     ds = EventDataset([EventType(0, "A")], [])
     with pytest.raises(ValueError):
         build_index(ds, MiningConfig(radius=1.0, window=1.0))
+
+
+# ---------------------------------------------------------------------------
+# The per-source loop, kept as the specification of the whole-array build.
+# Both compute the same float expressions, so they must agree on every pair,
+# even at the exact float radius (where the naive filter's own haversine
+# may decide a pair the other way).
+# ---------------------------------------------------------------------------
+
+def _spec_edges(dataset, cfg):
+    """Every (source idx, target idx) pair, one source at a time."""
+    order = sorted(range(len(dataset.instances)),
+                   key=lambda i: (dataset.instances[i].time, i))
+    times = np.asarray([dataset.instances[i].time for i in order], dtype=np.float64)
+    xs = np.asarray([dataset.instances[i].x for i in order], dtype=np.float64)
+    ys = np.asarray([dataset.instances[i].y for i in order], dtype=np.float64)
+    rad_lats = np.radians(ys)
+    half_lats = rad_lats / 2.0
+    half_lons = np.radians(xs) / 2.0
+    window = float(cfg.window)
+    edges = set()
+    for pos, e_idx in enumerate(order):
+        e = dataset.instances[e_idx]
+        lo = int(np.searchsorted(times, times[pos], side="right"))
+        hi = lo
+        while hi < len(order) and times[hi] - times[pos] <= window:
+            hi += 1
+        if cfg.metric == "euclidean":
+            dx = xs[lo:hi] - e.x
+            dy = ys[lo:hi] - e.y
+            ok = dx * dx + dy * dy <= float(cfg.radius * cfg.radius)
+        else:
+            ok = _spec_geodesic(half_lats[lo:hi], half_lons[lo:hi],
+                                rad_lats[lo:hi], e) <= float(cfg.radius)
+        edges.update((e_idx, order[lo + j]) for j in np.flatnonzero(ok).tolist())
+    return edges
+
+
+def _spec_geodesic(half_lats, half_lons, rad_lats, e):
+    s_lat = np.sin(half_lats - math.radians(e.y) / 2.0)
+    s_lon = np.sin(half_lons - math.radians(e.x) / 2.0)
+    h = s_lat * s_lat + s_lon * s_lon * (
+        np.cos(rad_lats) * math.cos(math.radians(e.y)))
+    np.clip(h, 0.0, 1.0, out=h)
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))
+
+
+def _spec_distance(source, target, metric):
+    """The distance the spec computes from ``source`` to ``target``."""
+    if metric == "euclidean":
+        dx = np.array([target.x]) - source.x
+        dy = np.array([target.y]) - source.y
+        return math.sqrt((dx * dx + dy * dy)[0])
+    rad_lat = np.radians(np.array([target.y]))
+    return float(_spec_geodesic(rad_lat / 2.0, np.radians(np.array([target.x])) / 2.0,
+                                rad_lat, source)[0])
+
+
+def _assert_index_matches_spec(dataset, cfg):
+    index = build_index(dataset, cfg)
+    got = {(i, j) for i in range(len(dataset.instances))
+           for type_id in dataset.by_type for j in index.neighborhood(i, type_id)}
+    want = _spec_edges(dataset, cfg)
+    assert got == want, f"{cfg}: extra {sorted(got - want)[:5]}, missing {sorted(want - got)[:5]}"
+    assert index.edge_count == len(want)
+
+
+def _dataset(points, n_types=2, seed=0):
+    rng = random.Random(seed)
+    return EventDataset(
+        [EventType(t, "ABCD"[t]) for t in range(n_types)],
+        [EventInstance(i, rng.randrange(n_types), x, y, t)
+         for i, (x, y, t) in enumerate(points)])
+
+
+def _globe_point(rng, region):
+    if region == "dateline":
+        return rng.choice([-1, 1]) * rng.uniform(179.0, 180.0), rng.uniform(-60.0, 60.0)
+    if region == "north pole":
+        return rng.uniform(-180.0, 180.0), rng.uniform(89.0, 90.0)
+    if region == "south pole":
+        return rng.uniform(-180.0, 180.0), rng.uniform(-90.0, -89.0)
+    return rng.uniform(-180.0, 180.0), rng.uniform(-90.0, 90.0)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "geodesic"])
+def test_radius_on_a_pairs_computed_distance_matches_spec(metric):
+    # The radius is set to one pair's distance as the index computes it, and
+    # to one ulp either side: that pair flips between in and out.
+    rng = random.Random(metric)
+    regions = ["dateline", "north pole", "south pole", "anywhere"]
+    for trial in range(40):
+        if metric == "euclidean":
+            scale = rng.choice([1.0, 100.0, 1e6])
+            points = [(rng.uniform(-scale, scale), rng.uniform(-scale, scale), t)
+                      for t in range(rng.randint(2, 25))]
+        else:
+            region = regions[trial % len(regions)]
+            points = [(*_globe_point(rng, region), t)
+                      for t in range(rng.randint(2, 25))]
+        ds = _dataset(points, seed=trial)
+        a, b = sorted(rng.sample(ds.instances, 2), key=lambda e: e.time)
+        d = _spec_distance(a, b, metric)
+        for radius in (math.nextafter(d, 0.0), d, math.nextafter(d, math.inf)):
+            if radius > 0:
+                _assert_index_matches_spec(
+                    ds, MiningConfig(radius=radius, window=1e6, metric=metric))
+
+
+@pytest.mark.parametrize("region", ["dateline", "north pole", "south pole", "anywhere"])
+def test_geodesic_random_datasets_match_spec(region):
+    # Radii from 1 m to past half the circumference (about 20,015 km).
+    rng = random.Random(region)
+    for trial in range(12):
+        points = [(*_globe_point(rng, region), rng.randint(0, 200))
+                  for _ in range(rng.randint(1, 60))]
+        radius = rng.choice([1.0, 5e4, 2e5, 1e6, 2.01e7, 3e7])
+        _assert_index_matches_spec(
+            _dataset(points, n_types=3, seed=trial),
+            MiningConfig(radius=radius, window=60.0, metric="geodesic"))
+
+
+@pytest.mark.parametrize("window", [0.1, 0.7, 15.5])
+def test_float_times_on_the_window_boundary_match_spec(window):
+    rng = random.Random(window)
+    for metric in ("euclidean", "geodesic"):
+        times = []
+        for _ in range(25):
+            t = round(rng.uniform(0.0, 2000.0), rng.choice([1, 2]))
+            times += [t, round(t + window, 2)]
+        points = [(rng.uniform(-0.01, 0.01), rng.uniform(-0.01, 0.01), t) for t in times]
+        _assert_index_matches_spec(
+            _dataset(points), MiningConfig(radius=1000.0, window=window, metric=metric))
+
+
+def test_sub_millimetre_geodesic_pair_stays_in_reach():
+    # 1e-3 m: the computed distance passes although the latitudes differ by
+    # more than 1 + 1e-9 times the radius, so a band margin proportional to
+    # the radius alone would drop this pair.
+    ds = _dataset([(0.0, 50.59984344979801, 0), (0.0, 50.59984345879123, 1)])
+    cfg = MiningConfig(radius=1e-3, window=5.0, metric="geodesic")
+    assert _spec_edges(ds, cfg) == {(0, 1)}
+    _assert_index_matches_spec(ds, cfg)
+
+
+def test_radius_far_below_the_coordinates_matches_spec():
+    # x / radius near 1e300 must not overflow the cell arithmetic (a
+    # RuntimeWarning fails the suite). Repeated points far out and one pair
+    # near the origin are the edges.
+    far = [(x, 0.0, t) for x in (-1e150, 1e150) for t in (0, 1, 2)]
+    near = [(0.0, 0.0, 0), (0.0, 5e-151, 1), (0.0, 2e-150, 2)]
+    ds = _dataset(far + near)
+    cfg = MiningConfig(radius=1e-150, window=10.0)
+    assert len(_spec_edges(ds, cfg)) == 7
+    _assert_index_matches_spec(ds, cfg)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from csts import MiningConfig, canonical_key
+from csts import EventDataset, EventInstance, EventType, MiningConfig, canonical_key
 from csts.neighborhoods import build_index
 from csts.oracle import (
     RandomSpec,
@@ -223,3 +223,31 @@ def test_level_functions_compose_like_mine_all():
     assert [n.pattern for n in l2] == [n.pattern for n in tree.levels[1]]
     assert [n.pattern for n in l3] == [n.pattern for n in tree.levels[2]]
     assert [n.pi for n in l3] == [n.pi for n in tree.levels[2]]
+
+
+def test_prebuilt_index_gives_the_same_tree():
+    ds = example_dataset()
+    index = build_index(ds, example_config())
+    for theta in ("0", "0.2", "0.4"):
+        cfg = MiningConfig(radius=10.0, window=20.0, theta=theta)
+        want = [(n.pattern, n.pi) for n in mine_all(ds, cfg)]
+        assert [(n.pattern, n.pi) for n in mine_all(ds, cfg, index=index)] == want
+
+
+@pytest.mark.parametrize("change", [
+    {"radius": 11.0}, {"window": 21.0}, {"metric": "geodesic"}])
+def test_prebuilt_index_for_other_parameters_rejected(change):
+    # Valid degrees, so a geodesic index can be built for it too.
+    ds = EventDataset([EventType(0, "A"), EventType(1, "B")],
+                      [EventInstance(0, 0, 0.0, 0.0, 0), EventInstance(1, 1, 0.0, 1e-4, 1)])
+    index = build_index(ds, MiningConfig(**{"radius": 10.0, "window": 20.0, **change}))
+    with pytest.raises(ValueError, match="radius, window, metric"):
+        mine_all(ds, MiningConfig(radius=10.0, window=20.0, theta="0.2"), index=index)
+
+
+def test_prebuilt_index_for_another_dataset_rejected():
+    # An equal copy is still another dataset: the index keeps no proof that
+    # two datasets hold the same instances.
+    index = build_index(example_dataset(), example_config())
+    with pytest.raises(ValueError, match="another dataset"):
+        mine_all(example_dataset(), example_config(), index=index)
