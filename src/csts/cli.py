@@ -117,6 +117,13 @@ def _parse_threshold_list(text: str, flag: str, multi: bool) -> list[str]:
         raise _CliError(f"{flag} needs at least one value")
     if not multi and len(values) > 1:
         raise _CliError(f"mine takes a single {flag} value; use sweep for lists")
+    # A grid point given twice would be mined and written twice.
+    try:
+        distinct = set(map(Fraction, values))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _CliError(f"bad {flag} value: {exc}") from exc
+    if len(distinct) < len(values):
+        raise _CliError(f"{flag} lists one value more than once: {text}")
     return values
 
 

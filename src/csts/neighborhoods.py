@@ -6,7 +6,8 @@ type F within ``radius`` of e that occurs strictly later than e but at most
 construction with whole-array numpy work:
 
 - instances are sorted by time once, and each source's forward time window
-  is a [lo, hi) range of time positions found by binary search;
+  lies in a [lo, hi) range of time positions found by binary search; a
+  candidate must also pass the oracle's own test t_f - t_e <= window;
 - space is cut into cells at least ``radius`` wide: squares in planar mode,
   latitude bands in geodesic mode (a great-circle distance is at least the
   globe radius times the latitude difference, so bands need no wrap at 180
@@ -14,14 +15,14 @@ construction with whole-array numpy work:
 - sorting by (cell, time position) makes the window of every source inside
   one neighbouring cell a contiguous run, found by two vectorized binary
   searches per cell offset (9 planar, 3 geodesic), and only those candidates
-  are tested for distance.
+  are tested, for distance and time alike.
 
 Planar mode compares squared distances so integer-valued coordinates on the
 radius boundary stay exact; geodesic mode treats (x, y) as (longitude,
 latitude) in degrees and uses the haversine great-circle distance in meters,
 with the source latitude's cosine from ``math.cos``. The result is kept per
-target type as two parallel arrays of (source idx, target idx). Supports are
-sorted, unique ``int64`` arrays of instance idx.
+target type as two parallel arrays of (source idx, target idx), ordered by
+source idx. Supports are sorted, unique ``int64`` arrays of instance idx.
 """
 
 from __future__ import annotations
@@ -109,18 +110,13 @@ class NeighborhoodIndex:
         else:
             cell, offsets = _cells([xs, ys], float(config.radius))
 
-        # Each source's window [lo, hi) of strictly later instances, decided by
-        # the oracle's test t_f - t_e <= window, not by the rounded sum t_e +
-        # window. Searching to the float after the sum finds a superset (times
-        # are non-negative); float subtraction is monotone, so trimming runs of
-        # equal times off the end until the last one passes leaves the window.
+        # Each source's candidates [lo, hi) of strictly later instances. The
+        # window is decided per candidate by the oracle's test t_f - t_e <=
+        # window, not by the rounded sum t_e + window; searching to the float
+        # after the sum finds a superset of it (times are non-negative).
         window = float(config.window)
         lows = np.searchsorted(times, times, side="right")
         highs = np.searchsorted(times, np.nextafter(times + window, np.inf), side="right")
-        over = (highs > lows) & (times[highs - 1] - times > window)
-        while over.any():
-            highs[over] = np.searchsorted(times, times[highs[over] - 1], side="left")
-            over = (highs > lows) & (times[highs - 1] - times > window)
 
         # The candidates of all sources in one neighbouring cell at a time, so
         # temporaries stay near a ninth (planar) of all candidates. Sources
@@ -130,7 +126,7 @@ class NeighborhoodIndex:
         keys = cell * n + np.arange(n, dtype=np.int64)
         by_key = np.argsort(keys)
         keys, cell, lows, highs = keys[by_key], cell[by_key], lows[by_key], highs[by_key]
-        src_parts, dst_parts = [], []
+        key_parts, dst_parts = [], []
         for offset in offsets.tolist():
             base = (cell + offset) * n
             start = np.searchsorted(keys, base + lows)
@@ -138,26 +134,30 @@ class NeighborhoodIndex:
             src = np.repeat(by_key, counts)
             run_start = np.repeat(start - (np.cumsum(counts) - counts), counts)
             dst = by_key[run_start + np.arange(src.size)]
+            ok = times[dst] - times[src] <= window
             if not geodesic:
                 dx = xs[dst] - xs[src]
                 dy = ys[dst] - ys[src]
-                ok = dx * dx + dy * dy <= float(config.radius * config.radius)
+                ok &= dx * dx + dy * dy <= float(config.radius * config.radius)
             else:
                 s_lat = np.sin(half_lats[dst] - half_lats[src])
                 s_lon = np.sin(half_lons[dst] - half_lons[src])
                 h = s_lat * s_lat + s_lon * s_lon * (cos_lats[dst] * src_cos_lats[src])
                 np.clip(h, 0.0, 1.0, out=h)
-                ok = 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h)) <= float(config.radius)
-            src_parts.append(src[ok])
-            dst_parts.append(dst[ok])
-        pos = np.concatenate(dst_parts)
-        src = order[np.concatenate(src_parts)]
-        dst, dst_types = order[pos], types[pos]
-        self.edge_count = int(src.size)
-        self._edges: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for type_id in dataset.by_type:
-            into = dst_types == type_id
-            self._edges[type_id] = (src[into], dst[into])
+                ok &= 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h)) <= float(config.radius)
+            key_parts.append(types[dst[ok]] * n + order[src[ok]])
+            dst_parts.append(order[dst[ok]])
+        # Edges sorted by (target type, source idx): each type's edges are one
+        # slice, and each source's edges within it are contiguous. The parts
+        # are freed before the sort, which is the build's memory peak.
+        type_src, dst = np.concatenate(key_parts), np.concatenate(dst_parts)
+        del key_parts, dst_parts
+        by_edge = np.argsort(type_src)
+        type_src, dst = type_src[by_edge], dst[by_edge]
+        self.edge_count = int(dst.size)
+        bounds = np.searchsorted(type_src, np.arange(len(dataset.types) + 1) * n).tolist()
+        self._edges: dict[int, tuple[np.ndarray, np.ndarray]] = {
+            t: (type_src[a:b] % n, dst[a:b]) for t, (a, b) in enumerate(zip(bounds, bounds[1:]))}
 
     def neighborhood(self, e_idx: int, type_id: int) -> tuple[int, ...]:
         """Sorted neighbor idx tuple for one (instance, type) pair."""

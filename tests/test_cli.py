@@ -288,6 +288,21 @@ class TestSweep:
         assert "index: " in captured.err and "edges=90" in captured.err
         assert "index" not in captured.out and "edges" not in captured.out
 
+    @pytest.mark.parametrize("theta,epsilon,flag", [
+        ("0.2,0.20", "0.25", "--theta"),
+        ("0,1/5,0.2", "0.25", "--theta"),
+        ("0.2", "0.25,0,1/4", "--epsilon"),
+    ])
+    def test_duplicate_threshold_is_usage_error(self, tmp_path, capsys,
+                                                theta, epsilon, flag):
+        out = tmp_path / "sweep.jsonl"
+        code = main(["sweep", "--input", FIXTURE,
+                     "--radius", "10", "--window", "20",
+                     "--theta", theta, "--epsilon", epsilon, "--out", str(out)])
+        assert code == 2
+        assert f"{flag} lists" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_theta_list_is_usage_error(self, capsys):
         code = main(["sweep", "--input", FIXTURE,
                      "--radius", "10", "--window", "20",

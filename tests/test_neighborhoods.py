@@ -197,6 +197,20 @@ def test_union_over_matches_per_instance_union():
                 assert index.union_over(sources, type_id).tolist() == sorted(want)
 
 
+def test_each_types_edges_are_ordered_by_source():
+    # Contiguous runs per source keep union_over's gather cheap; the edges
+    # of every type together are the whole relation.
+    planar = (generate_random(RandomSpec(seed=3, n_types=3, n_instances=400,
+                                         area=100.0, horizon=300)),
+              MiningConfig(radius=15.0, window=60.0))
+    for ds, cfg in [planar, _random_geodesic(random.Random(2), 120)]:
+        index = build_index(ds, cfg)
+        assert sum(src.size for src, _ in index._edges.values()) == index.edge_count > 300
+        for type_id, (src, dst) in index._edges.items():
+            assert np.all(src[:-1] <= src[1:]), f"type {type_id}"
+            assert {ds.instances[j].event_type for j in dst.tolist()} <= {type_id}
+
+
 def test_relabeling_instances_relabels_neighborhoods():
     # Same point set listed in a different order must give the same geometry.
     base = example_dataset()
