@@ -111,20 +111,29 @@ def build_parser() -> argparse.ArgumentParser:
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
-def _parse_threshold_list(text: str, flag: str, multi: bool) -> list[str]:
-    values = [v.strip() for v in text.split(",") if v.strip()]
-    if not values:
+def _parse_threshold_list(text: str, flag: str, multi: bool) -> list[Fraction]:
+    texts = [v.strip() for v in text.split(",") if v.strip()]
+    if not texts:
         raise _CliError(f"{flag} needs at least one value")
-    if not multi and len(values) > 1:
+    if not multi and len(texts) > 1:
         raise _CliError(f"mine takes a single {flag} value; use sweep for lists")
-    # A grid point given twice would be mined and written twice.
     try:
-        distinct = set(map(Fraction, values))
+        values = [Fraction(v) for v in texts]
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliError(f"bad {flag} value: {exc}") from exc
-    if len(distinct) < len(values):
+    # A grid point given twice would be mined and written twice.
+    if len(set(values)) < len(values):
         raise _CliError(f"{flag} lists one value more than once: {text}")
     return values
+
+
+def _grid(args, multi: bool) -> list[list[MiningConfig]]:
+    """One checked MiningConfig per (theta, epsilon) point, one row per
+    theta, so a bad value fails before any data is read."""
+    thetas = _parse_threshold_list(args.theta, "--theta", multi)
+    epsilons = _parse_threshold_list(args.epsilon, "--epsilon", multi)
+    return [[_config(args, theta, epsilon) for epsilon in epsilons]
+            for theta in thetas]
 
 
 def _load_dataset(args) -> tuple[EventDataset, dict]:
@@ -182,7 +191,7 @@ def _load_dataset(args) -> tuple[EventDataset, dict]:
     return dataset, record
 
 
-def _config(args, theta: str, epsilon: str) -> MiningConfig:
+def _config(args, theta: Fraction, epsilon: Fraction) -> MiningConfig:
     try:
         return MiningConfig(
             radius=args.radius,
@@ -346,12 +355,10 @@ def _run_oracle_algorithm(dataset, cfg):
 
 
 def cmd_mine(args) -> int:
-    theta = _parse_threshold_list(args.theta, "--theta", multi=False)[0]
-    epsilon = _parse_threshold_list(args.epsilon, "--epsilon", multi=False)[0]
+    [[cfg]] = _grid(args, multi=False)
     t_load0 = time.perf_counter()
     dataset, ds_record = _load_dataset(args)
     t_load = time.perf_counter() - t_load0
-    cfg = _config(args, theta, epsilon)
 
     if args.algorithm == "oracle":
         counts, capped, depth, listing, timings = _run_oracle_algorithm(dataset, cfg)
@@ -373,8 +380,8 @@ def cmd_mine(args) -> int:
 
     _say(f"input={ds_record['source']} instances={ds_record['instances']} "
          f"types={ds_record['types']}")
-    _say(f"algorithm={args.algorithm} theta={theta}"
-         f"({args.theta_strictness}) epsilon={epsilon} "
+    _say(f"algorithm={args.algorithm} theta={cfg.theta}"
+         f"({args.theta_strictness}) epsilon={cfg.epsilon} "
          f"radius={args.radius} window={args.window} metric={args.metric}")
     _say("patterns: " + " ".join(
         f"{k}={v}" for k, v in counts.items() if v is not None)
@@ -390,22 +397,19 @@ def cmd_mine(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    thetas = _parse_threshold_list(args.theta, "--theta", multi=True)
-    epsilons = _parse_threshold_list(args.epsilon, "--epsilon", multi=True)
+    grid = _grid(args, multi=True)
     dataset, ds_record = _load_dataset(args)
     # The index depends only on radius, window and metric: one for the grid.
-    index, t_index = _index(dataset, _config(args, thetas[0], epsilons[0]))
+    index, t_index = _index(dataset, grid[0][0])
 
     points = []
     grid_records = []
-    for theta in thetas:
-        cfg = _config(args, theta, epsilons[0])
+    for row in grid:
         t0 = time.perf_counter()
-        tree = _mine(dataset, cfg, index)
+        tree = _mine(dataset, row[0], index)
         t_top = time.perf_counter() - t0
         closed_count = len(extract_closed(tree))
-        for epsilon in epsilons:
-            cfg_pt = _config(args, theta, epsilon)
+        for cfg_pt in row:
             t1 = time.perf_counter()
             members = extract_csts(tree, run_bottom_up(tree, cfg_pt.epsilon))
             t_bot = time.perf_counter() - t1
@@ -428,7 +432,7 @@ def cmd_sweep(args) -> int:
 
     _say(f"input={ds_record['source']} instances={ds_record['instances']} "
          f"types={ds_record['types']}")
-    _say(f"sweep: {len(thetas)} theta x {len(epsilons)} epsilon points")
+    _say(f"sweep: {len(grid)} theta x {len(grid[0])} epsilon points")
     _say(f"index: {t_index:.3f}s edges={0 if index is None else index.edge_count}")
     header = f"{'theta':>8} {'epsilon':>8} {'all':>7} {'closed':>7} " \
              f"{'csts':>7} {'top(s)':>8} {'bottom(s)':>9}"

@@ -1,14 +1,24 @@
 """CSV ingestion: generic event files plus the Pittsburgh and Boston
 crime-incident exports.
 
-Every loader is a streaming row filter: rows with missing or unparseable
-mapped fields are rejected and counted by reason, never aborting the file.
-A type label containing the pattern separator ``->`` is unparseable, since
-patterns over it could not be read back.
+Every loader is a streaming row filter over ``csv.reader``: the header is
+read once and each of the four mapped columns found by name (a repeated
+name maps to its last occurrence). Blank lines are skipped without being
+counted, a short row's missing fields read as blank, and extra fields are
+ignored. Rows with missing or unparseable mapped fields are rejected and
+counted by reason, never aborting the file. A type label containing the
+pattern separator ``->`` is unparseable, since patterns over it could not
+be read back.
+
 The generic format is this package's own interchange schema
-(``type,x,y,time_minutes``); the portal loaders map the public exports'
-column names, parse timestamps into minutes from a fixed epoch, and apply
-the date-range / crime-type restrictions the experiments use.
+(``type,x,y,time_minutes``). The portal loaders map the public exports'
+column names, parse timestamps into minutes from a fixed naive local
+epoch (2017-01-01T00:00 for Pittsburgh, 2014-01-01T00:00 for Boston), and
+apply the date-range / crime-type restrictions the experiments use. A
+timestamp carrying a UTC offset (``Z``, ``+00``, ``+00:00``) is
+unparseable, because it cannot be placed against a naive epoch. The Boston
+whitelists are edited in ``data/boston_types.json``. Datasets carry no
+epoch: minute 0 means whatever the loader counted from.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Optional
@@ -31,25 +41,10 @@ BOSTON_TYPES_FILE = _DATA_DIR / "boston_types.json"
 #: Bundled worked-example dataset in the generic schema.
 EXAMPLE_EVENTS_FILE = _DATA_DIR / "example_events.csv"
 
-
-@dataclass
-class ColumnSchema:
-    """Names of the four mapped columns in a source CSV."""
-
-    type_label: str = "type"
-    x: str = "x"
-    y: str = "y"
-    time: str = "time_minutes"
-
-    def columns(self) -> list[str]:
-        return [self.type_label, self.x, self.y, self.time]
-
-
-GENERIC_SCHEMA = ColumnSchema()
-PITTSBURGH_SCHEMA = ColumnSchema(
-    type_label="INCIDENTHIERARCHYDESC", x="X", y="Y", time="INCIDENTTIME")
-BOSTON_SCHEMA = ColumnSchema(
-    type_label="OFFENSE_CODE_GROUP", x="Long", y="Lat", time="OCCURRED_ON_DATE")
+#: The four mapped columns of each layout: type label, x, y, time.
+GENERIC_COLUMNS = ("type", "x", "y", "time_minutes")
+PITTSBURGH_COLUMNS = ("INCIDENTHIERARCHYDESC", "X", "Y", "INCIDENTTIME")
+BOSTON_COLUMNS = ("OFFENSE_CODE_GROUP", "Long", "Lat", "OCCURRED_ON_DATE")
 
 
 @dataclass
@@ -83,106 +78,98 @@ class IngestReport:
         }
 
 
-@dataclass
-class _Row:
-    label: str
-    x: float
-    y: float
-    minutes: int
-
-
 def _parse_timestamp(text: str) -> datetime:
-    """ISO-8601 first, then the portals' native spellings."""
+    """ISO-8601 first, then the portals' native spellings. A stamp with a
+    UTC offset is refused: the loaders' epochs are naive local times."""
     try:
-        return datetime.fromisoformat(text)
+        dt = datetime.fromisoformat(text)
     except ValueError:
-        pass
-    for fmt in ("%m/%d/%Y %H:%M", "%m/%d/%Y %I:%M:%S %p", "%m/%d/%Y", "%Y-%m-%d"):
-        try:
-            return datetime.strptime(text, fmt)
-        except ValueError:
-            continue
-    raise ValueError(f"unparseable timestamp: {text!r}")
+        for fmt in ("%m/%d/%Y %H:%M", "%m/%d/%Y %I:%M:%S %p", "%m/%d/%Y",
+                    "%Y-%m-%d"):
+            try:
+                return datetime.strptime(text, fmt)
+            except ValueError:
+                continue
+        raise ValueError(f"unparseable timestamp: {text!r}") from None
+    if dt.tzinfo is not None:
+        raise ValueError(f"timestamp carries a UTC offset: {text!r}")
+    return dt
 
 
-def _finite(value: float) -> float:
-    if not math.isfinite(value):
-        raise ValueError("non-finite coordinate")
-    return value
-
-
-def _load_rows(path, schema: ColumnSchema, report: IngestReport,
-               parse_time, row_filter=None, degrees: bool = False) -> list[_Row]:
-    """Shared row loop. ``parse_time`` maps the raw time field to integer
-    minutes; ``row_filter`` may veto an otherwise valid row (date range or
+def _load_rows(path, columns: tuple[str, str, str, str], report: IngestReport,
+               parse_time, in_scope=None, degrees: bool = False,
+               ) -> list[tuple[str, float, float, int]]:
+    """Shared row loop, returning ``(label, x, y, minutes)`` per kept row.
+    ``parse_time`` maps the raw time field to integer minutes; ``in_scope``
+    may veto an otherwise valid row by its label and minutes (date range or
     whitelist), counting it as filtered. With ``degrees`` the coordinates
     are (longitude, latitude) and must lie in [-180, 180] x [-90, 90]."""
-    rows: list[_Row] = []
+    rows = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing_cols = [c for c in schema.columns() if c not in header]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        position = {name: i for i, name in enumerate(header)}
+        missing_cols = [c for c in columns if c not in position]
         if missing_cols:
             raise ValueError(
                 f"{path}: missing required column(s) {', '.join(missing_cols)}; "
                 f"found {', '.join(header) or 'no header'}")
+        i_label, i_x, i_y, i_time = (position[c] for c in columns)
+        width = max(i_label, i_x, i_y, i_time) + 1
         for raw in reader:
+            if not raw:
+                continue  # blank line
             report.rows_read += 1
-            label = (raw.get(schema.type_label) or "").strip()
+            if len(raw) < width:
+                raw += [""] * (width - len(raw))
+            label = raw[i_label].strip()
             if not label:
                 report.missing_type += 1
                 continue
-            x_text = (raw.get(schema.x) or "").strip()
-            y_text = (raw.get(schema.y) or "").strip()
+            x_text = raw[i_x].strip()
+            y_text = raw[i_y].strip()
             if not x_text or not y_text:
                 report.missing_coordinates += 1
                 continue
-            t_text = (raw.get(schema.time) or "").strip()
+            t_text = raw[i_time].strip()
             if not t_text:
                 report.missing_time += 1
                 continue
             try:
-                if "->" in label:
-                    raise ValueError("type label holds the pattern separator")
-                x = _finite(float(x_text))
-                y = _finite(float(y_text))
-                if degrees and not (abs(x) <= 180.0 and abs(y) <= 90.0):
-                    raise ValueError("coordinate outside the degree range")
+                x = float(x_text)
+                y = float(y_text)
                 minutes = parse_time(t_text)
             except ValueError:
                 report.unparseable += 1
                 continue
-            row = _Row(label, x, y, minutes)
-            if row_filter is not None and not row_filter(row):
+            if ("->" in label or not (math.isfinite(x) and math.isfinite(y))
+                    or (degrees and not (abs(x) <= 180.0 and abs(y) <= 90.0))):
+                report.unparseable += 1
+                continue
+            if in_scope is not None and not in_scope(label, minutes):
                 report.filtered += 1
                 continue
-            rows.append(row)
+            rows.append((label, x, y, minutes))
     return rows
 
 
-def _build_dataset(rows: list[_Row], epoch: str,
+def _build_dataset(rows: list[tuple[str, float, float, int]],
                    report: IngestReport) -> EventDataset:
-    labels = sorted({r.label for r in rows})
+    labels = sorted({row[0] for row in rows})
     id_of = {lab: i for i, lab in enumerate(labels)}
     types = [EventType(i, lab) for lab, i in id_of.items()]
     instances = [
-        EventInstance(idx=i, event_type=id_of[r.label], x=r.x, y=r.y,
-                      time=r.minutes)
-        for i, r in enumerate(rows)
+        EventInstance(idx=i, event_type=id_of[label], x=x, y=y, time=minutes)
+        for i, (label, x, y, minutes) in enumerate(rows)
     ]
     report.instances_kept = len(instances)
     report.types_found = len(types)
-    return EventDataset(types, instances, epoch=epoch)
+    return EventDataset(types, instances)
 
 
-def load_generic(path, schema: Optional[ColumnSchema] = None,
-                 epoch: str = "1970-01-01T00:00",
-                 ) -> tuple[EventDataset, IngestReport]:
+def load_generic(path) -> tuple[EventDataset, IngestReport]:
     """Load the generic schema: ``type,x,y,time_minutes`` with time already
-    expressed as non-negative integer minutes. ``schema`` renames the four
-    columns when reading foreign files; ``epoch`` is recorded on the dataset
-    as documentation of what minute 0 means."""
-    schema = schema or GENERIC_SCHEMA
+    expressed as non-negative integer minutes."""
     report = IngestReport(source=str(path))
 
     def parse_minutes(text: str) -> int:
@@ -191,11 +178,11 @@ def load_generic(path, schema: Optional[ColumnSchema] = None,
             raise ValueError("negative time")
         return minutes
 
-    rows = _load_rows(path, schema, report, parse_minutes)
-    return _build_dataset(rows, epoch, report), report
+    rows = _load_rows(path, GENERIC_COLUMNS, report, parse_minutes)
+    return _build_dataset(rows, report), report
 
 
-def _portal_loader(path, schema: ColumnSchema, epoch_iso: str,
+def _portal_loader(path, columns: tuple[str, str, str, str], epoch_iso: str,
                    year_lo: int, year_hi: int,
                    whitelist: Optional[set[str]] = None,
                    ) -> tuple[EventDataset, IngestReport]:
@@ -209,13 +196,14 @@ def _portal_loader(path, schema: ColumnSchema, epoch_iso: str,
     lo = int((datetime(year_lo, 1, 1) - epoch).total_seconds() // 60)
     hi = int((datetime(year_hi + 1, 1, 1) - epoch).total_seconds() // 60)
 
-    def in_scope(row: _Row) -> bool:
-        if not (lo <= row.minutes < hi):
+    def in_scope(label: str, minutes: int) -> bool:
+        if not (lo <= minutes < hi):
             return False
-        return whitelist is None or row.label.lower() in whitelist
+        return whitelist is None or label.lower() in whitelist
 
-    rows = _load_rows(path, schema, report, parse_minutes, in_scope, degrees=True)
-    return _build_dataset(rows, epoch_iso, report), report
+    rows = _load_rows(path, columns, report, parse_minutes, in_scope,
+                      degrees=True)
+    return _build_dataset(rows, report), report
 
 
 def load_pittsburgh(path) -> tuple[EventDataset, IngestReport]:
@@ -226,39 +214,38 @@ def load_pittsburgh(path) -> tuple[EventDataset, IngestReport]:
     X and Y are longitude and latitude: rows whose X lies outside
     [-180, 180] or Y outside [-90, 90] count as unparseable.
     """
-    return _portal_loader(path, PITTSBURGH_SCHEMA, "2017-01-01T00:00",
+    return _portal_loader(path, PITTSBURGH_COLUMNS, "2017-01-01T00:00",
                           2017, 2019)
 
 
-def load_boston(path, reduced: bool = False,
-                types_file=None) -> tuple[EventDataset, IngestReport]:
+def load_boston(path, reduced: bool = False) -> tuple[EventDataset, IngestReport]:
     """Boston Crime Incident Reports export.
 
     Maps OFFENSE_CODE_GROUP / Long / Lat / OCCURRED_ON_DATE, keeps calendar
     2014, counts minutes from 2014-01-01T00:00, and restricts to a crime-type
     whitelist: the ten-type reduced list or the 26-type complete list, both
-    read (case-insensitively) from an editable JSON file so they can be
-    adapted to whatever taxonomy a given portal snapshot uses. Rows whose
-    Long lies outside [-180, 180] or Lat outside [-90, 90] count as
+    read (case-insensitively) from :data:`BOSTON_TYPES_FILE`, which is meant
+    to be edited to whatever taxonomy a given portal snapshot uses. Rows
+    whose Long lies outside [-180, 180] or Lat outside [-90, 90] count as
     unparseable.
     """
-    types_path = Path(types_file) if types_file is not None else BOSTON_TYPES_FILE
-    with open(types_path, encoding="utf-8") as fh:
+    with open(BOSTON_TYPES_FILE, encoding="utf-8") as fh:
         lists = json.load(fh)
     key = "reduced" if reduced else "complete"
     if key not in lists or not isinstance(lists[key], list) or not lists[key]:
-        raise ValueError(f"{types_path}: expected a non-empty {key!r} list")
+        raise ValueError(f"{BOSTON_TYPES_FILE}: expected a non-empty {key!r} list")
     whitelist = {str(label).lower() for label in lists[key]}
-    return _portal_loader(path, BOSTON_SCHEMA, "2014-01-01T00:00",
+    return _portal_loader(path, BOSTON_COLUMNS, "2014-01-01T00:00",
                           2014, 2014, whitelist)
 
 
 def export_generic(dataset: EventDataset, path) -> None:
     """Write a dataset back out in the generic schema; loading the file with
-    :func:`load_generic` reproduces the dataset exactly."""
+    :func:`load_generic` gives an equal dataset (same types, same instances),
+    whichever loader the dataset came from."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(GENERIC_SCHEMA.columns())
+        writer.writerow(GENERIC_COLUMNS)
         for inst in dataset.instances:
             writer.writerow([
                 dataset.label_of(inst.event_type),

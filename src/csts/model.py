@@ -85,19 +85,15 @@ class EventDataset:
     instances : sequence of EventInstance
         All instances; each ``event_type`` must exist in ``types`` and each
         ``idx`` must equal the instance's position in the sequence.
-    epoch : str
-        ISO-8601 datetime that minute zero maps to (metadata only).
     """
 
     def __init__(
         self,
         types: Sequence[EventType],
         instances: Sequence[EventInstance],
-        epoch: str = "1970-01-01T00:00",
     ) -> None:
         self.types: tuple[EventType, ...] = tuple(types)
         self.instances: tuple[EventInstance, ...] = tuple(instances)
-        self.epoch = epoch
 
         ids = [t.id for t in self.types]
         if ids != list(range(len(self.types))):

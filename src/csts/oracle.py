@@ -266,7 +266,7 @@ def generate_random(spec: RandomSpec) -> EventDataset:
         )
         for i in range(spec.n_instances)
     ]
-    return EventDataset(types, instances, epoch="1970-01-01T00:00")
+    return EventDataset(types, instances)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def example_dataset() -> EventDataset:
                       time=t)
         for i, (_, label, x, y, t) in enumerate(_EXAMPLE_ROWS)
     ]
-    return EventDataset(types, instances, epoch="1970-01-01T00:00")
+    return EventDataset(types, instances)
 
 
 def example_config(theta="0.2", epsilon="0.25", strict_theta: bool = True,

@@ -177,6 +177,36 @@ class TestMine:
                      "--pattern", "C"]) == 0
         assert "exact pi 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("schema,stamp", [
+        ("boston", "2014-06-15 13:05:00+00:00"),
+        ("boston", "2014-06-15 13:05:00+00"),
+        ("pittsburgh", "2017-06-15T13:05:00Z"),
+        ("pittsburgh", "2017-06-15T13:05:00+00:00"),
+    ], ids=["boston-plus-hh-mm", "boston-plus-hh", "pittsburgh-z",
+            "pittsburgh-plus-hh-mm"])
+    def test_offset_timestamp_rows_unparseable(self, tmp_path, schema, stamp):
+        # The loaders count minutes from a naive local epoch, which an
+        # offset-bearing stamp cannot be placed against.
+        data = tmp_path / "portal.csv"
+        if schema == "boston":
+            data.write_text(
+                "INCIDENT_NUMBER,OFFENSE_CODE_GROUP,OCCURRED_ON_DATE,Lat,Long\n"
+                "I1,Arson,2014-06-15 13:00:00,42.35,-71.06\n"
+                f"I2,Arson,{stamp},42.35,-71.06\n"
+                "I3,Arson,2014-06-15 13:10:00,42.35,-71.06\n")
+        else:
+            data.write_text(
+                "PK,INCIDENTTIME,INCIDENTHIERARCHYDESC,X,Y\n"
+                "1,2017-06-15T13:00:00,THEFT,-79.99,40.44\n"
+                f"2,{stamp},THEFT,-79.99,40.44\n"
+                "3,2017-06-15T13:10:00,THEFT,-79.99,40.44\n")
+        recs = run_records(tmp_path, "portal.jsonl", [
+            "mine", "--input", str(data), "--schema", schema,
+            "--radius", "500", "--window", "60", "--metric", "geodesic"])
+        (ds,) = [r for r in recs if r["record"] == "dataset"]
+        assert ds["rows_read"] == ds["instances"] + sum(ds["rejected"].values())
+        assert ds["rows_read"] == 3 and ds["rejected"]["unparseable"] == 1
+
     def test_geodesic_metric_accepted(self, tmp_path, capsys):
         # The default synthetic area spans 0..100, past latitude 90, so
         # the geodesic run needs the smaller area to be valid degrees.
@@ -287,6 +317,36 @@ class TestSweep:
         captured = capsys.readouterr()
         assert "index: " in captured.err and "edges=90" in captured.err
         assert "index" not in captured.out and "edges" not in captured.out
+
+    @pytest.mark.parametrize("theta,epsilon", [
+        ("0.2", "0.1,1.5"),
+        ("0.2,1.5", "0.1"),
+    ])
+    def test_bad_threshold_fails_before_loading(self, tmp_path, monkeypatch,
+                                                capsys, theta, epsilon):
+        # Every grid point's range check runs before the data is read, so
+        # a bad later value costs no index build and no mining run.
+        import csts.cli
+        calls = []
+
+        def counting(name):
+            real = getattr(csts.cli, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapped
+
+        for name in ("load_generic", "build_index", "mine_all"):
+            monkeypatch.setattr(csts.cli, name, counting(name))
+        out = tmp_path / "sweep.jsonl"
+        code = main(["sweep", "--input", FIXTURE,
+                     "--radius", "10", "--window", "20",
+                     "--theta", theta, "--epsilon", epsilon, "--out", str(out)])
+        assert code == 2
+        assert calls == []
+        assert "must lie in" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("theta,epsilon,flag", [
         ("0.2,0.20", "0.25", "--theta"),

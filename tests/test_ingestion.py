@@ -5,7 +5,6 @@ import pytest
 
 from csts.ingestion import (
     BOSTON_TYPES_FILE,
-    ColumnSchema,
     EXAMPLE_EVENTS_FILE,
     export_generic,
     load_boston,
@@ -22,8 +21,7 @@ def _write(tmp_path, name, text):
 
 
 def _datasets_equal(a, b):
-    return (a.types == b.types and a.instances == b.instances
-            and a.epoch == b.epoch)
+    return a.types == b.types and a.instances == b.instances
 
 
 # -- generic schema ---------------------------------------------------------
@@ -115,20 +113,38 @@ def test_unreadable_file_is_a_hard_error(tmp_path):
         load_generic(tmp_path / "absent.csv")
 
 
-def test_custom_column_mapping(tmp_path):
-    path = _write(tmp_path, "f.csv", "kind,lon,lat,minute\nA,1,2,3\n")
-    schema = ColumnSchema(type_label="kind", x="lon", y="lat", time="minute")
-    ds, report = load_generic(path, schema=schema)
-    assert report.instances_kept == 1
-    assert ds.instances[0].x == 1 and ds.instances[0].time == 3
+@pytest.mark.parametrize("text,counts,kept", [
+    ("type,x,y,time_minutes\nA,1,2,0\n\nB,3,4,5\n",
+     {"rows_read": 2}, [("A", 1, 2, 0), ("B", 3, 4, 5)]),
+    ("type,x,y,time_minutes\nC,1\nA,1,2,0\n",
+     {"rows_read": 2, "missing_coordinates": 1}, [("A", 1, 2, 0)]),
+    ("type,x,y,x,time_minutes\nA,1,2,3,0\n",
+     {"rows_read": 1}, [("A", 3, 2, 0)]),
+    ("\ufefftype,x,y,time_minutes\nA,1,2,0\n",
+     {"rows_read": 1}, [("A", 1, 2, 0)]),
+    ("type,x,y,time_minutes\nA,1,2,0,extra,more\n",
+     {"rows_read": 1}, [("A", 1, 2, 0)]),
+], ids=["blank-line", "short-row", "repeated-column", "bom", "extra-fields"])
+def test_csv_row_handling(tmp_path, text, counts, kept):
+    # A blank line is not a row; a short row's missing fields read as
+    # blank; a repeated column name maps to its last occurrence; a UTF-8 BOM
+    # is not part of the first column name; extra fields are ignored.
+    ds, report = load_generic(_write(tmp_path, "f.csv", text))
+    for name, value in counts.items():
+        assert getattr(report, name) == value
+    assert report.rows_read == report.instances_kept + report.rows_rejected
+    assert [(ds.label_of(i.event_type), i.x, i.y, i.time)
+            for i in ds.instances] == kept
 
 
 def test_export_round_trip(tmp_path):
+    portal, _ = load_boston(_boston_file(tmp_path))
     for ds in [example_dataset(),
-               generate_random(RandomSpec(seed=5, n_types=4, n_instances=30))]:
+               generate_random(RandomSpec(seed=5, n_types=4, n_instances=30)),
+               portal]:
         out = tmp_path / "out.csv"
         export_generic(ds, out)
-        back, report = load_generic(out, epoch=ds.epoch)
+        back, report = load_generic(out)
         assert _datasets_equal(back, ds)
         assert report.rows_rejected == 0
 
@@ -167,7 +183,6 @@ def test_pittsburgh_loader(tmp_path):
     assert report.missing_type == 1
     assert report.missing_coordinates == 1
     assert report.unparseable == 1
-    assert ds.epoch == "2017-01-01T00:00"
     # minutes from the 2017 epoch
     assert ds.instances[0].time == 10
     assert sorted(t.label for t in ds.types) == ["ASSAULT", "THEFT"]
@@ -202,7 +217,6 @@ def test_boston_reduced_mode(tmp_path):
     assert report.instances_kept == 2
     assert report.filtered == 3
     assert sorted(t.label for t in ds.types) == ["Arson", "HOMICIDE"]
-    assert ds.epoch == "2014-01-01T00:00"
 
 
 def test_boston_complete_mode(tmp_path):
@@ -212,18 +226,19 @@ def test_boston_complete_mode(tmp_path):
     assert "Aggravated Assault" in {t.label for t in ds.types}
 
 
-def test_boston_custom_whitelist(tmp_path):
+def test_boston_custom_whitelist(tmp_path, monkeypatch):
     custom = _write(tmp_path, "types.json",
                     '{"reduced": ["aggravated assault"], "complete": ["arson"]}')
-    _, report = load_boston(_boston_file(tmp_path), reduced=True,
-                            types_file=custom)
+    monkeypatch.setattr("csts.ingestion.BOSTON_TYPES_FILE", custom)
+    _, report = load_boston(_boston_file(tmp_path), reduced=True)
     assert report.instances_kept == 1
 
 
-def test_boston_bad_whitelist_file(tmp_path):
+def test_boston_bad_whitelist_file(tmp_path, monkeypatch):
     bad = _write(tmp_path, "types.json", '{"reduced": []}')
-    with pytest.raises(ValueError):
-        load_boston(_boston_file(tmp_path), reduced=True, types_file=bad)
+    monkeypatch.setattr("csts.ingestion.BOSTON_TYPES_FILE", bad)
+    with pytest.raises(ValueError, match="non-empty 'reduced' list"):
+        load_boston(_boston_file(tmp_path), reduced=True)
 
 
 def test_boston_default_lists_are_sane():
