@@ -24,7 +24,7 @@ from .analysis import CstsSet, approximate_pi, extract_closed
 from .bottomup import extract_csts, run_bottom_up
 from .ingestion import load_boston, load_generic, load_pittsburgh
 from .model import EventDataset, MiningConfig, parse_pattern
-from .neighborhoods import NeighborhoodIndex, build_index
+from .neighborhoods import build_index
 from .oracle import (
     OracleSizeError,
     RandomSpec,
@@ -33,7 +33,7 @@ from .oracle import (
     oracle_closed,
     oracle_cmax,
 )
-from .topdown import mine_all
+from .topdown import mine_all, require_bounded
 
 _PROG = "csts"
 
@@ -129,11 +129,19 @@ def _parse_threshold_list(text: str, flag: str, multi: bool) -> list[Fraction]:
 
 def _grid(args, multi: bool) -> list[list[MiningConfig]]:
     """One checked MiningConfig per (theta, epsilon) point, one row per
-    theta, so a bad value fails before any data is read."""
+    theta, so a bad value, or a tree search with no bound, fails before any
+    data is read. The oracle has a length limit of its own."""
     thetas = _parse_threshold_list(args.theta, "--theta", multi)
     epsilons = _parse_threshold_list(args.epsilon, "--epsilon", multi)
-    return [[_config(args, theta, epsilon) for epsilon in epsilons]
+    grid = [[_config(args, theta, epsilon) for epsilon in epsilons]
             for theta in thetas]
+    if getattr(args, "algorithm", None) != "oracle":
+        try:
+            for row in grid:
+                require_bounded(row[0])
+        except ValueError as exc:
+            raise _CliError(str(exc)) from exc
+    return grid
 
 
 def _load_dataset(args) -> tuple[EventDataset, dict]:
@@ -285,14 +293,6 @@ def _index(dataset: EventDataset, cfg: MiningConfig):
     return index, time.perf_counter() - t0
 
 
-def _mine(dataset: EventDataset, cfg: MiningConfig,
-          index: Optional[NeighborhoodIndex]):
-    try:
-        return mine_all(dataset, cfg, index=index)
-    except ValueError as exc:  # unbounded theta=0 in ge mode
-        raise _CliError(str(exc)) from exc
-
-
 def _say(text: str) -> None:
     print(f"[{_PROG}] {text}", file=sys.stderr)
 
@@ -305,7 +305,7 @@ def _run_tree_algorithms(dataset, cfg, algorithm):
     """Returns (counts, capped, depth, pattern records, timings)."""
     index, t_index = _index(dataset, cfg)
     t0 = time.perf_counter()
-    tree = _mine(dataset, cfg, index)
+    tree = mine_all(dataset, cfg, index=index)
     timings = {"index_s": t_index, "topdown_s": time.perf_counter() - t0}
     counts = {"all": len(tree), "closed": None, "csts": None}
 
@@ -406,7 +406,7 @@ def cmd_sweep(args) -> int:
     grid_records = []
     for row in grid:
         t0 = time.perf_counter()
-        tree = _mine(dataset, row[0], index)
+        tree = mine_all(dataset, row[0], index=index)
         t_top = time.perf_counter() - t0
         closed_count = len(extract_closed(tree))
         for cfg_pt in row:

@@ -248,9 +248,12 @@ class PatternNode:
     """A pattern with its participation index and lattice links.
 
     ``last_support`` holds the instances supporting the final element as a
-    sorted, unique ``int64`` array of idx (the support of element i < m is
-    the ``last_support`` of the length-i prefix node, reachable along the
-    ``parent1`` chain). Nodes hash and compare by identity.
+    sorted, unique ``int64`` array of local ids: positions 0..count-1 among
+    the instances of the final element's type, in idx order, which
+    ``NeighborhoodIndex.instances_of`` maps back to idx. The support of
+    element i < m is the ``last_support`` of the length-i prefix node,
+    reachable along the ``parent1`` chain. Nodes hash and compare by
+    identity.
     """
 
     pattern: Pattern

@@ -20,9 +20,16 @@ construction with whole-array numpy work:
 Planar mode compares squared distances so integer-valued coordinates on the
 radius boundary stay exact; geodesic mode treats (x, y) as (longitude,
 latitude) in degrees and uses the haversine great-circle distance in meters,
-with the source latitude's cosine from ``math.cos``. The result is kept per
-target type as two parallel arrays of (source idx, target idx), ordered by
-source idx. Supports are sorted, unique ``int64`` arrays of instance idx.
+with the source latitude's cosine from ``math.cos``.
+
+Each type numbers its instances 0..count-1 in idx order: their local ids.
+The edges are kept as two parallel arrays of (source local id, target local
+id), sorted once by (target type, source type, source local id), so the
+edges from one type into another are one contiguous block, found in a cut
+table, and one source's edges are contiguous within it. Supports are
+sorted, unique ``int64`` arrays of the local ids of one type; a union
+touches only the block from the support's type into the target type, and
+``instances_of`` maps local ids back to idx.
 """
 
 from __future__ import annotations
@@ -76,7 +83,10 @@ def _cells(coords: Sequence[np.ndarray], size: float) -> tuple[np.ndarray, np.nd
 
 class NeighborhoodIndex:
     """The neighbor relation of one dataset under one config.
-    ``edge_count`` is the number of (source, target) pairs in it."""
+    ``edge_count`` is the number of (source, target) pairs in it.
+
+    Each type numbers its instances 0..count-1 in idx order; these are the
+    type's local ids, and :meth:`instances_of` maps them back to idx."""
 
     def __init__(self, dataset: EventDataset, config: MiningConfig) -> None:
         self.dataset = dataset
@@ -84,12 +94,32 @@ class NeighborhoodIndex:
 
         instances = dataset.instances
         n = len(instances)
+        n_types = len(dataset.types)
+        # Edge keys are (target type, source type-major id, target local id),
+        # the last two in fields of ``shift`` bits; they stay below 2**63
+        # while n_types * 4 * n**2 does (up to 2**28 instances of 127 types).
+        shift = max(1, (n - 1).bit_length())
+
+        # Type-major ids number the instances by (type, idx), so type t
+        # holds the ids starts[t] .. starts[t+1]-1 and a local id is the
+        # type-major id less starts[t].
+        type_of = _column(instances, "event_type", np.int64)
+        self._members = np.argsort(type_of, kind="stable")  # type-major id -> idx
+        starts = np.zeros(n_types + 1, dtype=np.int64)
+        np.cumsum(np.bincount(type_of, minlength=n_types), out=starts[1:])
+        self._starts = starts.tolist()
+        # Every union's masks take the largest type's count: masks sized per
+        # type left the heap fragmented, which raised a whole run's peak RSS
+        # by 1-2 MB on a 12,000-instance, 5-type dataset.
+        self._mask_size = int(np.diff(starts).max())
+        major = np.empty(n, dtype=np.int64)
+        major[self._members] = np.arange(n)
+
         times = _column(instances, "time", np.float64)
         order = np.argsort(times, kind="stable")  # time position -> idx
         times = times[order]
         xs = _column(instances, "x", np.float64)[order]
         ys = _column(instances, "y", np.float64)[order]
-        types = _column(instances, "event_type", np.int64)[order]
         geodesic = config.metric != METRIC_EUCLIDEAN
         if geodesic:
             if not (np.all(np.abs(xs) <= 180.0) and np.all(np.abs(ys) <= 90.0)):
@@ -109,6 +139,13 @@ class NeighborhoodIndex:
                 [ys], math.degrees(float(config.radius) / EARTH_RADIUS_M))
         else:
             cell, offsets = _cells([xs, ys], float(config.radius))
+        # Each time position's part of an edge key, as source and as target.
+        major = major[order]
+        src_code = major << shift
+        dst_code = type_of[order] << (2 * shift)
+        dst_code += major
+        dst_code -= starts[type_of[order]]
+        del major, type_of, order
 
         # Each source's candidates [lo, hi) of strictly later instances. The
         # window is decided per candidate by the oracle's test t_f - t_e <=
@@ -126,7 +163,7 @@ class NeighborhoodIndex:
         keys = cell * n + np.arange(n, dtype=np.int64)
         by_key = np.argsort(keys)
         keys, cell, lows, highs = keys[by_key], cell[by_key], lows[by_key], highs[by_key]
-        key_parts, dst_parts = [], []
+        edge_parts = []
         for offset in offsets.tolist():
             base = (cell + offset) * n
             start = np.searchsorted(keys, base + lows)
@@ -145,37 +182,59 @@ class NeighborhoodIndex:
                 h = s_lat * s_lat + s_lon * s_lon * (cos_lats[dst] * src_cos_lats[src])
                 np.clip(h, 0.0, 1.0, out=h)
                 ok &= 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h)) <= float(config.radius)
-            key_parts.append(types[dst[ok]] * n + order[src[ok]])
-            dst_parts.append(order[dst[ok]])
-        # Edges sorted by (target type, source idx): each type's edges are one
-        # slice, and each source's edges within it are contiguous. The parts
-        # are freed before the sort, which is the build's memory peak.
-        type_src, dst = np.concatenate(key_parts), np.concatenate(dst_parts)
-        del key_parts, dst_parts
-        by_edge = np.argsort(type_src)
-        type_src, dst = type_src[by_edge], dst[by_edge]
-        self.edge_count = int(dst.size)
-        bounds = np.searchsorted(type_src, np.arange(len(dataset.types) + 1) * n).tolist()
-        self._edges: dict[int, tuple[np.ndarray, np.ndarray]] = {
-            t: (type_src[a:b] % n, dst[a:b]) for t, (a, b) in enumerate(zip(bounds, bounds[1:]))}
+            edge = dst_code[dst[ok]]
+            edge += src_code[src[ok]]
+            edge_parts.append(edge)
+        # One sort of the keys leaves every (source type, target type) block
+        # of edges contiguous, and each source's edges contiguous within it.
+        # The parts are freed before the sort, which is in place, so the
+        # build's memory peak is the concatenation.
+        edges = np.concatenate(edge_parts)
+        del edge_parts
+        edges.sort()
+        self.edge_count = int(edges.size)
+        self._dst = edges & ((1 << shift) - 1)  # target local ids
+        edges >>= shift
+        # Block (source s, target t) starts at key t << shift | starts[s].
+        firsts = ((np.arange(n_types, dtype=np.int64)[:, None] << shift)
+                  + starts[:-1]).ravel()
+        cuts = np.searchsorted(edges, firsts)
+        edges -= np.repeat(firsts, np.diff(cuts, append=edges.size))
+        self._src = edges  # source local ids
+        self._cuts = [*cuts.tolist(), edges.size]
+
+    def instances_of(self, type_id: int, local_ids) -> np.ndarray:
+        """The idx of type ``type_id``'s instances with the given local ids."""
+        if not 0 <= type_id < len(self.dataset.types):
+            raise KeyError(f"unknown event type id {type_id}")
+        return self._members[self._starts[type_id]:self._starts[type_id + 1]][local_ids]
 
     def neighborhood(self, e_idx: int, type_id: int) -> tuple[int, ...]:
         """Sorted neighbor idx tuple for one (instance, type) pair."""
         if not (0 <= e_idx < len(self.dataset.instances)):
             raise KeyError(f"unknown instance idx {e_idx}")
-        return tuple(self.union_over([e_idx], type_id).tolist())
+        source = self.dataset.instances[e_idx].event_type
+        # The local id is e_idx's rank among its type's idx.
+        local = int(np.searchsorted(self.instances_of(source, slice(None)), e_idx))
+        return tuple(self.instances_of(
+            type_id, self.union_over([local], source, type_id)).tolist())
 
-    def union_over(self, support: Sequence[int], type_id: int) -> np.ndarray:
-        """Sorted, unique idx array of every type-``type_id`` neighbor of the
-        ``support`` instances: the support-set step of the miner."""
-        if type_id not in self._edges:
-            raise KeyError(f"unknown event type id {type_id}")
-        src, dst = self._edges[type_id]
-        chosen = np.zeros(len(self.dataset.instances), dtype=bool)
+    def union_over(self, support: Sequence[int], source_type: int,
+                   target_type: int) -> np.ndarray:
+        """Sorted, unique local ids of every type-``target_type`` neighbor of
+        the ``support`` instances, given as local ids of ``source_type``: the
+        support-set step of the miner."""
+        n_types = len(self.dataset.types)
+        for type_id in (source_type, target_type):
+            if not 0 <= type_id < n_types:
+                raise KeyError(f"unknown event type id {type_id}")
+        block = target_type * n_types + source_type
+        a, b = self._cuts[block], self._cuts[block + 1]
+        chosen = np.zeros(self._mask_size, dtype=bool)
         chosen[support] = True
-        hit = np.zeros_like(chosen)
-        hit[dst[chosen[src]]] = True
-        return np.flatnonzero(hit)
+        hit = np.zeros(self._mask_size, dtype=bool)
+        hit[self._dst[a:b][chosen[self._src[a:b]]]] = True
+        return hit.nonzero()[0]
 
 
 def build_index(dataset: EventDataset, config: MiningConfig) -> NeighborhoodIndex:

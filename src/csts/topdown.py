@@ -46,7 +46,7 @@ def mine_level1(dataset: EventDataset) -> list[PatternNode]:
         nodes.append(PatternNode(
             pattern=(type_id,),
             pi=Fraction(1),
-            last_support=np.array(sorted(inst.idx for inst in members), dtype=np.int64),
+            last_support=np.arange(len(members), dtype=np.int64),
         ))
     return nodes
 
@@ -55,7 +55,7 @@ def _make_child(parent1: PatternNode, parent2: PatternNode,
                 index: NeighborhoodIndex, cfg: MiningConfig) -> Optional[PatternNode]:
     # One candidate: extend parent1's pattern by parent2's final element.
     new_type = parent2.pattern[-1]
-    support = index.union_over(parent1.last_support, new_type)
+    support = index.union_over(parent1.last_support, parent1.pattern[-1], new_type)
     ratio = Fraction(len(support), index.dataset.count(new_type))
     pi = min(parent1.pi, ratio)
     if not cfg.passes_theta(pi):
@@ -96,6 +96,15 @@ def gen_and_verify(level_prev: Sequence[PatternNode], index: NeighborhoodIndex,
     return level
 
 
+def require_bounded(cfg: MiningConfig) -> None:
+    """Raise ValueError for a search that only ``max_length`` could end:
+    with ``strict_theta=False`` and theta 0 every candidate passes."""
+    if not cfg.strict_theta and cfg.theta == 0 and cfg.max_length is None:
+        raise ValueError(
+            "theta=0 with non-strict comparison accepts every candidate; "
+            "set max_length to bound the search")
+
+
 def mine_all(dataset: EventDataset, cfg: MiningConfig,
              index: Optional[NeighborhoodIndex] = None) -> MaxTree:
     """Grow the full tree of threshold-passing patterns.
@@ -111,10 +120,7 @@ def mine_all(dataset: EventDataset, cfg: MiningConfig,
     builds it once); without one, it is built here. A mismatched index
     raises ValueError.
     """
-    if not cfg.strict_theta and cfg.theta == 0 and cfg.max_length is None:
-        raise ValueError(
-            "theta=0 with non-strict comparison accepts every candidate; "
-            "set max_length to bound the search")
+    require_bounded(cfg)
     if index is not None:
         if index.dataset is not dataset:
             raise ValueError("the neighbor index was built for another dataset")

@@ -4,6 +4,7 @@ Everything runs in-process through ``csts.cli.main`` so the suite stays
 fast; one subprocess test proves the installed console script works.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -29,6 +30,26 @@ STREAM_ARGV = {
     "sweep": ["sweep", "--input", FIXTURE, "--radius", "10", "--window", "20",
               "--theta", "0,0.2,0.4", "--epsilon", "0,0.1,0.25"],
 }
+
+
+@pytest.fixture
+def pipeline_calls(monkeypatch):
+    """The names of the load, index and mining calls made through csts.cli,
+    in call order."""
+    import csts.cli
+    calls = []
+
+    def counting(name):
+        real = getattr(csts.cli, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in ("load_generic", "build_index", "mine_all"):
+        monkeypatch.setattr(csts.cli, name, counting(name))
+    return calls
 
 
 def run_records(tmp_path, name, argv):
@@ -242,6 +263,16 @@ class TestDeterminism:
                          separators=(",", ":")).encode() + b"\n" + rest
         assert got == (STREAMS / f"{name}.jsonl").read_bytes()
 
+    def test_geodesic_synthetic_stream_matches_pinned_hash(self, tmp_path):
+        # Geodesic distances and multi-type supports down to depth 10: 1,924
+        # patterns, 310,975 bytes.
+        out = tmp_path / "geo.jsonl"
+        assert main(["mine", "--synthetic", "4,400,0.05,2000", "--seed", "2",
+                     "--metric", "geodesic", "--radius", "800", "--window", "300",
+                     "--theta", "0.1", "--epsilon", "0.1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "9fbb0cee80c5457b080dd7e056ca24f5b97712716661aa2019eca258d4da020f")
+
     def test_no_timing_keys_in_records(self, tmp_path):
         recs = run_records(tmp_path, "run.jsonl", BASE + [
             "--theta", "0.2", "--epsilon", "0.25", "--algorithm", "csts"])
@@ -322,29 +353,16 @@ class TestSweep:
         ("0.2", "0.1,1.5"),
         ("0.2,1.5", "0.1"),
     ])
-    def test_bad_threshold_fails_before_loading(self, tmp_path, monkeypatch,
+    def test_bad_threshold_fails_before_loading(self, tmp_path, pipeline_calls,
                                                 capsys, theta, epsilon):
         # Every grid point's range check runs before the data is read, so
         # a bad later value costs no index build and no mining run.
-        import csts.cli
-        calls = []
-
-        def counting(name):
-            real = getattr(csts.cli, name)
-
-            def wrapped(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-            return wrapped
-
-        for name in ("load_generic", "build_index", "mine_all"):
-            monkeypatch.setattr(csts.cli, name, counting(name))
         out = tmp_path / "sweep.jsonl"
         code = main(["sweep", "--input", FIXTURE,
                      "--radius", "10", "--window", "20",
                      "--theta", theta, "--epsilon", epsilon, "--out", str(out)])
         assert code == 2
-        assert calls == []
+        assert pipeline_calls == []
         assert "must lie in" in capsys.readouterr().err
         assert not out.exists()
 
@@ -475,6 +493,31 @@ class TestErrors:
     def test_unbounded_inclusive_zero_theta_exits_2(self, capsys):
         assert main(BASE + ["--theta", "0", "--theta-strictness", "ge"]) == 2
         assert "max_length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        BASE + ["--theta", "0"],
+        ["sweep", "--input", FIXTURE, "--radius", "10", "--window", "20",
+         "--theta", "0.2,0"],
+    ])
+    def test_unbounded_search_fails_before_loading(self, tmp_path, pipeline_calls,
+                                                   capsys, argv):
+        # The tree search's bound is checked with the thresholds, so the
+        # refusal costs no load and no index build.
+        out = tmp_path / "out.jsonl"
+        assert main(argv + ["--theta-strictness", "ge", "--out", str(out)]) == 2
+        assert pipeline_calls == []
+        assert "set max_length to bound the search" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oracle_keeps_its_own_length_limit(self, tmp_path):
+        # theta 0 in ge mode with no --max-length is bounded for the oracle
+        # by its default length limit, so it still runs.
+        chain = tmp_path / "pair.csv"
+        chain.write_text("type,x,y,time_minutes\nA,0,0,0\nB,1,0,1\n")
+        recs = run_records(tmp_path, "o.jsonl", [
+            "mine", "--input", str(chain), "--radius", "1", "--window", "1",
+            "--theta", "0", "--theta-strictness", "ge", "--algorithm", "oracle"])
+        assert run_of(recs)["depth"] == 7 and run_of(recs)["capped"] is True
 
     def test_out_of_range_degrees_exit_2_for_both_algorithms(self, capsys):
         # The default synthetic area 0..100 is not valid latitude.

@@ -183,32 +183,55 @@ def test_spatial_boundary_is_inclusive():
     assert index.neighborhood(0, 1) == (1,)
 
 
+def _planar_random():
+    return (generate_random(RandomSpec(seed=3, n_types=3, n_instances=400,
+                                       area=100.0, horizon=300)),
+            MiningConfig(radius=15.0, window=60.0))
+
+
 def test_union_over_matches_per_instance_union():
+    # Supports are local ids of one source type; their union at every
+    # (source, target) pair decodes to the union of the sources'
+    # neighborhoods and comes back as sorted local ids of the target type.
     geodesic = _random_geodesic(random.Random(2), 120)  # radius 20 km, 371 edges
-    for ds, cfg in [(example_dataset(), example_config()), geodesic]:
+    for ds, cfg in [(example_dataset(), example_config()), _planar_random(), geodesic]:
         index = build_index(ds, cfg)
         rng = random.Random(7)
-        for _ in range(50):
-            sources = rng.sample(range(len(ds.instances)), rng.randint(1, 10))
-            for type_id in range(len(ds.types)):
-                want = set()
-                for s in sources:
-                    want.update(index.neighborhood(s, type_id))
-                assert index.union_over(sources, type_id).tolist() == sorted(want)
+        for _ in range(20):
+            for source in range(len(ds.types)):
+                count = ds.count(source)
+                local = rng.sample(range(count), rng.randint(1, min(count, 10)))
+                for target in range(len(ds.types)):
+                    want = set()
+                    for s in index.instances_of(source, local).tolist():
+                        want.update(index.neighborhood(s, target))
+                    got = index.union_over(local, source, target)
+                    assert got.dtype == np.int64
+                    assert np.all(np.diff(got) > 0)
+                    assert np.all((0 <= got) & (got < ds.count(target)))
+                    assert index.instances_of(target, got).tolist() == sorted(want)
 
 
-def test_each_types_edges_are_ordered_by_source():
-    # Contiguous runs per source keep union_over's gather cheap; the edges
-    # of every type together are the whole relation.
-    planar = (generate_random(RandomSpec(seed=3, n_types=3, n_instances=400,
-                                         area=100.0, horizon=300)),
-              MiningConfig(radius=15.0, window=60.0))
-    for ds, cfg in [planar, _random_geodesic(random.Random(2), 120)]:
+def test_edge_blocks_are_ordered_by_source():
+    # Contiguous runs per source keep union_over's gather cheap; the
+    # (source type, target type) blocks together are the whole relation.
+    for ds, cfg in [_planar_random(), _random_geodesic(random.Random(2), 120)]:
         index = build_index(ds, cfg)
-        assert sum(src.size for src, _ in index._edges.values()) == index.edge_count > 300
-        for type_id, (src, dst) in index._edges.items():
-            assert np.all(src[:-1] <= src[1:]), f"type {type_id}"
-            assert {ds.instances[j].event_type for j in dst.tolist()} <= {type_id}
+        n_types = len(ds.types)
+        sizes, edges = 0, set()
+        for target in range(n_types):
+            for source in range(n_types):
+                block = target * n_types + source
+                a, b = index._cuts[block], index._cuts[block + 1]
+                src, dst = index._src[a:b], index._dst[a:b]
+                sizes += b - a
+                assert np.all(src[:-1] <= src[1:]), f"block {source} -> {target}"
+                assert np.all((0 <= src) & (src < ds.count(source)))
+                assert np.all((0 <= dst) & (dst < ds.count(target)))
+                edges.update(zip(index.instances_of(source, src).tolist(),
+                                 index.instances_of(target, dst).tolist()))
+        assert sizes == index.edge_count == len(edges) > 300
+        assert edges == _spec_edges(ds, cfg)
 
 
 def test_relabeling_instances_relabels_neighborhoods():
@@ -245,8 +268,11 @@ def test_unknown_ids_raise():
         index.neighborhood(-1, 0)
     with pytest.raises(KeyError):
         index.neighborhood(0, 99)
+    for source, target in [(0, 99), (99, 0), (-1, 0)]:
+        with pytest.raises(KeyError):
+            index.union_over([0], source, target)
     with pytest.raises(KeyError):
-        index.union_over([0], 99)
+        index.instances_of(99, [0])
 
 
 def test_empty_dataset_rejected():

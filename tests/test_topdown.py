@@ -34,12 +34,16 @@ def fixture_tree():
 
 def test_level1_roots(fixture_tree):
     ds = example_dataset()
+    index = build_index(ds, example_config())
     roots = fixture_tree.levels[0]
     assert [n.pattern for n in roots] == [(t,) for t in range(5)]
     for n in roots:
         assert n.pi == 1
         assert n.parent1 is None and n.parent2 is None
-        assert n.last_support.tolist() == sorted(i.idx for i in ds.by_type[n.pattern[0]])
+        [type_id] = n.pattern
+        assert n.last_support.tolist() == list(range(ds.count(type_id)))
+        assert (index.instances_of(type_id, n.last_support).tolist()
+                == sorted(i.idx for i in ds.by_type[type_id]))
 
 
 def test_fixture_lattice_exact(fixture_tree):
@@ -130,22 +134,26 @@ def _support_chain_from_scratch(dataset, cfg, pattern):
 def test_supports_match_recomputation(fixture_tree):
     ds = example_dataset()
     cfg = example_config()
+    index = build_index(ds, cfg)
     for node in fixture_tree:
         support, pi = _support_chain_from_scratch(ds, cfg, node.pattern)
-        assert node.last_support.tolist() == sorted(support)
+        decoded = index.instances_of(node.pattern[-1], node.last_support)
+        assert decoded.tolist() == sorted(support)
         assert node.pi == pi
 
 
-def test_supports_are_sorted_idx_arrays(fixture_tree):
+def test_supports_are_sorted_local_ids(fixture_tree):
     # theta 0 in ge mode keeps zero-support candidates, so empty supports
     # are covered too.
-    zero = mine_all(example_dataset(), MiningConfig(
+    ds = example_dataset()
+    zero = mine_all(ds, MiningConfig(
         radius=10.0, window=20.0, theta=0, strict_theta=False, max_length=3))
     assert any(len(n.last_support) == 0 for n in zero)
     for node in [*fixture_tree, *zero]:
         support = node.last_support
         assert support.dtype == np.int64 and support.ndim == 1
         assert np.all(np.diff(support) > 0)
+        assert np.all((0 <= support) & (support < ds.count(node.pattern[-1])))
 
 
 def test_matches_oracle_on_random_datasets():
