@@ -1,22 +1,21 @@
 """Bottom-up closure phase over a mined tree.
 
 Each pattern walks down through its substrings (the parent lattice) offering
-itself as a representative supersequence. Because candidates are processed
-longest-first, the first offer a substring accepts locks in the maximal
-length; later same-length offers either join (equal participation index) or
-displace the current holders (greater index). The walk prunes a whole
-ancestor chain as soon as the margin test fails, which is sound because
-substrings only have higher participation indexes the shorter they get.
+itself as a representative supersequence. The walk prunes a whole ancestor
+chain as soon as the margin test fails, which is sound because substrings
+only have higher participation indexes the shorter they get. Levels are
+walked deepest-first, and after each one every substring that no deeper
+level claimed takes its greatest-pi offers, ties kept.
 
-After the walk, every pattern nobody represents becomes its own
-representative, and the constricted set is exactly the patterns that
-represent someone. The phase is a function of (tree, margin): it returns the
-cmax map and leaves the tree untouched, so one tree serves any number of
-margins at once.
+Every pattern nobody offers to stands for itself, and the constricted set is
+exactly the patterns that represent someone. The phase is a function of
+(tree, margin): it returns the cmax map and leaves the tree untouched, so
+one tree serves any number of margins at once.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import Optional
 
@@ -28,16 +27,17 @@ CmaxMap = dict[PatternNode, set[PatternNode]]
 
 
 def verify_supersequence(s: PatternNode, si: Optional[PatternNode],
-                         eps: Fraction, visited: set[PatternNode],
-                         cmax: CmaxMap) -> set[PatternNode]:
-    """Offer candidate ``s`` to substring ``si`` and all of si's ancestors,
-    updating ``cmax``.
+                         bound: Fraction, visited: set[PatternNode],
+                         offers: dict[PatternNode, list[PatternNode]],
+                         ) -> set[PatternNode]:
+    """Append candidate ``s`` to the ``offers`` of substring ``si`` and of
+    its ancestors, stopping at any whose pi exceeds ``bound``, pi(s) + eps.
 
-    ``visited`` carries the already rejected-or-served substrings for this
-    candidate so diamond-shaped ancestor lattices are walked once; callers
-    verifying one candidate against several starting points pass the same
-    set to every call, so each substring hears of ``s`` at most once.
-    Returns the visited set.
+    ``visited`` carries the substrings already reached for this candidate so
+    diamond-shaped ancestor lattices are walked once; callers verifying one
+    candidate against several starting points pass the same set to every
+    call, so each substring hears of ``s`` at most once. Returns the visited
+    set.
     """
     stack = [si]
     while stack:
@@ -48,22 +48,9 @@ def verify_supersequence(s: PatternNode, si: Optional[PatternNode],
         # Margin gate. Failing here also kills the whole ancestor chain:
         # shorter substrings have equal-or-higher pi, so the bound only
         # tightens further down.
-        if s.pi < cur.pi - eps:
+        if cur.pi > bound:
             continue
-        holders = cmax.get(cur)
-        if not holders:
-            cmax[cur] = {s}
-        else:
-            holder = next(iter(holders))
-            if s.length == holder.length:
-                if s.pi == holder.pi:
-                    holders.add(s)
-                elif s.pi > holder.pi:
-                    # Displace: the same-length holders lose this substring
-                    # to the better candidate.
-                    cmax[cur] = {s}
-            # A longer holder means cur was already claimed at a greater
-            # length; a shorter candidate never displaces it.
+        offers[cur].append(s)
         stack.append(cur.parent2)
         stack.append(cur.parent1)
     return visited
@@ -73,18 +60,24 @@ def run_bottom_up(tree: MaxTree, eps) -> CmaxMap:
     """The cmax map of every node of the tree at margin ``eps``, in tree
     order.
 
-    Processes levels deepest-first so that representatives always arrive in
-    non-increasing length order.
+    The deepest level whose offers reach a node fixes its cmax length, and
+    the node takes that level's greatest-pi offers.
     """
     eps = as_fraction(eps)
     if not (0 <= eps <= 1):
         raise ValueError("eps must lie in [0, 1]")
     cmax: CmaxMap = {}
     for level in reversed(tree.levels[1:]):
+        offers: dict[PatternNode, list[PatternNode]] = defaultdict(list)
         for s in level:
+            bound = s.pi + eps
             visited: set[PatternNode] = set()
-            verify_supersequence(s, s.parent1, eps, visited, cmax)
-            verify_supersequence(s, s.parent2, eps, visited, cmax)
+            verify_supersequence(s, s.parent1, bound, visited, offers)
+            verify_supersequence(s, s.parent2, bound, visited, offers)
+        for cur, offered in offers.items():
+            if cur not in cmax:
+                best = max(s.pi for s in offered)
+                cmax[cur] = {s for s in offered if s.pi == best}
     # Patterns nobody represents stand for themselves.
     return {node: cmax.get(node) or {node} for node in tree}
 

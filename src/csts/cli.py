@@ -316,8 +316,8 @@ def _run_tree_algorithms(dataset, cfg, algorithm):
     if algorithm == "csts":
         t1 = time.perf_counter()
         cmax = run_bottom_up(tree, cfg.epsilon)
-        counts["csts"] = len(extract_csts(tree, cmax))
         rcmax = _rcmax_sizes(cmax)
+        counts["csts"] = len(rcmax)
         timings["bottomup_s"] = time.perf_counter() - t1
 
     listing = []

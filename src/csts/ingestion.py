@@ -139,7 +139,7 @@ def _load_rows(path, columns: tuple[str, str, str, str], report: IngestReport,
                 x = float(x_text)
                 y = float(y_text)
                 minutes = parse_time(t_text)
-            except ValueError:
+            except (ValueError, OverflowError):
                 report.unparseable += 1
                 continue
             if ("->" in label or not (math.isfinite(x) and math.isfinite(y))
@@ -169,13 +169,15 @@ def _build_dataset(rows: list[tuple[str, float, float, int]],
 
 def load_generic(path) -> tuple[EventDataset, IngestReport]:
     """Load the generic schema: ``type,x,y,time_minutes`` with time already
-    expressed as non-negative integer minutes."""
+    expressed as non-negative integer minutes. A time that float64 cannot
+    hold exactly, such as 2**53 + 1, is unparseable."""
     report = IngestReport(source=str(path))
 
     def parse_minutes(text: str) -> int:
         minutes = int(text)
-        if minutes < 0:
-            raise ValueError("negative time")
+        # float() raises OverflowError past float64's range.
+        if minutes < 0 or float(minutes) != minutes:
+            raise ValueError("time is negative or not exact in float64")
         return minutes
 
     rows = _load_rows(path, GENERIC_COLUMNS, report, parse_minutes)

@@ -69,8 +69,15 @@ class EventInstance:
     time: float
 
     def __post_init__(self) -> None:
-        if not (self.time >= 0 and self.time == self.time and self.time != float("inf")):
-            raise ValueError(f"instance time must be finite and non-negative, got {self.time!r}")
+        # The neighbor index keeps times as float64, so a time it cannot hold
+        # exactly (such as an int beyond 2**53) would shift its window tests.
+        try:
+            exact = float(self.time) == self.time
+        except OverflowError:
+            exact = False
+        if not (exact and 0 <= self.time < math.inf):
+            raise ValueError("instance time must be finite, non-negative and exact "
+                             f"in float64, got {self.time!r}")
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"instance coordinates must be finite, got ({self.x!r}, {self.y!r})")
 
@@ -196,10 +203,12 @@ class MiningConfig:
     Parameters
     ----------
     radius : float
-        Spatial neighborhood threshold (meters); inclusive comparison.
+        Spatial neighborhood threshold (meters), finite and > 0; inclusive
+        comparison.
     window : float
-        Temporal neighborhood threshold (minutes); a neighbor must occur
-        strictly later and at most ``window`` minutes after the source.
+        Temporal neighborhood threshold (minutes), finite and > 0; a
+        neighbor must occur strictly later and at most ``window`` minutes
+        after the source.
     theta : ratio-like
         Participation-index threshold in [0, 1). Patterns are kept when
         pi > theta (default) or pi >= theta with ``strict_theta=False``.
@@ -222,10 +231,10 @@ class MiningConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", as_fraction(self.theta))
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
-        if not self.radius > 0:
-            raise ValueError("radius must be > 0")
-        if not self.window > 0:
-            raise ValueError("window must be > 0")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be finite and > 0")
+        if not 0 < self.window < math.inf:
+            raise ValueError("window must be finite and > 0")
         if not (0 <= self.theta < 1):
             raise ValueError("theta must lie in [0, 1)")
         if not (0 <= self.epsilon <= 1):

@@ -189,6 +189,27 @@ def test_matches_oracle_on_random_datasets():
                         f"{tag} pattern={node.pattern}"
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_matches_oracle_on_deep_full_lattices(seed):
+    # theta 0 keeps every pattern up to max_length: 363 nodes over 3 types,
+    # each level offering to the ones below with many tied pis.
+    ds = generate_random(RandomSpec(seed=seed, n_types=3, n_instances=30,
+                                    area=60.0, horizon=200))
+    cfg = MiningConfig(radius=25.0, window=80.0, theta=0, strict_theta=False,
+                       max_length=5)
+    tree = mine_all(ds, cfg)
+    assert len(tree) == 3 + 9 + 27 + 81 + 243
+    universe = oracle_all_patterns(ds, cfg, max_len=5)
+    for eps in ["0", "0.05", "0.2", "1"]:
+        cmax = run_bottom_up(tree, eps)
+        want_members, want_cmax = oracle_csts(universe, Fraction(eps))
+        assert {n.pattern for n in extract_csts(tree, cmax)} == \
+            {p for p, _ in want_members}, eps
+        for node in tree:
+            assert {t.pattern for t in cmax[node]} == set(want_cmax[node.pattern]), \
+                f"eps={eps} pattern={node.pattern}"
+
+
 def test_mine_csts_uses_config_epsilon():
     ds = example_dataset()
     tree, members = mine_csts(ds, example_config())  # epsilon 0.25

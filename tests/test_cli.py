@@ -509,6 +509,30 @@ class TestErrors:
         assert "set max_length to bound the search" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_radius_or_window_exits_2(self, tmp_path, capsys):
+        # Infinity is not JSON, so it must never reach the run record.
+        out = tmp_path / "out.jsonl"
+        for flags in (["--radius", "inf", "--window", "1e400"],
+                      ["--radius", "10", "--window", "nan"]):
+            assert main(["mine", "--input", FIXTURE, *flags, "--out", str(out)]) == 2
+            assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("minutes", [10**400, 2**53 + 1], ids=["1e400", "2**53+1"])
+    def test_time_float64_cannot_hold_is_unparseable(self, tmp_path, minutes):
+        # Such a time used to crash the index (10**400) or make the tree and
+        # the oracle disagree (2**53 + 1 rounds to 2**53 in the index).
+        events = tmp_path / "big.csv"
+        events.write_text(f"type,x,y,time_minutes\nA,0,0,{2**53}\nB,1,1,{minutes}\n")
+        runs = []
+        for algorithm in ("csts", "oracle"):
+            recs = run_records(tmp_path, f"{algorithm}.jsonl", [
+                "mine", "--input", str(events), "--radius", "10", "--window", "1",
+                "--algorithm", algorithm])
+            assert recs[0]["rejected"]["unparseable"] == 1
+            runs.append(run_of(recs)["counts"])
+        assert runs[0] == runs[1] == {"all": 1, "closed": 1, "csts": 1}
+
     def test_oracle_keeps_its_own_length_limit(self, tmp_path):
         # theta 0 in ge mode with no --max-length is bounded for the oracle
         # by its default length limit, so it still runs.

@@ -92,6 +92,17 @@ def test_pattern_separator_in_type_label_rejected(tmp_path):
     assert [t.label for t in ds.types] == ["C"]
 
 
+@pytest.mark.parametrize("minutes", [10**400, 2**53 + 1], ids=["1e400", "2**53+1"])
+def test_time_float64_cannot_hold_is_unparseable(tmp_path, minutes):
+    # The neighbor index keeps times as float64: 10**400 overflows it and
+    # 2**53 + 1 rounds to 2**53, which would shift the window tests.
+    path = _write(tmp_path, "big.csv", "type,x,y,time_minutes\n"
+                  f"A,0,0,{2**53}\nB,1,1,{minutes}\n")
+    ds, report = load_generic(path)
+    assert report.unparseable == 1 and report.instances_kept == 1
+    assert [inst.time for inst in ds.instances] == [2**53]
+
+
 def test_type_ids_assigned_label_sorted(tmp_path):
     path = _write(tmp_path, "f.csv", "type,x,y,time_minutes\n"
                                      "zebra,0,0,0\n"

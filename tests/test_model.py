@@ -135,6 +135,10 @@ class TestConfig:
             {"radius": 1, "window": 1, "epsilon": "1.5"},
             {"radius": 1, "window": 1, "metric": "manhattan"},
             {"radius": 1, "window": 1, "max_length": 0},
+            {"radius": float("inf"), "window": 1},
+            {"radius": 1, "window": float("inf")},
+            {"radius": float("nan"), "window": 1},
+            {"radius": 1, "window": float("nan")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -170,6 +174,14 @@ class TestDataset:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             EventInstance(0, 0, 0.0, 0.0, -1.0)
+
+    @pytest.mark.parametrize("time", [10**400, 2**53 + 1, float("inf"), float("nan")],
+                             ids=["1e400", "2**53+1", "inf", "nan"])
+    def test_time_float64_cannot_hold_rejected(self, time):
+        # The neighbor index keeps times as float64.
+        with pytest.raises(ValueError, match="exact in float64"):
+            EventInstance(0, 0, 0.0, 0.0, time)
+        assert EventInstance(0, 0, 0.0, 0.0, 2**53).time == 2**53
 
     @pytest.mark.parametrize("x, y", [(float("nan"), 1.0), (0.0, float("nan")),
                                       (float("inf"), 0.0), (0.0, -float("inf"))])
