@@ -20,7 +20,6 @@ from .analysis import (
     approximate_pi,
     closures_of,
     extract_closed,
-    is_pi_strong_via_csts,
 )
 from .bottomup import extract_csts, mine_csts, run_bottom_up
 from .model import (
@@ -38,7 +37,7 @@ from .model import (
     parse_pattern,
 )
 from .neighborhoods import NeighborhoodIndex, build_index
-from .topdown import mine_all, participation_ratio
+from .topdown import mine_all
 
 __version__ = "0.1.0"
 
@@ -60,13 +59,11 @@ __all__ = [
     "extract_closed",
     "extract_csts",
     "format_pattern",
-    "is_pi_strong_via_csts",
     "is_proper_supersequence",
     "is_supersequence",
     "mine_all",
     "mine_csts",
     "parse_pattern",
-    "participation_ratio",
     "run_bottom_up",
     "__version__",
 ]

@@ -106,15 +106,6 @@ class CstsSet:
     def patterns(self) -> list[Pattern]:
         return list(self._pi)
 
-    def items(self) -> list[tuple[Pattern, Fraction]]:
-        return list(self._pi.items())
-
-
-def is_pi_strong_via_csts(q: Pattern, csts: CstsSet) -> bool:
-    """Whether the summary proves q passes the mining threshold: q is
-    threshold-passing iff some member contains it (possibly equal)."""
-    return approximate_pi(q, csts) is not None
-
 
 def approximate_pi(q: Pattern, csts: CstsSet) -> Optional[PiEstimate]:
     """Estimate pi(q) from the summary alone.

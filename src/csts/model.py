@@ -11,6 +11,7 @@ tests between patterns never suffer float drift.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
@@ -39,6 +40,14 @@ def as_fraction(value: RatioLike) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     return Fraction(value)
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite float64 (an int too large for one is not)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -78,7 +87,7 @@ class EventInstance:
         if not (exact and 0 <= self.time < math.inf):
             raise ValueError("instance time must be finite, non-negative and exact "
                              f"in float64, got {self.time!r}")
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+        if not (_finite(self.x) and _finite(self.y)):
             raise ValueError(f"instance coordinates must be finite, got ({self.x!r}, {self.y!r})")
 
 
@@ -217,7 +226,8 @@ class MiningConfig:
     metric : {"euclidean", "geodesic"}
     strict_theta : bool
     max_length : int or None
-        Optional cap on pattern length; hitting it is reported, not silent.
+        Optional cap on pattern length, a positive int (not a bool); hitting
+        it is reported, not silent.
     """
 
     radius: float
@@ -231,9 +241,9 @@ class MiningConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", as_fraction(self.theta))
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
-        if not 0 < self.radius < math.inf:
+        if not (_finite(self.radius) and self.radius > 0):
             raise ValueError("radius must be finite and > 0")
-        if not 0 < self.window < math.inf:
+        if not (_finite(self.window) and self.window > 0):
             raise ValueError("window must be finite and > 0")
         if not (0 <= self.theta < 1):
             raise ValueError("theta must lie in [0, 1)")
@@ -241,8 +251,14 @@ class MiningConfig:
             raise ValueError("epsilon must lie in [0, 1]")
         if self.metric not in VALID_METRICS:
             raise ValueError(f"metric must be one of {VALID_METRICS}")
-        if self.max_length is not None and self.max_length < 1:
-            raise ValueError("max_length must be >= 1")
+        if self.max_length is not None:
+            try:
+                length = operator.index(self.max_length)
+            except TypeError:
+                length = 0
+            if isinstance(self.max_length, bool) or length < 1:
+                raise ValueError(f"max_length must be a positive int, got {self.max_length!r}")
+            object.__setattr__(self, "max_length", length)
 
     def passes_theta(self, pi: Fraction) -> bool:
         return pi > self.theta if self.strict_theta else pi >= self.theta
@@ -274,10 +290,6 @@ class PatternNode:
 
     def __repr__(self) -> str:
         return f"PatternNode({format_pattern(self.pattern)}, pi={self.pi})"
-
-    @property
-    def length(self) -> int:
-        return len(self.pattern)
 
 
 class MaxTree:

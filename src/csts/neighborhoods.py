@@ -121,6 +121,8 @@ class NeighborhoodIndex:
         xs = _column(instances, "x", np.float64)[order]
         ys = _column(instances, "y", np.float64)[order]
         geodesic = config.metric != METRIC_EUCLIDEAN
+        # Squared as a float: the square of an int radius may overflow one.
+        radius = float(config.radius)
         if geodesic:
             if not (np.all(np.abs(xs) <= 180.0) and np.all(np.abs(ys) <= 90.0)):
                 raise ValueError("geodesic coordinates must lie within "
@@ -136,9 +138,9 @@ class NeighborhoodIndex:
             src_cos_lats = np.fromiter(map(math.cos, rad_lats.tolist()),
                                        dtype=np.float64, count=n)
             cell, offsets = _cells(
-                [ys], math.degrees(float(config.radius) / EARTH_RADIUS_M))
+                [ys], math.degrees(radius / EARTH_RADIUS_M))
         else:
-            cell, offsets = _cells([xs, ys], float(config.radius))
+            cell, offsets = _cells([xs, ys], radius)
         # Each time position's part of an edge key, as source and as target.
         major = major[order]
         src_code = major << shift
@@ -175,13 +177,13 @@ class NeighborhoodIndex:
             if not geodesic:
                 dx = xs[dst] - xs[src]
                 dy = ys[dst] - ys[src]
-                ok &= dx * dx + dy * dy <= float(config.radius * config.radius)
+                ok &= dx * dx + dy * dy <= radius * radius
             else:
                 s_lat = np.sin(half_lats[dst] - half_lats[src])
                 s_lon = np.sin(half_lons[dst] - half_lons[src])
                 h = s_lat * s_lat + s_lon * s_lon * (cos_lats[dst] * src_cos_lats[src])
                 np.clip(h, 0.0, 1.0, out=h)
-                ok &= 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h)) <= float(config.radius)
+                ok &= 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h)) <= radius
             edge = dst_code[dst[ok]]
             edge += src_code[src[ok]]
             edge_parts.append(edge)
@@ -208,16 +210,6 @@ class NeighborhoodIndex:
         if not 0 <= type_id < len(self.dataset.types):
             raise KeyError(f"unknown event type id {type_id}")
         return self._members[self._starts[type_id]:self._starts[type_id + 1]][local_ids]
-
-    def neighborhood(self, e_idx: int, type_id: int) -> tuple[int, ...]:
-        """Sorted neighbor idx tuple for one (instance, type) pair."""
-        if not (0 <= e_idx < len(self.dataset.instances)):
-            raise KeyError(f"unknown instance idx {e_idx}")
-        source = self.dataset.instances[e_idx].event_type
-        # The local id is e_idx's rank among its type's idx.
-        local = int(np.searchsorted(self.instances_of(source, slice(None)), e_idx))
-        return tuple(self.instances_of(
-            type_id, self.union_over([local], source, type_id)).tolist())
 
     def union_over(self, support: Sequence[int], source_type: int,
                    target_type: int) -> np.ndarray:

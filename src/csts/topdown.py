@@ -21,20 +21,6 @@ from .model import EventDataset, MaxTree, MiningConfig, PatternNode
 from .neighborhoods import NeighborhoodIndex, build_index
 
 
-def participation_ratio(node: PatternNode, dataset: EventDataset) -> Fraction:
-    """Exact participation ratio of a node's final element.
-
-    The ratio of distinct instances of the last event type that take part in
-    the pattern to all instances of that type. Ratios for earlier positions
-    belong to the prefix nodes along the ``parent1`` chain.
-    """
-    last_type = node.pattern[-1]
-    total = dataset.count(last_type)
-    if total == 0:
-        raise ValueError("event types with zero instances never spawn nodes")
-    return Fraction(len(node.last_support), total)
-
-
 def mine_level1(dataset: EventDataset) -> list[PatternNode]:
     """One root node per event type that actually occurs; pi is 1 by
     definition (every instance of a type participates in its own pattern)."""

@@ -12,7 +12,6 @@ from csts.analysis import (
     approximate_pi,
     closures_of,
     extract_closed,
-    is_pi_strong_via_csts,
 )
 from csts.bottomup import mine_csts
 from csts.oracle import (
@@ -147,9 +146,8 @@ def test_estimate_none_when_not_strong(fixture_csts):
     csts, _ = fixture_csts
     ds = example_dataset()
     assert approximate_pi(ds.parse_pattern("B->A"), csts) is None
-    assert not is_pi_strong_via_csts(ds.parse_pattern("B->A"), csts)
-    assert not is_pi_strong_via_csts((0, 1, 2, 3, 4, 0, 1, 2), csts)
-    assert not is_pi_strong_via_csts((99,), csts)
+    assert approximate_pi((0, 1, 2, 3, 4, 0, 1, 2), csts) is None
+    assert approximate_pi((99,), csts) is None
 
 
 def test_estimate_needs_best_witness_not_shortest(fixture_csts):
@@ -178,7 +176,6 @@ def test_every_tree_pattern_estimated_within_margin(fixture_csts):
         assert 0 <= est.lower <= est.upper <= 1
         assert est.upper - est.lower <= eps
         assert est.lower <= node.pi <= est.upper, node.pattern
-        assert is_pi_strong_via_csts(node.pattern, csts)
 
 
 def test_coverage_across_margins():
@@ -197,7 +194,7 @@ def test_coverage_across_margins():
 def test_csts_set_roundtrips_through_plain_pairs(fixture_csts):
     csts, _ = fixture_csts
     ds = example_dataset()
-    rebuilt = CstsSet(dict(csts.items()), csts.epsilon)
+    rebuilt = CstsSet({p: csts.pi(p) for p in csts.patterns()}, csts.epsilon)
     assert rebuilt.patterns() == csts.patterns()
     assert {"->".join(ds.pattern_labels(p)) for p in rebuilt.patterns()} == \
         EXPECTED_CSTS_EPS_25

@@ -117,7 +117,7 @@ def test_symmetry_and_cmax_homogeneity(fixture_tree):
         for rep in cmax[node]:
             assert is_supersequence(rep.pattern, node.pattern)
             assert rep.pi >= node.pi - eps
-        lengths = {rep.length for rep in cmax[node]}
+        lengths = {len(rep.pattern) for rep in cmax[node]}
         pis = {rep.pi for rep in cmax[node]}
         assert len(lengths) == 1 and len(pis) == 1
 

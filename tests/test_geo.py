@@ -29,10 +29,11 @@ def _dataset(points):
 
 
 def _reaches(a, b, radius, metric="euclidean"):
-    """Whether an instance at b, one minute after one at a, is its neighbor."""
+    """Whether an instance at b, one minute after one at a, is its neighbor.
+    With one type, local ids are idx."""
     index = build_index(_dataset([a, b]),
                         MiningConfig(radius=radius, window=10.0, metric=metric))
-    return index.neighborhood(0, 0) == (1,)
+    return index.union_over([0], 0, 0).tolist() == [1]
 
 
 class TestEuclidean:
@@ -92,7 +93,7 @@ class TestHaversine:
         bound = math.pi * EARTH_RADIUS_KM * 1000.0
         index = build_index(_dataset(points), MiningConfig(
             radius=bound + 1e-6, window=len(points), metric="geodesic"))
-        assert index.neighborhood(0, 0) == tuple(range(1, len(points)))
+        assert index.union_over([0], 0, 0).tolist() == list(range(1, len(points)))
 
     def test_against_high_precision_reference(self):
         # Radii a millionth inside and outside the reference distance, for

@@ -139,6 +139,14 @@ class TestConfig:
             {"radius": 1, "window": float("inf")},
             {"radius": float("nan"), "window": 1},
             {"radius": 1, "window": float("nan")},
+            # Finite ints that float64 cannot hold.
+            {"radius": 10**400, "window": 1},
+            {"radius": 1, "window": 10**400},
+            # A length cap must be a positive int, not any number.
+            {"radius": 1, "window": 1, "max_length": 2.5},
+            {"radius": 1, "window": 1, "max_length": 2.0},
+            {"radius": 1, "window": 1, "max_length": True},
+            {"radius": 1, "window": 1, "theta": 0, "strict_theta": False, "max_length": 2.5},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -184,7 +192,9 @@ class TestDataset:
         assert EventInstance(0, 0, 0.0, 0.0, 2**53).time == 2**53
 
     @pytest.mark.parametrize("x, y", [(float("nan"), 1.0), (0.0, float("nan")),
-                                      (float("inf"), 0.0), (0.0, -float("inf"))])
+                                      (float("inf"), 0.0), (0.0, -float("inf")),
+                                      pytest.param(10**400, 0.0, id="1e400-0.0"),
+                                      pytest.param(0.0, -10**400, id="0.0--1e400")])
     def test_non_finite_coordinates_rejected(self, x, y):
         # Every instance must fall into a well-defined cell of the index.
         with pytest.raises(ValueError, match="finite"):

@@ -23,11 +23,20 @@ from csts.oracle import (
 from expected import EXPECTED_N_A1_B, EXPECTED_N_C1_E
 
 
+def _neighbors(index, e_idx, type_id):
+    """Sorted neighbor idx of one instance among one type's instances: the
+    miner's union kernel over a one-instance support."""
+    source = index.dataset.instances[e_idx].event_type
+    local = index.instances_of(source, slice(None)).tolist().index(e_idx)
+    return tuple(index.instances_of(
+        type_id, index.union_over([local], source, type_id)).tolist())
+
+
 def _assert_index_matches_naive(dataset, cfg):
     index = build_index(dataset, cfg)
     for inst in dataset.instances:
         for type_id in range(len(dataset.types)):
-            got = set(index.neighborhood(inst.idx, type_id))
+            got = set(_neighbors(index, inst.idx, type_id))
             want = set(naive_neighborhood(dataset, cfg, inst.idx, type_id))
             assert got == want, (
                 f"mismatch at idx={inst.idx} type={type_id}: "
@@ -45,8 +54,8 @@ def test_fixture_named_neighborhoods_through_index():
     name = EXAMPLE_NAME_TO_IDX
     b = ds.id_of("B")
     e = ds.id_of("E")
-    assert set(index.neighborhood(name["a1"], b)) == {name[n] for n in EXPECTED_N_A1_B}
-    assert set(index.neighborhood(name["c1"], e)) == {name[n] for n in EXPECTED_N_C1_E}
+    assert set(_neighbors(index, name["a1"], b)) == {name[n] for n in EXPECTED_N_A1_B}
+    assert set(_neighbors(index, name["c1"], e)) == {name[n] for n in EXPECTED_N_C1_E}
 
 
 def test_neighbors_sorted_and_stable_across_queries():
@@ -54,9 +63,9 @@ def test_neighbors_sorted_and_stable_across_queries():
     index = build_index(ds, example_config())
     for inst in ds.instances:
         for type_id in range(len(ds.types)):
-            first = index.neighborhood(inst.idx, type_id)
+            first = _neighbors(index, inst.idx, type_id)
             assert list(first) == sorted(first)
-            assert index.neighborhood(inst.idx, type_id) == first
+            assert _neighbors(index, inst.idx, type_id) == first
 
 
 def test_random_datasets_match_naive():
@@ -134,7 +143,7 @@ def test_float_time_boundary_pair_mines_like_the_oracle():
         [EventInstance(0, 0, 0.0, 0.0, 901.4), EventInstance(1, 1, 0.0, 0.0, 901.5)],
     )
     cfg = MiningConfig(radius=1.0, window=0.1)
-    assert build_index(ds, cfg).neighborhood(0, 1) == ()
+    assert _neighbors(build_index(ds, cfg), 0, 1) == ()
     assert [n.pattern for n in mine_all(ds, cfg)] == \
         [p for p, _ in oracle_all_patterns(ds, cfg)] == [(0,), (1,)]
 
@@ -150,8 +159,8 @@ def test_simultaneous_instances_are_never_neighbors():
     )
     cfg = MiningConfig(radius=100.0, window=100.0)
     index = build_index(ds, cfg)
-    assert index.neighborhood(0, 1) == ()
-    assert index.neighborhood(1, 0) == ()
+    assert _neighbors(index, 0, 1) == ()
+    assert _neighbors(index, 1, 0) == ()
 
 
 def test_temporal_boundaries():
@@ -167,7 +176,7 @@ def test_temporal_boundaries():
         ],
     )
     index = build_index(ds, MiningConfig(radius=5.0, window=20.0))
-    assert index.neighborhood(0, 1) == (2,)
+    assert _neighbors(index, 0, 1) == (2,)
 
 
 def test_spatial_boundary_is_inclusive():
@@ -180,7 +189,15 @@ def test_spatial_boundary_is_inclusive():
         ],
     )
     index = build_index(ds, MiningConfig(radius=10.0, window=20.0))
-    assert index.neighborhood(0, 1) == (1,)
+    assert _neighbors(index, 0, 1) == (1,)
+
+
+def test_integer_radius_whose_square_overflows_float64():
+    # 10**200 is a finite float64, but its square, the int 10**400, is not.
+    ds, cfg = example_dataset(), example_config()
+    far = build_index(ds, MiningConfig(radius=1e200, window=cfg.window))
+    assert build_index(ds, MiningConfig(radius=10**200, window=cfg.window)).edge_count \
+        == far.edge_count > 0
 
 
 def _planar_random():
@@ -191,7 +208,7 @@ def _planar_random():
 
 def test_union_over_matches_per_instance_union():
     # Supports are local ids of one source type; their union at every
-    # (source, target) pair decodes to the union of the sources'
+    # (source, target) pair decodes to the union of the sources' naive
     # neighborhoods and comes back as sorted local ids of the target type.
     geodesic = _random_geodesic(random.Random(2), 120)  # radius 20 km, 371 edges
     for ds, cfg in [(example_dataset(), example_config()), _planar_random(), geodesic]:
@@ -204,7 +221,7 @@ def test_union_over_matches_per_instance_union():
                 for target in range(len(ds.types)):
                     want = set()
                     for s in index.instances_of(source, local).tolist():
-                        want.update(index.neighborhood(s, target))
+                        want.update(naive_neighborhood(ds, cfg, s, target))
                     got = index.union_over(local, source, target)
                     assert got.dtype == np.int64
                     assert np.all(np.diff(got) > 0)
@@ -255,19 +272,13 @@ def test_relabeling_instances_relabels_neighborhoods():
     idx_b = build_index(permuted, cfg)
     for old in range(len(base.instances)):
         for type_id in range(len(base.types)):
-            mapped = {relabel[n] for n in idx_a.neighborhood(old, type_id)}
-            assert mapped == set(idx_b.neighborhood(relabel[old], type_id))
+            mapped = {relabel[n] for n in _neighbors(idx_a, old, type_id)}
+            assert mapped == set(_neighbors(idx_b, relabel[old], type_id))
 
 
 def test_unknown_ids_raise():
     ds = example_dataset()
     index = build_index(ds, example_config())
-    with pytest.raises(KeyError):
-        index.neighborhood(len(ds.instances), 0)
-    with pytest.raises(KeyError):
-        index.neighborhood(-1, 0)
-    with pytest.raises(KeyError):
-        index.neighborhood(0, 99)
     for source, target in [(0, 99), (99, 0), (-1, 0)]:
         with pytest.raises(KeyError):
             index.union_over([0], source, target)
@@ -339,8 +350,13 @@ def _spec_distance(source, target, metric):
 
 def _assert_index_matches_spec(dataset, cfg):
     index = build_index(dataset, cfg)
-    got = {(i, j) for i in range(len(dataset.instances))
-           for type_id in dataset.by_type for j in index.neighborhood(i, type_id)}
+    got = set()
+    for source in dataset.by_type:
+        ids = index.instances_of(source, slice(None)).tolist()
+        for target in dataset.by_type:
+            for local, i in enumerate(ids):
+                hits = index.union_over([local], source, target)
+                got.update((i, j) for j in index.instances_of(target, hits).tolist())
     want = _spec_edges(dataset, cfg)
     assert got == want, f"{cfg}: extra {sorted(got - want)[:5]}, missing {sorted(want - got)[:5]}"
     assert index.edge_count == len(want)

@@ -1,6 +1,8 @@
-"""Package structure: no module of ``csts`` may sit unused."""
+"""Package structure: no module of ``csts`` may sit unused, and no public
+name may serve only the tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import csts
@@ -33,3 +35,25 @@ def test_every_module_is_imported_by_another():
     unused = sorted(name for name, by in importers.items()
                     if not by and name not in ENTRY_MODULES)
     assert not unused, f"modules nothing in the package imports: {unused}"
+
+
+def test_every_public_name_has_a_user():
+    # A name in csts.__all__ must appear, as a whole word, in README.md or in
+    # a package module other than the one that defines it.
+    src = Path(csts.__file__).parent
+    defined_in = {}
+    for node in ast.parse((src / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            defined_in.update((alias.name, node.module) for alias in node.names)
+    texts = {p.stem: p.read_text(encoding="utf-8") for p in src.glob("*.py")
+             if p.stem != "__init__"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    unused = []
+    for name in csts.__all__:
+        if name.startswith("__"):
+            continue
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        users = [text for module, text in texts.items() if module != defined_in[name]]
+        if not any(word.search(text) for text in [readme, *users]):
+            unused.append(name)
+    assert not unused, f"public names with no user outside their own module: {unused}"

@@ -17,12 +17,7 @@ from csts.oracle import (
     naive_neighborhood,
     oracle_all_patterns,
 )
-from csts.topdown import (
-    gen_and_verify,
-    mine_all,
-    mine_level1,
-    participation_ratio,
-)
+from csts.topdown import gen_and_verify, mine_all, mine_level1
 
 from expected import EXPECTED_AT_04, EXPECTED_LATTICE, lattice_as_patterns
 
@@ -65,13 +60,16 @@ def test_fixture_known_rows(fixture_tree):
 
 
 def test_participation_ratio_examples(fixture_tree):
+    # A node's final-element ratio: its support's size over its type's count.
     ds = example_dataset()
-    abc = fixture_tree.node(ds.parse_pattern("A->B->C"))
-    assert participation_ratio(abc, ds) == Fraction(3, 8)
-    bd = fixture_tree.node(ds.parse_pattern("B->D"))
-    assert participation_ratio(bd, ds) == 1
+
+    def ratio(node):
+        return Fraction(len(node.last_support), ds.count(node.pattern[-1]))
+
+    assert ratio(fixture_tree.node(ds.parse_pattern("A->B->C"))) == Fraction(3, 8)
+    assert ratio(fixture_tree.node(ds.parse_pattern("B->D"))) == 1
     for root in fixture_tree.levels[0]:
-        assert participation_ratio(root, ds) == 1
+        assert ratio(root) == 1
 
 
 def test_theta_variants():
@@ -98,7 +96,7 @@ def test_structural_invariants(fixture_tree):
         assert keys == sorted(keys)
         assert len(set(n.pattern for n in level)) == len(level)
         for node in level:
-            assert node.length == depth
+            assert len(node.pattern) == depth
             if depth == 1:
                 continue
             assert node.parent1.pattern == node.pattern[:-1]
