@@ -168,7 +168,7 @@ def _load_dataset(args) -> tuple[EventDataset, dict]:
             "source": f"synthetic(seed={spec.seed},types={spec.n_types},"
                       f"instances={spec.n_instances},area={spec.area},"
                       f"horizon={spec.horizon})",
-            "instances": len(dataset.instances),
+            "instances": len(dataset),
             "types": len(dataset.types),
             "rows_read": None,
             "rejected": None,
@@ -287,7 +287,7 @@ def _index(dataset: EventDataset, cfg: MiningConfig):
     """(neighbor index, build seconds); no index for an empty dataset."""
     t0 = time.perf_counter()
     try:
-        index = build_index(dataset, cfg) if dataset.instances else None
+        index = build_index(dataset, cfg) if len(dataset) else None
     except ValueError as exc:  # bad degrees
         raise _CliError(str(exc)) from exc
     return index, time.perf_counter() - t0
@@ -398,7 +398,9 @@ def cmd_mine(args) -> int:
 
 def cmd_sweep(args) -> int:
     grid = _grid(args, multi=True)
+    t_load0 = time.perf_counter()
     dataset, ds_record = _load_dataset(args)
+    t_load = time.perf_counter() - t_load0
     # The index depends only on radius, window and metric: one for the grid.
     index, t_index = _index(dataset, grid[0][0])
 
@@ -433,6 +435,7 @@ def cmd_sweep(args) -> int:
     _say(f"input={ds_record['source']} instances={ds_record['instances']} "
          f"types={ds_record['types']}")
     _say(f"sweep: {len(grid)} theta x {len(grid[0])} epsilon points")
+    _say(f"load: {t_load:.3f}s")
     _say(f"index: {t_index:.3f}s edges={0 if index is None else index.edge_count}")
     header = f"{'theta':>8} {'epsilon':>8} {'all':>7} {'closed':>7} " \
              f"{'csts':>7} {'top(s)':>8} {'bottom(s)':>9}"

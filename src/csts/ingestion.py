@@ -31,7 +31,9 @@ from datetime import datetime
 from pathlib import Path
 from typing import Optional
 
-from .model import EventDataset, EventInstance, EventType
+import numpy as np
+
+from .model import EventDataset, EventType
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -98,13 +100,14 @@ def _parse_timestamp(text: str) -> datetime:
 
 def _load_rows(path, columns: tuple[str, str, str, str], report: IngestReport,
                parse_time, in_scope=None, degrees: bool = False,
-               ) -> list[tuple[str, float, float, int]]:
-    """Shared row loop, returning ``(label, x, y, minutes)`` per kept row.
-    ``parse_time`` maps the raw time field to integer minutes; ``in_scope``
-    may veto an otherwise valid row by its label and minutes (date range or
-    whitelist), counting it as filtered. With ``degrees`` the coordinates
-    are (longitude, latitude) and must lie in [-180, 180] x [-90, 90]."""
-    rows = []
+               ) -> tuple[list[str], list[float], list[float], list[int]]:
+    """Shared row loop, returning the kept rows' labels, x, y and minutes as
+    four lists. ``parse_time`` maps the raw time field to integer minutes
+    exact in float64; ``in_scope`` may veto an otherwise valid row by its
+    label and minutes (date range or whitelist), counting it as filtered.
+    With ``degrees`` the coordinates are (longitude, latitude) and must lie
+    in [-180, 180] x [-90, 90]."""
+    labels, xs, ys, times = [], [], [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -149,22 +152,23 @@ def _load_rows(path, columns: tuple[str, str, str, str], report: IngestReport,
             if in_scope is not None and not in_scope(label, minutes):
                 report.filtered += 1
                 continue
-            rows.append((label, x, y, minutes))
-    return rows
+            labels.append(label)
+            xs.append(x)
+            ys.append(y)
+            times.append(minutes)
+    return labels, xs, ys, times
 
 
-def _build_dataset(rows: list[tuple[str, float, float, int]],
+def _build_dataset(columns: tuple[list[str], list[float], list[float], list[int]],
                    report: IngestReport) -> EventDataset:
-    labels = sorted({row[0] for row in rows})
-    id_of = {lab: i for i, lab in enumerate(labels)}
+    labels, xs, ys, times = columns
+    id_of = {lab: i for i, lab in enumerate(sorted(set(labels)))}
     types = [EventType(i, lab) for lab, i in id_of.items()]
-    instances = [
-        EventInstance(idx=i, event_type=id_of[label], x=x, y=y, time=minutes)
-        for i, (label, x, y, minutes) in enumerate(rows)
-    ]
-    report.instances_kept = len(instances)
+    type_ids = np.fromiter(map(id_of.__getitem__, labels), dtype=np.int64,
+                           count=len(labels))
+    report.instances_kept = len(labels)
     report.types_found = len(types)
-    return EventDataset(types, instances)
+    return EventDataset.from_columns(types, type_ids, xs, ys, times)
 
 
 def load_generic(path) -> tuple[EventDataset, IngestReport]:
@@ -180,8 +184,8 @@ def load_generic(path) -> tuple[EventDataset, IngestReport]:
             raise ValueError("time is negative or not exact in float64")
         return minutes
 
-    rows = _load_rows(path, GENERIC_COLUMNS, report, parse_minutes)
-    return _build_dataset(rows, report), report
+    columns = _load_rows(path, GENERIC_COLUMNS, report, parse_minutes)
+    return _build_dataset(columns, report), report
 
 
 def _portal_loader(path, columns: tuple[str, str, str, str], epoch_iso: str,
@@ -203,9 +207,9 @@ def _portal_loader(path, columns: tuple[str, str, str, str], epoch_iso: str,
             return False
         return whitelist is None or label.lower() in whitelist
 
-    rows = _load_rows(path, columns, report, parse_minutes, in_scope,
+    kept = _load_rows(path, columns, report, parse_minutes, in_scope,
                       degrees=True)
-    return _build_dataset(rows, report), report
+    return _build_dataset(kept, report), report
 
 
 def load_pittsburgh(path) -> tuple[EventDataset, IngestReport]:

@@ -14,6 +14,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -91,8 +92,23 @@ class EventInstance:
             raise ValueError(f"instance coordinates must be finite, got ({self.x!r}, {self.y!r})")
 
 
+def _int_column(values: list, what: str) -> np.ndarray:
+    # Inferred rather than cast, so that 1.5 is refused, not truncated to 1.
+    column = np.array(values)
+    if column.size and column.dtype.kind not in "iu":
+        raise ValueError(f"instance {what} values must be integers")
+    return column.astype(np.int64)
+
+
 class EventDataset:
-    """The instance collection plus the per-type index.
+    """Event data held as columns, one entry per instance in idx order.
+
+    ``type_ids`` (``int64``) and ``xs``, ``ys``, ``times`` (``float64``) are
+    read-only arrays. ``type_order`` lists the idx sorted by (type, idx), so
+    type t's instances are ``type_order[type_starts[t]:type_starts[t + 1]]``;
+    both are computed once, with the per-type counts. ``instances`` and
+    ``by_type`` are views built from the columns on first use and cached;
+    the miner never builds them.
 
     Parameters
     ----------
@@ -100,7 +116,8 @@ class EventDataset:
         The full event-type universe, ids dense from 0.
     instances : sequence of EventInstance
         All instances; each ``event_type`` must exist in ``types`` and each
-        ``idx`` must equal the instance's position in the sequence.
+        ``idx`` must equal the instance's position in the sequence. They are
+        converted into the columns and not kept.
     """
 
     def __init__(
@@ -108,33 +125,88 @@ class EventDataset:
         types: Sequence[EventType],
         instances: Sequence[EventInstance],
     ) -> None:
-        self.types: tuple[EventType, ...] = tuple(types)
-        self.instances: tuple[EventInstance, ...] = tuple(instances)
+        instances = list(instances)
+        idx = _int_column([inst.idx for inst in instances], "idx")
+        bad = np.flatnonzero(idx != np.arange(idx.size))
+        if bad.size:
+            pos = int(bad[0])
+            raise ValueError(f"instance at position {pos} carries idx {instances[pos].idx}")
+        self._set_columns(
+            types,
+            _int_column([inst.event_type for inst in instances], "event_type"),
+            [inst.x for inst in instances],
+            [inst.y for inst in instances],
+            [inst.time for inst in instances],
+        )
 
+    @classmethod
+    def from_columns(cls, types: Sequence[EventType], type_ids, xs, ys,
+                     times) -> "EventDataset":
+        """A dataset straight from its columns, with the checks that
+        :class:`EventInstance` makes per instance done over whole arrays.
+        ``times`` are converted to float64 here, so integer minutes must
+        already be exact in float64 (the loaders check each row)."""
+        ds = cls.__new__(cls)
+        ds._set_columns(types, np.array(type_ids, dtype=np.int64), xs, ys, times)
+        return ds
+
+    def _set_columns(self, types: Sequence[EventType], type_ids: np.ndarray,
+                     xs, ys, times) -> None:
+        self.types: tuple[EventType, ...] = tuple(types)
         ids = [t.id for t in self.types]
         if ids != list(range(len(self.types))):
             raise ValueError("event-type ids must be dense integers from 0")
         labels = [t.label for t in self.types]
         if len(set(labels)) != len(labels):
             raise ValueError("event-type labels must be unique")
-        by_type: dict[int, list[EventInstance]] = {t.id: [] for t in self.types}
-        for pos, inst in enumerate(self.instances):
-            if inst.idx != pos:
-                raise ValueError(f"instance at position {pos} carries idx {inst.idx}")
-            if inst.event_type not in by_type:
-                raise ValueError(f"instance {pos} references unknown event type {inst.event_type}")
-            by_type[inst.event_type].append(inst)
-        self.by_type: dict[int, tuple[EventInstance, ...]] = {
-            k: tuple(v) for k, v in by_type.items()
-        }
+        n_types = len(self.types)
+        unknown = np.flatnonzero((type_ids < 0) | (type_ids >= n_types))
+        if unknown.size:
+            pos = int(unknown[0])
+            raise ValueError(f"instance {pos} references unknown event type {type_ids[pos]}")
+        # float() of an int past float64's range raises OverflowError,
+        # which is a non-finite value here as in EventInstance.
+        try:
+            xs, ys, times = (np.array(c, dtype=np.float64) for c in (xs, ys, times))
+        except OverflowError:
+            raise ValueError("instance coordinates and times must be finite") from None
+        if not (type_ids.ndim == 1 and type_ids.shape == xs.shape == ys.shape == times.shape):
+            raise ValueError("the columns must be one-dimensional and of equal length")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("instance coordinates must be finite")
+        if not (np.isfinite(times).all() and (times >= 0).all()):
+            raise ValueError("instance times must be finite and non-negative")
+        counts = np.bincount(type_ids, minlength=n_types)
+        starts = np.zeros(n_types + 1, dtype=np.int64)
+        np.cumsum(counts, out=starts[1:])
+        self.type_ids, self.xs, self.ys, self.times = type_ids, xs, ys, times
+        self.type_order = np.argsort(type_ids, kind="stable")
+        self.type_starts = starts
+        for column in (type_ids, xs, ys, times, self.type_order, starts):
+            column.flags.writeable = False
+        self._counts = dict(enumerate(counts.tolist()))
         self._label_to_id = {t.label: t.id for t in self.types}
 
+    @cached_property
+    def instances(self) -> tuple[EventInstance, ...]:
+        """One EventInstance per idx, built from the columns on first use."""
+        return tuple(map(EventInstance, range(len(self)), self.type_ids.tolist(),
+                         self.xs.tolist(), self.ys.tolist(), self.times.tolist()))
+
+    @cached_property
+    def by_type(self) -> dict[int, tuple[EventInstance, ...]]:
+        """Each type's instances in idx order, built on first use."""
+        instances, order = self.instances, self.type_order.tolist()
+        bounds = self.type_starts.tolist()
+        return {t.id: tuple(instances[i] for i in order[bounds[t.id]:bounds[t.id + 1]])
+                for t in self.types}
+
     def __len__(self) -> int:
-        return len(self.instances)
+        return self.type_ids.size
 
     def count(self, type_id: int) -> int:
         """|D(F)| for one event type."""
-        return len(self.by_type[type_id])
+        return self._counts[type_id]
 
     def label_of(self, type_id: int) -> str:
         return self.types[type_id].label

@@ -3,7 +3,9 @@
 For an instance e and event type F, the neighborhood is every instance of
 type F within ``radius`` of e that occurs strictly later than e but at most
 ``window`` minutes later. The index computes the whole relation at
-construction with whole-array numpy work:
+construction with whole-array numpy work over the dataset's columns (type
+id, x, y, time), and takes each type's instances from the dataset's
+per-type order; it never reads ``EventInstance`` objects:
 
 - instances are sorted by time once, and each source's forward time window
   lies in a [lo, hi) range of time positions found by binary search; a
@@ -35,7 +37,6 @@ touches only the block from the support's type into the target type, and
 from __future__ import annotations
 
 import math
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -48,11 +49,6 @@ EARTH_RADIUS_M = 6_371_000.0
 # Cell keys are cell * n + time position; every key, and every key searched
 # for, stays below 2**63.
 _KEY_LIMIT = 2 ** 62
-
-
-def _column(instances, name: str, dtype) -> np.ndarray:
-    return np.fromiter(map(attrgetter(name), instances), dtype=dtype,
-                       count=len(instances))
 
 
 def _cells(coords: Sequence[np.ndarray], size: float) -> tuple[np.ndarray, np.ndarray]:
@@ -92,8 +88,7 @@ class NeighborhoodIndex:
         self.dataset = dataset
         self.config = config
 
-        instances = dataset.instances
-        n = len(instances)
+        n = len(dataset)
         n_types = len(dataset.types)
         # Edge keys are (target type, source type-major id, target local id),
         # the last two in fields of ``shift`` bits; they stay below 2**63
@@ -102,24 +97,22 @@ class NeighborhoodIndex:
 
         # Type-major ids number the instances by (type, idx), so type t
         # holds the ids starts[t] .. starts[t+1]-1 and a local id is the
-        # type-major id less starts[t].
-        type_of = _column(instances, "event_type", np.int64)
-        self._members = np.argsort(type_of, kind="stable")  # type-major id -> idx
-        starts = np.zeros(n_types + 1, dtype=np.int64)
-        np.cumsum(np.bincount(type_of, minlength=n_types), out=starts[1:])
+        # type-major id less starts[t]; the dataset's type_order maps a
+        # type-major id to idx.
+        type_of = dataset.type_ids
+        starts = dataset.type_starts
         self._starts = starts.tolist()
         # Every union's masks take the largest type's count: masks sized per
         # type left the heap fragmented, which raised a whole run's peak RSS
         # by 1-2 MB on a 12,000-instance, 5-type dataset.
         self._mask_size = int(np.diff(starts).max())
         major = np.empty(n, dtype=np.int64)
-        major[self._members] = np.arange(n)
+        major[dataset.type_order] = np.arange(n)
 
-        times = _column(instances, "time", np.float64)
-        order = np.argsort(times, kind="stable")  # time position -> idx
-        times = times[order]
-        xs = _column(instances, "x", np.float64)[order]
-        ys = _column(instances, "y", np.float64)[order]
+        order = np.argsort(dataset.times, kind="stable")  # time position -> idx
+        times = dataset.times[order]
+        xs = dataset.xs[order]
+        ys = dataset.ys[order]
         geodesic = config.metric != METRIC_EUCLIDEAN
         # Squared as a float: the square of an int radius may overflow one.
         radius = float(config.radius)
@@ -209,17 +202,25 @@ class NeighborhoodIndex:
         """The idx of type ``type_id``'s instances with the given local ids."""
         if not 0 <= type_id < len(self.dataset.types):
             raise KeyError(f"unknown event type id {type_id}")
-        return self._members[self._starts[type_id]:self._starts[type_id + 1]][local_ids]
+        members = self.dataset.type_order[self._starts[type_id]:self._starts[type_id + 1]]
+        return members[local_ids]
 
     def union_over(self, support: Sequence[int], source_type: int,
                    target_type: int) -> np.ndarray:
         """Sorted, unique local ids of every type-``target_type`` neighbor of
         the ``support`` instances, given as local ids of ``source_type``: the
-        support-set step of the miner."""
+        support-set step of the miner. The support must be sorted; a first
+        or last id outside [0, count) raises ValueError."""
         n_types = len(self.dataset.types)
         for type_id in (source_type, target_type):
             if not 0 <= type_id < n_types:
                 raise KeyError(f"unknown event type id {type_id}")
+        # Sorted, so the two ends bound every id.
+        count = self._starts[source_type + 1] - self._starts[source_type]
+        if len(support) and not (0 <= support[0] and support[-1] < count):
+            raise ValueError(
+                f"local ids of type {self.dataset.label_of(source_type)!r} must lie "
+                f"in [0, {count}), got {support[0]} .. {support[-1]}")
         block = target_type * n_types + source_type
         a, b = self._cuts[block], self._cuts[block + 1]
         chosen = np.zeros(self._mask_size, dtype=bool)
@@ -233,6 +234,6 @@ def build_index(dataset: EventDataset, config: MiningConfig) -> NeighborhoodInde
     """Construct the neighbor relation for a dataset/config pair. Raises
     ValueError for an empty dataset or, in geodesic mode, degrees out of
     range."""
-    if len(dataset.instances) == 0:
+    if len(dataset) == 0:
         raise ValueError("cannot index an empty dataset")
     return NeighborhoodIndex(dataset, config)

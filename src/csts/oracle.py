@@ -246,6 +246,9 @@ class RandomSpec:
             raise ValueError("n_types must be >= 1 and n_instances >= 0")
         if self.area <= 0 or self.horizon <= 0:
             raise ValueError("area and horizon must be positive")
+        # Every integer up to 2**53 is exact in float64, the times' dtype.
+        if self.horizon > 2**53:
+            raise ValueError("horizon must be at most 2**53")
 
 
 def generate_random(spec: RandomSpec) -> EventDataset:
@@ -256,17 +259,13 @@ def generate_random(spec: RandomSpec) -> EventDataset:
         _LETTERS[i] if i < len(_LETTERS) else f"T{i}" for i in range(spec.n_types)
     ]
     types = [EventType(i, lab) for i, lab in enumerate(sorted(labels))]
-    instances = [
-        EventInstance(
-            idx=i,
-            event_type=rng.randrange(spec.n_types),
-            x=round(rng.uniform(0.0, spec.area), 3),
-            y=round(rng.uniform(0.0, spec.area), 3),
-            time=rng.randint(0, spec.horizon),
-        )
-        for i in range(spec.n_instances)
-    ]
-    return EventDataset(types, instances)
+    type_ids, xs, ys, times = [], [], [], []
+    for _ in range(spec.n_instances):
+        type_ids.append(rng.randrange(spec.n_types))
+        xs.append(round(rng.uniform(0.0, spec.area), 3))
+        ys.append(round(rng.uniform(0.0, spec.area), 3))
+        times.append(rng.randint(0, spec.horizon))
+    return EventDataset.from_columns(types, type_ids, xs, ys, times)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +331,9 @@ def example_dataset() -> EventDataset:
     labels = sorted({row[1] for row in _EXAMPLE_ROWS})
     types = [EventType(i, lab) for i, lab in enumerate(labels)]
     label_to_id = {lab: i for i, lab in enumerate(labels)}
-    instances = [
-        EventInstance(idx=i, event_type=label_to_id[label], x=float(x), y=float(y),
-                      time=t)
-        for i, (_, label, x, y, t) in enumerate(_EXAMPLE_ROWS)
-    ]
-    return EventDataset(types, instances)
+    _, row_labels, xs, ys, times = zip(*_EXAMPLE_ROWS)
+    return EventDataset.from_columns(
+        types, [label_to_id[label] for label in row_labels], xs, ys, times)
 
 
 def example_config(theta="0.2", epsilon="0.25", strict_theta: bool = True,

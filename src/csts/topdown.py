@@ -24,17 +24,9 @@ from .neighborhoods import NeighborhoodIndex, build_index
 def mine_level1(dataset: EventDataset) -> list[PatternNode]:
     """One root node per event type that actually occurs; pi is 1 by
     definition (every instance of a type participates in its own pattern)."""
-    nodes = []
-    for type_id in sorted(dataset.by_type):
-        members = dataset.by_type[type_id]
-        if not members:
-            continue
-        nodes.append(PatternNode(
-            pattern=(type_id,),
-            pi=Fraction(1),
-            last_support=np.arange(len(members), dtype=np.int64),
-        ))
-    return nodes
+    return [PatternNode(pattern=(t.id,), pi=Fraction(1),
+                        last_support=np.arange(dataset.count(t.id), dtype=np.int64))
+            for t in dataset.types if dataset.count(t.id)]
 
 
 def _make_child(parent1: PatternNode, parent2: PatternNode,

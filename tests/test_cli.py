@@ -281,6 +281,7 @@ class TestDeterminism:
         assert "_s\"" not in text and "seconds" not in text
         assert "threads" not in text
         assert "index" not in text and "edges" not in text
+        assert "load=" not in text and "load: " not in text
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +348,9 @@ class TestSweep:
         assert len(built) == 1
         captured = capsys.readouterr()
         assert "index: " in captured.err and "edges=90" in captured.err
+        assert "load: " in captured.err
         assert "index" not in captured.out and "edges" not in captured.out
+        assert "load: " not in captured.out
 
     @pytest.mark.parametrize("theta,epsilon", [
         ("0.2", "0.1,1.5"),
@@ -387,6 +390,62 @@ class TestSweep:
                      "--theta", "", "--epsilon", "0.25"])
         assert code == 2
         assert "--theta" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the mining path reads the dataset's columns
+# ---------------------------------------------------------------------------
+
+BOSTON_HEADER = "INCIDENT_NUMBER,OFFENSE_CODE_GROUP,OCCURRED_ON_DATE,Lat,Long\n"
+
+
+def _boston_chain_file(tmp_path):
+    """Four days of Arson, then Burglary, then Robbery ten minutes apart at
+    one corner, plus a row of each reject kind."""
+    rows = [f"I{day}{k},{label},2014-03-0{day} 10:{10 * k:02d}:00,42.35,-71.06"
+            for day in range(1, 5)
+            for k, label in enumerate(["Arson", "Burglary", "Robbery"])]
+    rows += ["R1,,2014-03-01 10:00:00,42.35,-71.06",        # missing type
+             "R2,Arson,2013-03-01 10:00:00,42.35,-71.06",   # filtered
+             "R3,Arson,2014-03-01 10:00:00,95,-71.06"]      # unparseable
+    path = tmp_path / "boston.csv"
+    path.write_text(BOSTON_HEADER + "\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def instance_inits(monkeypatch):
+    """The idx of every EventInstance built while the fixture is active."""
+    from csts.model import EventInstance
+    built = []
+    real = EventInstance.__post_init__
+
+    def counting(self):
+        built.append(self.idx)
+        real(self)
+
+    monkeypatch.setattr(EventInstance, "__post_init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("command", ["mine", "sweep"])
+@pytest.mark.parametrize("source", ["example", "boston"])
+def test_mining_path_builds_no_event_instance(tmp_path, capsys, instance_inits,
+                                              source, command):
+    if source == "example":
+        data = ["--input", FIXTURE, "--radius", "10", "--window", "20"]
+    else:
+        data = ["--input", str(_boston_chain_file(tmp_path)), "--schema", "boston",
+                "--metric", "geodesic", "--radius", "100", "--window", "30"]
+    thresholds = {"mine": ["--theta", "0.2", "--epsilon", "0.25", "--algorithm", "csts"],
+                  "sweep": ["--theta", "0,0.2", "--epsilon", "0,0.25"]}[command]
+    recs = run_records(tmp_path, "out.jsonl", [command, *data, *thresholds])
+    (ds,) = [r for r in recs if r["record"] == "dataset"]
+    assert ds["instances"] == (61 if source == "example" else 12)
+    # The trees grew past the roots, so the index and its unions ran.
+    counts = [r["counts"]["all"] for r in recs if "counts" in r]
+    assert counts and min(counts) > ds["types"]
+    assert instance_inits == []
 
 
 # ---------------------------------------------------------------------------

@@ -199,3 +199,98 @@ class TestDataset:
         # Every instance must fall into a well-defined cell of the index.
         with pytest.raises(ValueError, match="finite"):
             EventInstance(0, 0, x, y, 0.0)
+
+
+def _boston_dataset(tmp_path):
+    """A loaded Boston file and the rows it keeps, as (label, lon, lat,
+    minutes from 2014-01-01T00:00)."""
+    from csts.ingestion import load_boston
+    kept = [("Robbery", -71.06, 42.35, 60), ("Arson", -71.05, 42.36, 1440 + 30),
+            ("Robbery", -71.061, 42.351, 2 * 1440), ("Arson", -71.0, 42.3, 90)]
+    lines = ["INCIDENT_NUMBER,OFFENSE_CODE_GROUP,OCCURRED_ON_DATE,Lat,Long"]
+    for i, (label, lon, lat, minutes) in enumerate(kept):
+        day, rest = divmod(minutes, 1440)
+        lines.append(f"I{i},{label},2014-01-{day + 1:02d} {rest // 60:02d}:{rest % 60:02d}:00,"
+                     f"{lat},{lon}")
+    lines.append("I9,Arson,2015-01-01 00:00:00,42.35,-71.06")  # filtered
+    path = tmp_path / "boston.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ds, report = load_boston(path)
+    assert report.instances_kept == len(kept) and report.filtered == 1
+    return ds, kept
+
+
+class TestColumns:
+    """The columns are the dataset; ``instances`` and ``by_type`` are views."""
+
+    @staticmethod
+    def _datasets(tmp_path):
+        from csts.oracle import RandomSpec, example_dataset, generate_random
+        return {
+            "example": example_dataset(),
+            "planar": generate_random(RandomSpec(seed=4, n_types=4, n_instances=300)),
+            "geodesic": generate_random(RandomSpec(seed=5, n_types=3, n_instances=200,
+                                                   area=0.05, horizon=2000)),
+            "boston": _boston_dataset(tmp_path)[0],
+        }
+
+    def test_columns_and_instance_view_agree(self, tmp_path):
+        for name, ds in self._datasets(tmp_path).items():
+            again = EventDataset(ds.types, ds.instances)
+            for column in ("type_ids", "xs", "ys", "times", "type_order", "type_starts"):
+                assert getattr(again, column).tolist() == getattr(ds, column).tolist(), name
+            assert ds.types == again.types
+            assert [ds.count(t.id) for t in ds.types] == [again.count(t.id) for t in ds.types]
+            assert len(ds) == len(again) == len(ds.instances)
+            assert all(inst.idx == i for i, inst in enumerate(ds.instances)), name
+            assert [(i.event_type, i.x, i.y, i.time) for i in ds.instances] == list(zip(
+                ds.type_ids.tolist(), ds.xs.tolist(), ds.ys.tolist(), ds.times.tolist()))
+
+    def test_by_type_partitions_the_instances_in_idx_order(self, tmp_path):
+        for name, ds in self._datasets(tmp_path).items():
+            assert set(ds.by_type) == {t.id for t in ds.types}
+            for type_id, members in ds.by_type.items():
+                assert len(members) == ds.count(type_id)
+                assert all(inst.event_type == type_id for inst in members)
+                idx = [inst.idx for inst in members]
+                assert idx == sorted(idx), name
+            assert sorted(i.idx for m in ds.by_type.values() for i in m) == list(range(len(ds)))
+
+    def test_loaded_instances_equal_hand_built_ones(self, tmp_path):
+        ds, kept = _boston_dataset(tmp_path)
+        labels = sorted({row[0] for row in kept})
+        types = [EventType(i, label) for i, label in enumerate(labels)]
+        hand = EventDataset(types, [EventInstance(i, labels.index(label), lon, lat, minutes)
+                                    for i, (label, lon, lat, minutes) in enumerate(kept)])
+        assert ds.types == hand.types and ds.instances == hand.instances
+
+    def test_columns_are_read_only(self):
+        from csts.oracle import example_dataset
+        ds = example_dataset()
+        for column in (ds.type_ids, ds.xs, ds.ys, ds.times, ds.type_order, ds.type_starts):
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    GOOD_COLUMNS = ([0, 1], [0.0, 1.0], [0.0, 1.0], [0, 5])
+
+    @pytest.mark.parametrize("column, values", [
+        (0, [0, 2]), (0, [-1, 1]),
+        (1, [0.0, float("nan")]), (2, [float("inf"), 0.0]), (1, [10**400, 0.0]),
+        (3, [0, -1]), (3, [0, float("nan")]), (3, [0]),
+    ], ids=["unknown-type", "negative-type", "nan-x", "inf-y", "1e400-x",
+            "negative-time", "nan-time", "short-column"])
+    def test_from_columns_checks_whole_columns(self, column, values):
+        types = [EventType(0, "A"), EventType(1, "B")]
+        assert len(EventDataset.from_columns(types, *self.GOOD_COLUMNS)) == 2
+        columns = list(self.GOOD_COLUMNS)
+        columns[column] = values
+        with pytest.raises(ValueError):
+            EventDataset.from_columns(types, *columns)
+
+    def test_non_integer_type_or_idx_rejected(self):
+        # Cast to int64 these would truncate to a valid id.
+        types = [EventType(0, "A"), EventType(1, "B")]
+        with pytest.raises(ValueError, match="integers"):
+            EventDataset(types, [EventInstance(0, 1.5, 0.0, 0.0, 0.0)])
+        with pytest.raises(ValueError, match="integers"):
+            EventDataset(types, [EventInstance(0.5, 0, 0.0, 0.0, 0.0)])

@@ -284,6 +284,15 @@ def test_unknown_ids_raise():
             index.union_over([0], source, target)
     with pytest.raises(KeyError):
         index.instances_of(99, [0])
+    # Local ids outside [0, count) of the source type: A holds 2 instances
+    # and E 40, while every mask holds 40 entries.
+    a, b, c, e = (ds.id_of(label) for label in "ABCE")
+    for support, source, target in [([2], a, b), ([3], a, b), ([40], a, b),
+                                    ([-1], e, c), ([0, 40], e, c)]:
+        count = ds.count(source)
+        with pytest.raises(ValueError, match=rf"'{ds.label_of(source)}'.*\[0, {count}\)"):
+            index.union_over(support, source, target)
+    assert index.union_over([39], e, c).size == 2
 
 
 def test_empty_dataset_rejected():

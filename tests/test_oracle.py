@@ -144,3 +144,9 @@ class TestRandomGenerator:
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             RandomSpec(seed=1, n_types=0, n_instances=5)
+
+    def test_horizon_beyond_exact_float64_times_rejected(self):
+        # Times are stored as float64; every integer up to 2**53 is exact.
+        assert RandomSpec(seed=1, n_types=1, n_instances=1, horizon=2**53).horizon == 2**53
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            RandomSpec(seed=1, n_types=1, n_instances=1, horizon=2**53 + 1)
