@@ -277,8 +277,11 @@ def _write_records(path: Optional[str], records: list[dict]) -> None:
     text = "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
                    for rec in records)
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -429,6 +432,7 @@ def cmd_sweep(args) -> int:
                 "capped": tree.capped,
                 "depth": tree.depth,
             })
+        del tree, members  # free this theta's tree before the next grows
 
     _write_records(args.out, [ds_record, *grid_records, *_ratio_series(points)])
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
@@ -342,15 +342,15 @@ class MiningConfig:
 
 @dataclass(eq=False)
 class PatternNode:
-    """A pattern with its participation index and lattice links.
+    """A pattern with its participation index and its two shorter parents.
 
     ``last_support`` holds the instances supporting the final element as a
     sorted, unique ``int64`` array of local ids: positions 0..count-1 among
     the instances of the final element's type, in idx order, which
-    ``NeighborhoodIndex.instances_of`` maps back to idx. The support of
-    element i < m is the ``last_support`` of the length-i prefix node,
-    reachable along the ``parent1`` chain. Nodes hash and compare by
-    identity.
+    ``NeighborhoodIndex.instances_of`` maps back to idx. Element i < m's
+    support is the ``last_support`` of the length-i prefix along the
+    ``parent1`` chain; ``parent2`` is the suffix. Links point only to shorter
+    patterns, so a tree is acyclic. Nodes hash and compare by identity.
     """
 
     pattern: Pattern
@@ -358,7 +358,6 @@ class PatternNode:
     last_support: np.ndarray
     parent1: Optional["PatternNode"] = None
     parent2: Optional["PatternNode"] = None
-    children: list["PatternNode"] = field(default_factory=list)
 
     def __repr__(self) -> str:
         return f"PatternNode({format_pattern(self.pattern)}, pi={self.pi})"

@@ -1,18 +1,18 @@
 """Top-down growth of the pattern tree.
 
-Breadth-first, level by level: length-1 patterns are the event types, and a
-length-k candidate is assembled from a verified length-(k-1) node (its prefix,
-``parent1``) and the sibling that extends that node's own second parent (its
-suffix, ``parent2``). A candidate's participation index is the minimum of the
-prefix node's index and the participation ratio of the new final element, so
-each level needs only one neighborhood-union sweep. Candidates below the
-threshold are dropped together with their would-be extensions, which is sound
-because the participation index can only shrink as a pattern grows.
+Breadth-first, level by level: length-1 patterns are the event types. Grouped
+by prefix node, a level joins each node (a candidate's prefix, ``parent1``)
+with the group of its own suffix node (the candidate's suffix, ``parent2``). A
+candidate's participation index is the minimum of its prefix's index and the
+participation ratio of its new final element, so each level needs one
+neighborhood-union sweep. Candidates below the threshold are dropped with their
+would-be extensions, soundly: the index only shrinks as a pattern grows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,8 +49,9 @@ def _make_child(parent1: PatternNode, parent2: PatternNode,
 
 def _pairs(level_prev: Sequence[PatternNode]):
     # The (prefix, suffix) candidates of the next level; see gen_and_verify.
+    by_prefix = {p: list(g) for p, g in groupby(level_prev, lambda n: n.parent1)}
     for si in level_prev:
-        for sj in level_prev if si.parent2 is None else si.parent2.children:
+        for sj in by_prefix.get(si.parent2, ()):
             yield si, sj
 
 
@@ -58,19 +59,18 @@ def gen_and_verify(level_prev: Sequence[PatternNode], index: NeighborhoodIndex,
                    cfg: MiningConfig) -> list[PatternNode]:
     """All verified length-k patterns from the verified length-(k-1) level.
 
-    For each node, the viable suffixes are exactly the children of its second
-    parent: those are the verified patterns overlapping it in all but the
-    first position. Roots have no second parent, so every root pairs with
-    every root, itself included. The (prefix, suffix) pairing generates every
-    candidate exactly once, and in canonical order: sources are canonical and
-    each children list is, by induction, sorted by its final element.
+    Grouped by prefix node (``parent1``), ``level_prev`` pairs each node
+    with the group whose prefix is its suffix (``parent2``): the verified
+    patterns overlapping it in all but the first position. Roots have
+    neither, so every root pairs with every root, itself included. Each
+    candidate comes exactly once and in canonical order, as a canonical
+    level lists each group as one run sorted by final element.
     """
     level = []
     for si, sj in _pairs(level_prev):
         node = _make_child(si, sj, index, cfg)
         if node is not None:
             level.append(node)
-            si.children.append(node)
     return level
 
 

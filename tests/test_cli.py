@@ -4,10 +4,12 @@ Everything runs in-process through ``csts.cli.main`` so the suite stays
 fast; one subprocess test proves the installed console script works.
 """
 
+import gc
 import hashlib
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -328,6 +330,33 @@ class TestSweep:
         alls = [p["counts"]["all"] for p in points]
         assert alls == sorted(alls, reverse=True)
 
+    def test_holds_one_tree_at_a_time(self, monkeypatch, tmp_path):
+        # With the cyclic collector off, each theta's tree must be freed by
+        # reference counting before the next theta's tree grows.
+        import csts.cli
+        real = csts.cli.mine_all
+        grown = []
+        alive_before = []
+
+        def mine_all(*args, **kwargs):
+            alive_before.append(sum(ref() is not None for ref in grown))
+            tree = real(*args, **kwargs)
+            grown.extend(weakref.ref(node) for node in tree)
+            return tree
+
+        monkeypatch.setattr(csts.cli, "mine_all", mine_all)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert main(["sweep", "--input", FIXTURE, "--radius", "10",
+                         "--window", "20", "--theta", "0,0.2,0.4",
+                         "--epsilon", "0,0.25",
+                         "--out", str(tmp_path / "sweep.jsonl")]) == 0
+        finally:
+            if enabled:
+                gc.enable()
+        assert alive_before == [0, 0, 0]
+
     def test_index_built_once_and_reported_on_stderr(self, monkeypatch, capsys):
         # mine_all would build its own index through csts.topdown if the
         # sweep did not pass one, so both names are counted.
@@ -538,6 +567,16 @@ class TestErrors:
     def test_missing_input_file(self, capsys):
         assert main(["mine", "--input", "/nonexistent.csv",
                      "--radius", "10", "--window", "20"]) == 2
+
+    @pytest.mark.parametrize("command", ["mine", "sweep"])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command, where):
+        out = tmp_path / "missing" / "x.jsonl" if where == "missing-dir" else tmp_path
+        argv = [command, "--input", FIXTURE, "--radius", "10", "--window", "20",
+                "--theta", "0.2", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out}: " in err and "Traceback" not in err
 
     def test_mine_rejects_threshold_lists(self, capsys):
         assert main(BASE + ["--theta", "0.1,0.2"]) == 2

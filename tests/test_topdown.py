@@ -1,13 +1,18 @@
 """Breadth-first miner: worked-example lattice, structural invariants, and
 agreement with the brute-force enumerator."""
 
+import gc
+import pickle
 import random
+import weakref
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
 
 from csts import EventDataset, EventInstance, EventType, MiningConfig, canonical_key
+from csts.bottomup import mine_csts
 from csts.neighborhoods import build_index
 from csts.oracle import (
     RandomSpec,
@@ -101,12 +106,30 @@ def test_structural_invariants(fixture_tree):
                 continue
             assert node.parent1.pattern == node.pattern[:-1]
             assert node.parent2.pattern == node.pattern[1:]
-            assert node in node.parent1.children
-    for node in fixture_tree:
-        child_keys = [canonical_key(c.pattern) for c in node.children]
-        assert child_keys == sorted(child_keys)
-        for child in node.children:
-            assert child.parent1 is node
+    # Growth pairs each node with the nodes sharing one prefix node, so
+    # grouped by parent1 each level must give one run per prefix, the runs
+    # in canonical order.
+    for level in fixture_tree.levels[1:]:
+        runs = [p for p, _ in groupby(level, key=lambda n: n.parent1)]
+        assert len(set(runs)) == len(runs)
+        run_keys = [canonical_key(p.pattern) for p in runs]
+        assert run_keys == sorted(run_keys)
+
+
+def test_finished_tree_is_freed_without_the_cyclic_collector():
+    # Nodes link only to shorter patterns, so reference counting alone frees
+    # a tree, members included, once its last user drops it.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tree, members = mine_csts(example_dataset(), example_config())
+        assert tree.depth == 6 and members
+        refs = [weakref.ref(tree.levels[0][0]), weakref.ref(tree.levels[-1][-1])]
+        del tree, members
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_anti_monotonicity_every_edge(fixture_tree):
@@ -183,14 +206,15 @@ def test_max_length_cap():
                                       max_length=10))
     assert roomy.depth == 6
     assert not roomy.capped
-    # The flag is exact: nothing of length 7 passes, and the level probed
-    # past the cap leaves no node reachable outside the tree.
+    # The flag is exact: nothing of length 7 passes, and every node links
+    # only to nodes of the tree.
     for max_length, want in [(6, False), (5, True)]:
         tree = mine_all(ds, MiningConfig(radius=10.0, window=20.0, theta="0.2",
                                          max_length=max_length))
         assert tree.capped is want and tree.depth == max_length
         members = set(tree)
-        assert all(c in members for n in tree for c in n.children)
+        assert all(p in members for level in tree.levels[1:] for n in level
+                   for p in (n.parent1, n.parent2))
 
 
 def test_nonstrict_zero_theta_requires_cap():
@@ -224,7 +248,10 @@ def test_level_functions_compose_like_mine_all():
     index = build_index(ds, cfg)
     l1 = mine_level1(ds)
     l2 = gen_and_verify(l1, index, cfg)
+    before = pickle.dumps(l2)
     l3 = gen_and_verify(l2, index, cfg)
+    # Growth leaves the level it grows from, and its ancestors, as they were.
+    assert pickle.dumps(l2) == before
     tree = mine_all(ds, cfg)
     assert [n.pattern for n in l2] == [n.pattern for n in tree.levels[1]]
     assert [n.pattern for n in l3] == [n.pattern for n in tree.levels[2]]
