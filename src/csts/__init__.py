@@ -32,7 +32,6 @@ from .model import (
     PatternNode,
     canonical_key,
     format_pattern,
-    is_proper_supersequence,
     is_supersequence,
     parse_pattern,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "extract_closed",
     "extract_csts",
     "format_pattern",
-    "is_proper_supersequence",
     "is_supersequence",
     "mine_all",
     "mine_csts",

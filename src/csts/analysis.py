@@ -6,6 +6,16 @@ leaving behind a representative supersequence whose participation index is
 within the chosen margin. This module answers queries against that summary —
 exact membership, recoverable closures, and two-sided index estimates whose
 width never exceeds the margin the summary was built with.
+
+A summary answers every query with at most two dict lookups. ``CstsSet``
+builds a witness index once, at construction: the members are ranked
+best-first (pi descending, canonical order on ties), and each one in turn
+claims itself and every substring no better member has claimed. A claimed
+substring stops the walk, because its own substrings were claimed with it.
+So each pattern of the members' substring closure maps to the first member
+in that ranking that contains it, which is the greatest-pi member holding
+it, canonically smallest on ties: the witness a scan over all members
+would pick. The closure is part of the mined tree, which bounds the index.
 """
 
 from __future__ import annotations
@@ -21,7 +31,6 @@ from .model import (
     as_fraction,
     canonical_key,
     format_pattern,
-    is_proper_supersequence,
     is_supersequence,
 )
 
@@ -81,7 +90,8 @@ class CstsSet:
     """Pattern -> pi mapping of the constricted members, plus the margin
     they were extracted under. Detached from tree nodes so it can be
     rebuilt from serialized output. Members are kept in canonical order;
-    a margin or a member pi outside [0, 1] raises ValueError."""
+    a margin or a member pi outside [0, 1] raises ValueError. The witness
+    index behind ``approximate_pi`` is built here, once."""
 
     def __init__(self, pis: Mapping[Pattern, Fraction], epsilon) -> None:
         self.epsilon = as_fraction(epsilon)
@@ -90,9 +100,31 @@ class CstsSet:
         self._pi = dict(sorted(((tuple(p), as_fraction(v)) for p, v in pis.items()),
                                key=lambda item: canonical_key(item[0])))
         # Integer tests: Fraction comparisons cost several times more per load.
+        rank, exact = {}, set()
         for p, v in self._pi.items():
-            if not 0 <= v.numerator <= v.denominator:
+            num, den = v.numerator, v.denominator
+            if not 0 <= num <= den:
                 raise ValueError(f"member {format_pattern(p)} has pi {v} outside [0, 1]")
+            rank[p] = num / den
+            exact.add((num, den))
+        # Floats rank distinct pis exactly unless two of them round to one
+        # float; then the Fractions themselves do. The sort is stable, so
+        # equal pis keep canonical order.
+        key = rank.__getitem__ if len(set(rank.values())) == len(exact) \
+            else self._pi.__getitem__
+        witness: dict[Pattern, Pattern] = {}
+        for s in sorted(self._pi, key=key, reverse=True):
+            if s in witness:
+                continue  # a better member holds s, so all of s as well
+            witness[s] = s
+            todo = [s]
+            for p in todo:  # grows as s claims; stops at claimed substrings
+                if len(p) > 1:
+                    for sub in (p[:-1], p[1:]):
+                        if sub not in witness:
+                            witness[sub] = s
+                            todo.append(sub)
+        self._witness = witness
 
     def __contains__(self, pattern: Pattern) -> bool:
         return tuple(pattern) in self._pi
@@ -107,6 +139,9 @@ class CstsSet:
         return list(self._pi)
 
 
+_ONE = Fraction(1)
+
+
 def approximate_pi(q: Pattern, csts: CstsSet) -> Optional[PiEstimate]:
     """Estimate pi(q) from the summary alone.
 
@@ -118,24 +153,23 @@ def approximate_pi(q: Pattern, csts: CstsSet) -> Optional[PiEstimate]:
     with pi at least pi(q) - margin, so the best witness can only sit
     closer, while any witness underestimates pi(q) by containment. No
     witness at all means q is not threshold-passing.
+
+    No member is scanned. A member's value is one lookup in the mapping;
+    any other q's witness is one lookup in the index the summary built
+    (see the module docstring), exact because a non-member's containing
+    members all contain it properly.
     """
     q = tuple(q)
-    if q in csts:
-        value = csts.pi(q)
+    value = csts._pi.get(q)
+    if value is not None:
         return PiEstimate(lower=value, upper=value, witness=q, exact=True)
-    # One pass in canonical order: only a strictly greater pi replaces the
-    # witness, so the canonically smallest wins a tie. The containment test
-    # goes first because it rejects most members faster than a Fraction
-    # comparison would.
-    witness, best = None, Fraction(-1)
-    for p, pi in csts._pi.items():
-        if is_proper_supersequence(p, q) and pi > best:
-            witness, best = p, pi
+    witness = csts._witness.get(q)
     if witness is None:
         return None
+    best = csts._pi[witness]
     return PiEstimate(
         lower=best,
-        upper=min(best + csts.epsilon, Fraction(1)),
+        upper=min(best + csts.epsilon, _ONE),
         witness=witness,
         exact=False,
     )

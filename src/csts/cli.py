@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -102,8 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
                              help="estimate a pattern's pi from saved records")
     p_query.add_argument("--from", dest="source", required=True,
                          help="record file produced by `mine --algorithm csts`")
-    p_query.add_argument("--pattern", required=True,
-                         help="event-type labels joined by '->'")
+    p_query.add_argument("--pattern", dest="patterns", action="append",
+                         required=True, metavar="PATTERN",
+                         help="event-type labels joined by '->'; repeat it to "
+                              "answer several patterns from one load")
     return parser
 
 
@@ -273,6 +276,24 @@ def _rcmax_sizes(cmax) -> Counter:
     return Counter(rep for reps in cmax.values() for rep in reps)
 
 
+def _check_out(path: Optional[str]) -> None:
+    """Fail before any data is read when --out cannot be written. The file
+    itself is not opened, so an existing one keeps its bytes until the run
+    has succeeded."""
+    if not path:
+        return
+    directory = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(directory):
+        problem = f"no directory {directory}"
+    elif os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        problem = "permission denied"
+    else:
+        return
+    raise _CliError(f"cannot write {path}: {problem}")
+
+
 def _write_records(path: Optional[str], records: list[dict]) -> None:
     text = "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
                    for rec in records)
@@ -359,6 +380,7 @@ def _run_oracle_algorithm(dataset, cfg):
 
 def cmd_mine(args) -> int:
     [[cfg]] = _grid(args, multi=False)
+    _check_out(args.out)
     t_load0 = time.perf_counter()
     dataset, ds_record = _load_dataset(args)
     t_load = time.perf_counter() - t_load0
@@ -401,6 +423,7 @@ def cmd_mine(args) -> int:
 
 def cmd_sweep(args) -> int:
     grid = _grid(args, multi=True)
+    _check_out(args.out)
     t_load0 = time.perf_counter()
     dataset, ds_record = _load_dataset(args)
     t_load = time.perf_counter() - t_load0
@@ -485,30 +508,53 @@ def _ratio_series(points) -> list[dict]:
 # query
 # ---------------------------------------------------------------------------
 
+_decode = json.JSONDecoder().raw_decode
+
+
+def _fraction(text) -> Fraction:
+    """A record's exact ratio. Records write them as "n/d", and building
+    from two ints costs half of parsing the string."""
+    if type(text) is str:
+        num, _, den = text.partition("/")
+        if num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+            return Fraction(int(num), int(den))
+    return Fraction(text)
+
+
 def _load_saved_csts(path) -> tuple[CstsSet, list[str]]:
     """Rebuild the queryable summary from a mine --algorithm csts (or
     oracle) record file."""
     run_record = None
     members: dict[tuple, Fraction] = {}
+    parsed: dict[str, Fraction] = {}  # members share few distinct pis
     try:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
-                if rec.get("record") == "run":
+                # json.loads(line), minus its per-call wrappers: a stripped
+                # line has no whitespace around its one document.
+                rec, end = _decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
+                kind = rec.get("record")
+                if kind == "pattern":
+                    if rec.get("csts"):
+                        text = rec["pi"]
+                        value = parsed.get(text)
+                        if value is None:
+                            value = parsed[text] = _fraction(text)
+                        members[tuple(rec["pattern"].split("->"))] = value
+                elif kind == "run":
                     run_record = rec
-                elif rec.get("record") == "pattern" and rec.get("csts"):
-                    members[tuple(rec["pattern"].split("->"))] = \
-                        Fraction(rec["pi"])
         if run_record is None:
             raise _CliError(f"{path} holds no run record (was it a sweep?)")
         if run_record["counts"].get("csts") is None:
             raise _CliError(
                 f"{path} was mined with --algorithm {run_record['algorithm']}; "
                 "query needs --algorithm csts or oracle output")
-        summary = CstsSet(members, Fraction(run_record["config"]["epsilon"]))
+        summary = CstsSet(members, _fraction(run_record["config"]["epsilon"]))
         labels = run_record.get("types", [])
         if not (isinstance(labels, list)
                 and all(isinstance(label, str) for label in labels)):
@@ -516,33 +562,37 @@ def _load_saved_csts(path) -> tuple[CstsSet, list[str]]:
         return summary, labels
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
         raise _CliError(f"{path} is not a record file: {exc}") from exc
 
 
 def cmd_query(args) -> int:
     summary, labels = _load_saved_csts(args.source)
+    by_label = {label: label for label in labels}
     try:
-        query = parse_pattern(args.pattern, {label: label for label in labels})
+        queries = [parse_pattern(text, by_label) for text in args.patterns]
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     except KeyError as exc:
         raise _CliError(
             f"{exc.args[0]} (dataset types: {', '.join(labels)})") from exc
-    est = approximate_pi(query, summary)
+    for query in queries:
+        print(_answer(query, approximate_pi(query, summary), len(summary)))
+    return 0
+
+
+def _answer(query, est, members: int) -> str:
     name = "->".join(query)
     if est is None:
-        print(f"{name}: not PI-strong under the saved configuration "
-              f"(no supersequence among {len(summary)} summary members)")
-        return 0
+        return (f"{name}: not PI-strong under the saved configuration "
+                f"(no supersequence among {members} summary members)")
     if est.exact:
-        print(f"{name}: PI-strong, exact pi {est.lower} "
-              f"({float(est.lower)}) — member of the summary")
-    else:
-        print(f"{name}: PI-strong, pi in [{est.lower}, {est.upper}] "
-              f"([{float(est.lower)}, {float(est.upper)}]) "
-              f"via witness {'->'.join(est.witness)}")
-    return 0
+        return (f"{name}: PI-strong, exact pi {est.lower} "
+                f"({float(est.lower)}) — member of the summary")
+    return (f"{name}: PI-strong, pi in [{est.lower}, {est.upper}] "
+            f"([{float(est.lower)}, {float(est.upper)}]) "
+            f"via witness {'->'.join(est.witness)}")
 
 
 # ---------------------------------------------------------------------------

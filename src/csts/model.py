@@ -259,11 +259,6 @@ def is_supersequence(outer: Pattern, inner: Pattern) -> bool:
     return any(outer[k : k + m] == inner for k in range(n - m + 1))
 
 
-def is_proper_supersequence(outer: Pattern, inner: Pattern) -> bool:
-    """Contiguous containment with strictly greater length."""
-    return len(outer) > len(inner) and is_supersequence(outer, inner)
-
-
 def canonical_key(pattern: Pattern) -> tuple[int, Pattern]:
     """Total order: length ascending, then lexicographic by type ids.
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from csts import MiningConfig
+from csts import MiningConfig, is_supersequence
 from csts.analysis import (
     CstsSet,
     PiEstimate,
@@ -13,7 +13,7 @@ from csts.analysis import (
     closures_of,
     extract_closed,
 )
-from csts.bottomup import mine_csts
+from csts.bottomup import extract_csts, mine_csts, run_bottom_up
 from csts.oracle import (
     RandomSpec,
     example_config,
@@ -235,3 +235,108 @@ def test_witness_tie_goes_to_shorter_member():
 
 def test_empty_summary_answers_none():
     assert approximate_pi((0,), CstsSet({}, "0.25")) is None
+
+
+# ---------------------------------------------------------------------------
+# The witness index against the linear scan it replaced
+# ---------------------------------------------------------------------------
+
+def scan_pi(q, csts):
+    """Reference: one pass over the members in canonical order, where only
+    a strictly greater pi replaces the witness among the members properly
+    containing q."""
+    q = tuple(q)
+    if q in csts:
+        value = csts.pi(q)
+        return PiEstimate(lower=value, upper=value, witness=q, exact=True)
+    witness, best = None, Fraction(-1)
+    for p in csts.patterns():
+        if len(p) > len(q) and is_supersequence(p, q) and csts.pi(p) > best:
+            witness, best = p, csts.pi(p)
+    if witness is None:
+        return None
+    return PiEstimate(lower=best, upper=min(best + csts.epsilon, Fraction(1)),
+                      witness=witness, exact=False)
+
+
+def _tree_queries(tree, n_types):
+    """Every tree pattern and every one-step extension of one, either end."""
+    patterns = {node.pattern for node in tree}
+    return sorted(patterns
+                  | {p + (t,) for p in patterns for t in range(n_types)}
+                  | {(t,) + p for p in patterns for t in range(n_types)})
+
+
+def _assert_index_matches_scan(ds, tree, eps):
+    csts = CstsSet({n.pattern: n.pi for n in extract_csts(tree, run_bottom_up(tree, eps))},
+                   eps)
+    queries = _tree_queries(tree, len(ds.types))
+    for q in queries:
+        assert approximate_pi(q, csts) == scan_pi(q, csts), (eps, q)
+    return len(queries)
+
+
+@pytest.mark.parametrize("eps", ["0", "0.25", "1"])
+def test_index_matches_scan_on_example(eps):
+    ds = example_dataset()
+    tree = mine_all(ds, example_config())
+    assert _assert_index_matches_scan(ds, tree, Fraction(eps)) > len(tree)
+
+
+def test_index_matches_scan_on_random_datasets():
+    rng = random.Random(2024)
+    queried = 0
+    for trial in range(6):
+        spec = RandomSpec(seed=rng.randrange(10**9), n_types=rng.randint(2, 4),
+                          n_instances=rng.randint(30, 80))
+        ds = generate_random(spec)
+        cfg = MiningConfig(radius=25.0, window=80.0, theta="0.1", max_length=6)
+        tree = mine_all(ds, cfg)
+        for eps in ("0", "0.1", "0.3"):
+            queried += _assert_index_matches_scan(ds, tree, Fraction(eps))
+    assert queried > 1000
+
+
+def _hand_built(pis, eps="1/4"):
+    return CstsSet({p: Fraction(v) for p, v in pis.items()}, eps)
+
+
+def test_equal_pis_across_lengths_go_to_canonically_smallest():
+    csts = _hand_built({(1, 2, 3, 4): "1/2", (3, 1, 2): "1/2", (0, 1, 2): "1/2"})
+    for q in [(1, 2), (1,), (2,), (1, 2, 3), (3,)]:
+        assert approximate_pi(q, csts) == scan_pi(q, csts), q
+    assert approximate_pi((1, 2), csts).witness == (0, 1, 2)
+    assert approximate_pi((1, 2, 3), csts).witness == (1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("inner_pi,outer_pi", [("1/2", "3/4"), ("3/4", "1/2")])
+def test_member_inside_another_member(inner_pi, outer_pi):
+    # The inner member stays exact whichever of the two is better; the
+    # patterns they share go to the better one.
+    csts = _hand_built({(1, 2): inner_pi, (0, 1, 2): outer_pi})
+    assert approximate_pi((1, 2), csts) == PiEstimate(
+        lower=Fraction(inner_pi), upper=Fraction(inner_pi), witness=(1, 2), exact=True)
+    best = (0, 1, 2) if Fraction(outer_pi) > Fraction(inner_pi) else (1, 2)
+    for q in [(1,), (2,)]:
+        assert approximate_pi(q, csts).witness == best
+        assert approximate_pi(q, csts) == scan_pi(q, csts)
+    assert approximate_pi((0, 1), csts).witness == (0, 1, 2)
+
+
+def test_length_one_longer_and_unknown_queries():
+    csts = _hand_built({(0, 1, 0): "2/5", (1, 1): "3/5"})
+    assert approximate_pi((0,), csts) == PiEstimate(
+        lower=Fraction(2, 5), upper=Fraction(13, 20), witness=(0, 1, 0), exact=False)
+    assert approximate_pi((1,), csts).witness == (1, 1)
+    assert approximate_pi((0, 1, 0, 1), csts) is None  # longer than every member
+    assert approximate_pi((7,), csts) is None            # type id no member holds
+    assert approximate_pi((0, 7), csts) is None
+
+
+def test_distinct_pis_that_round_to_one_float_rank_exactly():
+    low = Fraction(1, 3)
+    high = low + Fraction(1, 10**30)
+    assert float(low) == float(high)
+    csts = CstsSet({(0, 1): low, (0, 2): high}, "0")
+    assert approximate_pi((0,), csts).witness == (0, 2)
+    assert approximate_pi((0,), csts) == scan_pi((0,), csts)

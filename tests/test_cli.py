@@ -7,6 +7,7 @@ fast; one subprocess test proves the installed console script works.
 import gc
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import weakref
@@ -522,7 +523,9 @@ class TestQuery:
                                       "epsilon-above-one",
                                       "types-not-labels",
                                       "pi-above-one",
-                                      "pi-below-zero"])
+                                      "pi-below-zero",
+                                      "pi-zero-denominator",
+                                      "epsilon-zero-denominator"])
     def test_malformed_record_file_exits_2(self, saved, tmp_path, capsys,
                                            case):
         recs = [json.loads(line) for line in open(saved)]
@@ -533,11 +536,14 @@ class TestQuery:
             del run["config"]["epsilon"]
         elif case == "epsilon-above-one":
             run["config"]["epsilon"] = "3/2"
+        elif case == "epsilon-zero-denominator":
+            run["config"]["epsilon"] = "1/0"
         elif case == "types-not-labels":
             run["types"] = [["A"], "B"]
-        elif case in ("pi-above-one", "pi-below-zero"):
+        elif case.startswith("pi-"):
             member, = [rec for rec in recs if rec.get("pattern") == "B->B->C->E"]
-            member["pi"] = "3/2" if case == "pi-above-one" else "-1/8"
+            member["pi"] = {"pi-above-one": "3/2", "pi-below-zero": "-1/8",
+                            "pi-zero-denominator": "1/0"}[case]
         lines = [json.dumps(rec) for rec in recs]
         if case == "line-not-an-object":
             lines.insert(1, "[1,2]")
@@ -550,6 +556,37 @@ class TestQuery:
     def test_missing_file_exits_2(self, capsys):
         assert main(["query", "--from", "/nonexistent/x.jsonl",
                      "--pattern", "A"]) == 2
+
+    def test_repeated_pattern_prints_one_shot_lines_in_order(self, saved, capsys):
+        patterns = ["B->B->C", "B->B->C->E", "B->A", "B->B->C"]
+        one_shot = []
+        for pattern in patterns:
+            assert main(["query", "--from", saved, "--pattern", pattern]) == 0
+            one_shot.append(capsys.readouterr().out)
+        argv = ["query", "--from", saved]
+        for pattern in patterns:
+            argv += ["--pattern", pattern]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "".join(one_shot)
+
+    def test_repeated_pattern_loads_once(self, saved, monkeypatch, capsys):
+        import csts.cli
+        loads = []
+        real = csts.cli._load_saved_csts
+        monkeypatch.setattr(csts.cli, "_load_saved_csts",
+                            lambda path: loads.append(path) or real(path))
+        assert main(["query", "--from", saved, "--pattern", "B->B",
+                     "--pattern", "C->E", "--pattern", "A"]) == 0
+        assert loads == [saved]
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+    @pytest.mark.parametrize("bad", ["B->Q", "B->->C"])
+    def test_bad_label_in_any_pattern_prints_nothing(self, saved, capsys, bad):
+        assert main(["query", "--from", saved, "--pattern", "B->B->C",
+                     "--pattern", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -570,13 +607,43 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["mine", "sweep"])
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
-    def test_unwritable_out_exits_2(self, tmp_path, capsys, command, where):
+    def test_unwritable_out_exits_2(self, tmp_path, pipeline_calls, capsys,
+                                    command, where):
+        # Checked before the load, so no load, index build or mining run.
         out = tmp_path / "missing" / "x.jsonl" if where == "missing-dir" else tmp_path
         argv = [command, "--input", FIXTURE, "--radius", "10", "--window", "20",
                 "--theta", "0.2", "--out", str(out)]
         assert main(argv) == 2
+        assert pipeline_calls == []
         err = capsys.readouterr().err
         assert f"cannot write {out}: " in err and "Traceback" not in err
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                        reason="root may write to a read-only directory")
+    def test_read_only_out_directory_fails_before_loading(self, tmp_path,
+                                                          pipeline_calls, capsys):
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        locked.chmod(0o500)
+        try:
+            out = locked / "x.jsonl"
+            assert main(BASE + ["--theta", "0.2", "--out", str(out)]) == 2
+        finally:
+            locked.chmod(0o700)
+        assert pipeline_calls == []
+        assert f"cannot write {out}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["mine", "sweep"])
+    @pytest.mark.parametrize("failure", ["missing-input", "bad-degrees"])
+    def test_failed_run_leaves_existing_out_untouched(self, tmp_path, capsys,
+                                                      command, failure):
+        out = tmp_path / "kept.jsonl"
+        out.write_text("earlier output\n")
+        source = (["--input", "/nonexistent.csv"] if failure == "missing-input"
+                  else ["--synthetic", "3,30,500,300", "--metric", "geodesic"])
+        assert main([command, *source, "--radius", "10", "--window", "20",
+                     "--theta", "0.2", "--out", str(out)]) == 2
+        assert out.read_text() == "earlier output\n"
 
     def test_mine_rejects_threshold_lists(self, capsys):
         assert main(BASE + ["--theta", "0.1,0.2"]) == 2
