@@ -1,14 +1,16 @@
-"""Brute-force reference implementations and test-data generators.
+"""Brute-force reference miner and synthetic-data generator.
 
 Everything here is deliberately naive: neighborhoods come from a double loop
 with its own inline distance arithmetic, and sub/supersequence checks use
 their own explicit offset scan. None of it shares code with the fast miner,
 so agreement between the two is meaningful evidence of correctness. A size
 guard refuses inputs large enough to make the naive algorithms painful.
+``csts mine --algorithm oracle`` runs this miner, and ``--synthetic`` runs
+:func:`generate_random`.
 
-The module also ships :func:`example_dataset`, a hand-constructed
-61-instance dataset whose full pattern lattice is known exactly; it is the
-canonical input of the test suite and is committed as
+:func:`example_dataset` and :func:`example_config` give the hand-constructed
+61-instance worked example, whose full pattern lattice is known exactly, and
+its thresholds. The example's one source is the bundled
 ``data/example_events.csv``.
 """
 
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .ingestion import EXAMPLE_EVENTS_FILE, load_generic
 from .model import (
     EventDataset,
     EventInstance,
@@ -89,17 +92,6 @@ class _NaiveNeighbors:
         result = frozenset(found)
         self._cache[key] = result
         return result
-
-
-def naive_neighborhood(
-    dataset: EventDataset, cfg: MiningConfig, e_idx: int, type_id: int,
-) -> frozenset[int]:
-    """Reference neighborhood of one instance: a plain double-loop filter.
-
-    The fast index must reproduce this set exactly for every (instance,
-    type) pair.
-    """
-    return _NaiveNeighbors(dataset, cfg)(e_idx, type_id)
 
 
 def oracle_all_patterns(
@@ -207,22 +199,6 @@ def oracle_csts(
     return members, cmax
 
 
-def oracle_closures(
-    all_patterns: list[tuple[Pattern, Fraction]],
-    pattern: Pattern,
-) -> list[Pattern]:
-    """All closures of a pattern: closed supersequences (itself included,
-    when closed) with pi equal to the pattern's own pi."""
-    pi_of = dict(all_patterns)
-    pi = pi_of[pattern]
-    closed = oracle_closed(all_patterns)
-    return [
-        q
-        for q, qpi in closed
-        if qpi == pi and (q == pattern or (len(q) > len(pattern) and _contains(q, pattern)))
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Random datasets
 # ---------------------------------------------------------------------------
@@ -244,8 +220,9 @@ class RandomSpec:
     def __post_init__(self) -> None:
         if self.n_types < 1 or self.n_instances < 0:
             raise ValueError("n_types must be >= 1 and n_instances >= 0")
-        if self.area <= 0 or self.horizon <= 0:
-            raise ValueError("area and horizon must be positive")
+        # NaN fails every comparison, so test for the good range.
+        if not (0 < self.area < math.inf) or self.horizon <= 0:
+            raise ValueError("area must be finite and positive, and horizon positive")
         # Every integer up to 2**53 is exact in float64, the times' dtype.
         if self.horizon > 2**53:
             raise ValueError("horizon must be at most 2**53")
@@ -276,64 +253,26 @@ def generate_random(spec: RandomSpec) -> EventDataset:
 EXAMPLE_RADIUS = 10.0
 EXAMPLE_WINDOW = 20.0
 
-# (name, label, x, y, time). Geometry notes:
-#   * pairs at squared distance exactly 100 sit on the inclusive boundary
-#     (b8->b2/b4/b7, b1->b5, b3->b6, b4->c3, b7->c4, b2->d3, c3->e13..15,
-#     c5->e16..32);
-#   * c1 misses the (1,17) E-pack by sqrt(106) so only c2 reaches it;
-#   * instances sharing a timestamp are mutually invisible (simultaneity is
-#     excluded), which keeps the E-packs and d1/d2 from chaining;
-#   * c5 and its 17-strong E-pack live at x=1000, far from everything else.
-_EXAMPLE_ROWS: tuple[tuple[str, str, float, float, int], ...] = (
-    ("a1", "A", 0, 0, 0),
-    ("a2", "A", 32, 0, 12),
-    ("b1", "B", -8, 0, 10),
-    ("b2", "B", 8, 0, 15),
-    ("b3", "B", 40, 0, 25),
-    ("b4", "B", 24, 0, 20),
-    ("b5", "B", -8, 10, 28),
-    ("b6", "B", 40, 10, 40),
-    ("b7", "B", 16, 16, 22),
-    ("b8", "B", 16, 6, 5),
-    ("c1", "C", -4, 8, 30),
-    ("c2", "C", -3, 8, 30),
-    ("c3", "C", 24, -10, 30),
-    ("c4", "C", 16, 26, 38),
-    ("c5", "C", 1000, 0, 10),
-    ("c6", "C", 10, 16, 55),
-    ("c7", "C", -6, 20, 55),
-    ("c8", "C", 16, 42, 45),
-    ("d1", "D", -16, 2, 25),
-    ("d2", "D", -16, -2, 25),
-    ("d3", "D", 8, -10, 30),
-    ("e1", "E", 4, 12, 40),
-    ("e2", "E", 5, 12, 40),
-    *((f"e{i}", "E", 1, 17, 40) for i in range(3, 13)),
-    *((f"e{i}", "E", 24, -20, 40) for i in range(13, 16)),
-    *((f"e{i}", "E", 1000, 10, 20) for i in range(16, 33)),
-    *((f"e{i}", "E", 16, 34, 30) for i in range(33, 41)),
-)
-
-#: Instance name -> dataset idx, for readable assertions and demos.
-EXAMPLE_NAME_TO_IDX: dict[str, int] = {
-    row[0]: i for i, row in enumerate(_EXAMPLE_ROWS)
-}
-
 
 def example_dataset() -> EventDataset:
-    """The bundled 61-instance demonstration dataset.
+    """The bundled 61-instance demonstration dataset, loaded from
+    ``data/example_events.csv``, its one source.
 
     Engineered so that, at radius 10 / window 20 / theta 0.2, the full
     lattice holds exactly 26 patterns over types A..E with known exact
-    participation indexes (the test suite freezes all of them). Committed in
-    generic CSV form as ``data/example_events.csv``.
+    participation indexes (the test suite freezes all of them). The tests
+    name an instance by its label in lower case plus its 1-based rank
+    within its type (a1, a2, b1, ...). Geometry notes:
+
+    * pairs at squared distance exactly 100 sit on the inclusive boundary
+      (b8->b2/b4/b7, b1->b5, b3->b6, b4->c3, b7->c4, b2->d3, c3->e13..15,
+      c5->e16..32);
+    * c1 misses the (1,17) E-pack by sqrt(106) so only c2 reaches it;
+    * instances sharing a timestamp are mutually invisible (simultaneity is
+      excluded), which keeps the E-packs and d1/d2 from chaining;
+    * c5 and its 17-strong E-pack live at x=1000, far from everything else.
     """
-    labels = sorted({row[1] for row in _EXAMPLE_ROWS})
-    types = [EventType(i, lab) for i, lab in enumerate(labels)]
-    label_to_id = {lab: i for i, lab in enumerate(labels)}
-    _, row_labels, xs, ys, times = zip(*_EXAMPLE_ROWS)
-    return EventDataset.from_columns(
-        types, [label_to_id[label] for label in row_labels], xs, ys, times)
+    return load_generic(EXAMPLE_EVENTS_FILE)[0]
 
 
 def example_config(theta="0.2", epsilon="0.25", strict_theta: bool = True,

@@ -1,12 +1,19 @@
-"""Frozen expected values for the bundled example dataset.
+"""Frozen expected values for the bundled example dataset, plus the
+test-side reference helpers.
 
 Every number here was derived by hand from the dataset geometry (and is
 re-checked against the brute-force oracle by the test suite); tests import
 these constants instead of re-deriving them so that a regression in the
 oracle and a regression in the miner cannot cancel out.
+
+The helpers at the end build on the oracle's own neighborhood loop and
+offset scan, never on the code under test.
 """
 
+from collections import Counter
 from fractions import Fraction
+
+from csts.oracle import _contains, _NaiveNeighbors, example_dataset, oracle_closed
 
 F = Fraction
 
@@ -136,3 +143,37 @@ def labels_to_pattern(dataset, name: str):
 
 def lattice_as_patterns(dataset) -> dict[tuple, Fraction]:
     return {dataset.parse_pattern(k): v for k, v in EXPECTED_LATTICE.items()}
+
+
+def _example_names(dataset) -> dict[str, int]:
+    # Label in lower case plus the 1-based rank within its type, in idx order.
+    rank = Counter()
+    names = {}
+    for inst in dataset.instances:
+        label = dataset.label_of(inst.event_type)
+        rank[label] += 1
+        names[f"{label.lower()}{rank[label]}"] = inst.idx
+    return names
+
+
+#: Instance name (a1, a2, b1, ...) -> example dataset idx, for readable
+#: assertions.
+EXAMPLE_NAME_TO_IDX: dict[str, int] = _example_names(example_dataset())
+
+
+def naive_neighborhood(dataset, cfg, e_idx: int, type_id: int) -> frozenset[int]:
+    """Reference neighborhood of one instance: the oracle's double-loop
+    filter. The fast index must reproduce this set exactly for every
+    (instance, type) pair."""
+    return _NaiveNeighbors(dataset, cfg)(e_idx, type_id)
+
+
+def oracle_closures(all_patterns, pattern) -> list:
+    """All closures of a pattern: closed supersequences (itself included,
+    when closed) with pi equal to the pattern's own pi."""
+    pi = dict(all_patterns)[pattern]
+    return [
+        q
+        for q, qpi in oracle_closed(all_patterns)
+        if qpi == pi and (q == pattern or (len(q) > len(pattern) and _contains(q, pattern)))
+    ]

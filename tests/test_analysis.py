@@ -21,7 +21,6 @@ from csts.oracle import (
     generate_random,
     oracle_all_patterns,
     oracle_closed,
-    oracle_closures,
 )
 from csts.topdown import mine_all
 
@@ -30,6 +29,7 @@ from expected import (
     EXPECTED_CLOSURES_BCE,
     EXPECTED_CSTS_EPS_25,
     FULL,
+    oracle_closures,
 )
 
 

@@ -528,7 +528,8 @@ class TestQuery:
                                       "epsilon-zero-denominator"])
     def test_malformed_record_file_exits_2(self, saved, tmp_path, capsys,
                                            case):
-        recs = [json.loads(line) for line in open(saved)]
+        with open(saved) as fh:
+            recs = [json.loads(line) for line in fh]
         run = run_of(recs)
         if case == "run-without-counts":
             del run["counts"]
@@ -720,6 +721,12 @@ class TestErrors:
     def test_bad_synthetic_spec(self, capsys):
         assert main(["mine", "--synthetic", "5", "--radius", "10",
                      "--window", "20"]) == 2
+        capsys.readouterr()
+        # A non-finite area is a bad spec, not a traceback out of generation.
+        for area in ["nan", "inf", "1e400"]:
+            assert main(["mine", "--synthetic", f"3,30,{area},300", "--radius", "10",
+                         "--window", "20"]) == 2, area
+            assert "bad --synthetic spec" in capsys.readouterr().err
 
     def test_bad_threshold_value(self, capsys):
         assert main(BASE + ["--theta", "banana"]) == 2

@@ -13,22 +13,22 @@ import pytest
 
 from csts.model import MiningConfig
 from csts.oracle import (
-    EXAMPLE_NAME_TO_IDX,
     EXAMPLE_RADIUS,
     EXAMPLE_WINDOW,
     example_config,
     example_dataset,
-    naive_neighborhood,
     oracle_all_patterns,
 )
 
 from expected import (
+    EXAMPLE_NAME_TO_IDX,
     EXPECTED_AT_04,
     EXPECTED_LATTICE,
     EXPECTED_N_A1_B,
     EXPECTED_N_C1_E,
     EXPECTED_SUPPORTS_ABC,
     lattice_as_patterns,
+    naive_neighborhood,
 )
 
 DATA_CSV = Path(__file__).resolve().parents[1] / "src" / "csts" / "data" / "example_events.csv"

@@ -15,7 +15,8 @@ import pytest
 from csts import EventDataset, EventInstance, EventType, MiningConfig
 from csts.ingestion import load_boston, load_pittsburgh
 from csts.neighborhoods import build_index
-from csts.oracle import naive_neighborhood
+
+from expected import naive_neighborhood
 
 EARTH_RADIUS_KM = 6371.0
 

@@ -13,6 +13,8 @@ from csts.ingestion import (
 )
 from csts.oracle import RandomSpec, example_dataset, generate_random
 
+from expected import EXAMPLE_NAME_TO_IDX
+
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
@@ -28,7 +30,15 @@ def _datasets_equal(a, b):
 
 def test_bundled_example_file_loads_to_the_example_dataset():
     ds, report = load_generic(EXAMPLE_EVENTS_FILE)
-    assert _datasets_equal(ds, example_dataset())
+    # The file is the example's one source; the instance names the tests
+    # derive from it must land on the instances its geometry describes.
+    def place(name):
+        inst = ds.instances[EXAMPLE_NAME_TO_IDX[name]]
+        return ds.label_of(inst.event_type), inst.x, inst.y, inst.time
+
+    assert place("c5") == ("C", 1000, 0, 10)
+    assert {place(f"e{i}") for i in range(16, 33)} == {("E", 1000, 10, 20)}
+    assert {t.label: ds.count(t.id) for t in ds.types} == {"A": 2, "B": 8, "C": 8, "D": 3, "E": 40}
     assert report.rows_read == 61
     assert report.instances_kept == 61
     assert report.rows_rejected == 0

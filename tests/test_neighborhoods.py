@@ -15,12 +15,15 @@ from csts.oracle import (
     example_config,
     example_dataset,
     generate_random,
-    naive_neighborhood,
     oracle_all_patterns,
-    EXAMPLE_NAME_TO_IDX,
 )
 
-from expected import EXPECTED_N_A1_B, EXPECTED_N_C1_E
+from expected import (
+    EXAMPLE_NAME_TO_IDX,
+    EXPECTED_N_A1_B,
+    EXPECTED_N_C1_E,
+    naive_neighborhood,
+)
 
 
 def _neighbors(index, e_idx, type_id):

@@ -14,11 +14,10 @@ from csts.oracle import (
     oracle_all_patterns,
     oracle_closed,
     oracle_cmax,
-    oracle_closures,
     oracle_csts,
 )
 
-from expected import EXPECTED_CLOSURES_BCE
+from expected import EXPECTED_CLOSURES_BCE, oracle_closures
 
 
 def small_cfg(theta="0", epsilon="0", **kw):
@@ -144,6 +143,11 @@ class TestRandomGenerator:
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             RandomSpec(seed=1, n_types=0, n_instances=5)
+        # NaN passes "area <= 0", and an infinite area gives infinite
+        # coordinates, so the spec must refuse both up front.
+        for area in [float("nan"), float("inf"), 0.0]:
+            with pytest.raises(ValueError, match="area must be finite and positive"):
+                RandomSpec(seed=1, n_types=3, n_instances=30, area=area)
 
     def test_horizon_beyond_exact_float64_times_rejected(self):
         # Times are stored as float64; every integer up to 2**53 is exact.

@@ -57,3 +57,21 @@ def test_every_public_name_has_a_user():
         if not any(word.search(text) for text in [readme, *users]):
             unused.append(name)
     assert not unused, f"public names with no user outside their own module: {unused}"
+
+
+def test_every_oracle_name_has_a_user_outside_the_tests():
+    # csts.oracle holds the brute-force reference, not test helpers: each
+    # public function or class it defines must appear, as a whole word, in
+    # another package module, in README.md or in a perfbench script.
+    src = Path(csts.__file__).parent
+    root = Path(__file__).resolve().parents[1]
+    oracle = src / "oracle.py"
+    users = [p.read_text(encoding="utf-8")
+             for p in [*src.glob("*.py"), root / "README.md", *root.glob("perfbench/*.py")]
+             if p != oracle]
+    names = [node.name for node in ast.parse(oracle.read_text(encoding="utf-8")).body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and not node.name.startswith("_")]
+    unused = [name for name in names
+              if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in users)]
+    assert not unused, f"csts.oracle names that only the tests use: {unused}"

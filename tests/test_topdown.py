@@ -19,12 +19,16 @@ from csts.oracle import (
     example_config,
     example_dataset,
     generate_random,
-    naive_neighborhood,
     oracle_all_patterns,
 )
 from csts.topdown import gen_and_verify, mine_all, mine_level1
 
-from expected import EXPECTED_AT_04, EXPECTED_LATTICE, lattice_as_patterns
+from expected import (
+    EXPECTED_AT_04,
+    EXPECTED_LATTICE,
+    lattice_as_patterns,
+    naive_neighborhood,
+)
 
 
 @pytest.fixture(scope="module")
