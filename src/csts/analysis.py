@@ -7,15 +7,16 @@ within the chosen margin. This module answers queries against that summary —
 exact membership, recoverable closures, and two-sided index estimates whose
 width never exceeds the margin the summary was built with.
 
-A summary answers every query with at most two dict lookups. ``CstsSet``
-builds a witness index once, at construction: the members are ranked
-best-first (pi descending, canonical order on ties), and each one in turn
-claims itself and every substring no better member has claimed. A claimed
-substring stops the walk, because its own substrings were claimed with it.
-So each pattern of the members' substring closure maps to the first member
-in that ranking that contains it, which is the greatest-pi member holding
-it, canonically smallest on ties: the witness a scan over all members
-would pick. The closure is part of the mined tree, which bounds the index.
+A summary answers every query with one dict lookup. ``CstsSet`` builds the
+answers once, at construction: the members are ranked best-first (pi
+descending, canonical order on ties), and each one in turn maps itself to
+its exact estimate, and every substring no better member has claimed to one
+interval estimate that they share. A claimed substring stops the walk,
+because its own substrings were claimed with it. So each other pattern of
+the members' substring closure is answered by the first member in that
+ranking that contains it: the greatest-pi member holding it, canonically
+smallest on ties, which a scan over all members would pick. The closure is
+part of the mined tree, which bounds the index.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .model import (
     Pattern,
     PatternNode,
     as_fraction,
-    canonical_key,
     format_pattern,
     is_supersequence,
 )
@@ -90,15 +90,16 @@ class CstsSet:
     """Pattern -> pi mapping of the constricted members, plus the margin
     they were extracted under. Detached from tree nodes so it can be
     rebuilt from serialized output. Members are kept in canonical order;
-    a margin or a member pi outside [0, 1] raises ValueError. The witness
-    index behind ``approximate_pi`` is built here, once."""
+    a margin or a member pi outside [0, 1] raises ValueError. The index
+    from each pattern to its ``approximate_pi`` answer is built here."""
 
     def __init__(self, pis: Mapping[Pattern, Fraction], epsilon) -> None:
         self.epsilon = as_fraction(epsilon)
         if not (0 <= self.epsilon <= 1):
             raise ValueError("epsilon must lie in [0, 1]")
-        self._pi = dict(sorted(((tuple(p), as_fraction(v)) for p, v in pis.items()),
-                               key=lambda item: canonical_key(item[0])))
+        pi = {tuple(p): as_fraction(v) for p, v in pis.items()}
+        # Canonical order from two C-level sorts: the second is stable.
+        self._pi = {p: pi[p] for p in sorted(sorted(pi), key=len)}
         # Integer tests: Fraction comparisons cost several times more per load.
         rank, exact = {}, set()
         for p, v in self._pi.items():
@@ -112,19 +113,29 @@ class CstsSet:
         # equal pis keep canonical order.
         key = rank.__getitem__ if len(set(rank.values())) == len(exact) \
             else self._pi.__getitem__
-        witness: dict[Pattern, Pattern] = {}
+        en, ed = self.epsilon.numerator, self.epsilon.denominator
+        answer: dict[Pattern, PiEstimate] = {}
         for s in sorted(self._pi, key=key, reverse=True):
-            if s in witness:
+            v = self._pi[s]
+            claimed = s in answer
+            answer[s] = PiEstimate(v, v, s, True)  # positional: keywords cost 2x
+            if claimed:
                 continue  # a better member holds s, so all of s as well
-            witness[s] = s
+            interval = None  # built when s first claims a substring
             todo = [s]
             for p in todo:  # grows as s claims; stops at claimed substrings
                 if len(p) > 1:
                     for sub in (p[:-1], p[1:]):
-                        if sub not in witness:
-                            witness[sub] = s
+                        if sub not in answer:
+                            if interval is None:
+                                # min(v + epsilon, 1) in integers
+                                n = v.numerator * ed + en * v.denominator
+                                d = v.denominator * ed
+                                interval = PiEstimate(
+                                    v, _ONE if n >= d else Fraction(n, d), s, False)
+                            answer[sub] = interval
                             todo.append(sub)
-        self._witness = witness
+        self._answer = answer
 
     def __contains__(self, pattern: Pattern) -> bool:
         return tuple(pattern) in self._pi
@@ -154,22 +165,9 @@ def approximate_pi(q: Pattern, csts: CstsSet) -> Optional[PiEstimate]:
     closer, while any witness underestimates pi(q) by containment. No
     witness at all means q is not threshold-passing.
 
-    No member is scanned. A member's value is one lookup in the mapping;
-    any other q's witness is one lookup in the index the summary built
-    (see the module docstring), exact because a non-member's containing
-    members all contain it properly.
+    No member is scanned and nothing is built: the summary made every
+    answer once (see the module docstring), so q's is one lookup. The
+    index is exact for a non-member because every member containing it
+    contains it properly.
     """
-    q = tuple(q)
-    value = csts._pi.get(q)
-    if value is not None:
-        return PiEstimate(lower=value, upper=value, witness=q, exact=True)
-    witness = csts._witness.get(q)
-    if witness is None:
-        return None
-    best = csts._pi[witness]
-    return PiEstimate(
-        lower=best,
-        upper=min(best + csts.epsilon, _ONE),
-        witness=witness,
-        exact=False,
-    )
+    return csts._answer.get(tuple(q))

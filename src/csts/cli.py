@@ -13,6 +13,7 @@ Exit codes: 0 success; 2 usage or data errors; 3 oracle size guard.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -47,6 +48,7 @@ class _CliError(Exception):
 # Flag surface
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=_PROG,
@@ -508,9 +510,6 @@ def _ratio_series(points) -> list[dict]:
 # query
 # ---------------------------------------------------------------------------
 
-_decode = json.JSONDecoder().raw_decode
-
-
 def _fraction(text) -> Fraction:
     """A record's exact ratio. Records write them as "n/d", and building
     from two ints costs half of parsing the string."""
@@ -521,33 +520,33 @@ def _fraction(text) -> Fraction:
     return Fraction(text)
 
 
-def _load_saved_csts(path) -> tuple[CstsSet, list[str]]:
+def _load_saved_csts(path) -> tuple[CstsSet, list[str], Optional[int]]:
     """Rebuild the queryable summary from a mine --algorithm csts (or
-    oracle) record file."""
+    oracle) record file. The third value is the run's depth when its
+    search was capped there, else None."""
     run_record = None
     members: dict[tuple, Fraction] = {}
     parsed: dict[str, Fraction] = {}  # members share few distinct pis
     try:
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                # json.loads(line), minus its per-call wrappers: a stripped
-                # line has no whitespace around its one document.
-                rec, end = _decode(line)
-                if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
-                kind = rec.get("record")
-                if kind == "pattern":
-                    if rec.get("csts"):
-                        text = rec["pi"]
-                        value = parsed.get(text)
-                        if value is None:
-                            value = parsed[text] = _fraction(text)
-                        members[tuple(rec["pattern"].split("->"))] = value
-                elif kind == "run":
-                    run_record = rec
+            lines = [line for line in fh.read().split("\n") if line.strip()]
+        # One json.loads for the whole file, each line in its own brackets:
+        # a line holding two documents makes a pair, which the loop refuses,
+        # and a document split over lines changes the count.
+        records = json.loads("[[" + "],[".join(lines) + "]]")
+        if len(records) != len(lines):
+            raise ValueError(f"{len(records)} documents on {len(lines)} lines")
+        for rec, in records:
+            kind = rec.get("record")
+            if kind == "pattern":
+                if rec.get("csts"):
+                    text = rec["pi"]
+                    value = parsed.get(text)
+                    if value is None:
+                        value = parsed[text] = _fraction(text)
+                    members[tuple(rec["pattern"].split("->"))] = value
+            elif kind == "run":
+                run_record = rec
         if run_record is None:
             raise _CliError(f"{path} holds no run record (was it a sweep?)")
         if run_record["counts"].get("csts") is None:
@@ -559,7 +558,10 @@ def _load_saved_csts(path) -> tuple[CstsSet, list[str]]:
         if not (isinstance(labels, list)
                 and all(isinstance(label, str) for label in labels)):
             raise ValueError("the run record's types are not a list of labels")
-        return summary, labels
+        capped_at = run_record["depth"] if run_record.get("capped") else None
+        if not (capped_at is None or type(capped_at) is int):
+            raise ValueError("the run record's depth is not a length")
+        return summary, labels, capped_at
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
     except (AttributeError, KeyError, TypeError, ValueError,
@@ -568,7 +570,7 @@ def _load_saved_csts(path) -> tuple[CstsSet, list[str]]:
 
 
 def cmd_query(args) -> int:
-    summary, labels = _load_saved_csts(args.source)
+    summary, labels, capped_at = _load_saved_csts(args.source)
     by_label = {label: label for label in labels}
     try:
         queries = [parse_pattern(text, by_label) for text in args.patterns]
@@ -578,12 +580,18 @@ def cmd_query(args) -> int:
         raise _CliError(
             f"{exc.args[0]} (dataset types: {', '.join(labels)})") from exc
     for query in queries:
-        print(_answer(query, approximate_pi(query, summary), len(summary)))
+        print(_answer(query, approximate_pi(query, summary), len(summary),
+                      capped_at))
     return 0
 
 
-def _answer(query, est, members: int) -> str:
+def _answer(query, est, members: int, capped_at: Optional[int]) -> str:
     name = "->".join(query)
+    if capped_at is not None and len(query) > capped_at:
+        # The search stopped at capped_at with patterns still passing, so
+        # no member can say whether a longer pattern is strong.
+        return (f"{name}: unknown: longer than the saved run's depth "
+                f"{capped_at}, where the search was capped")
     if est is None:
         return (f"{name}: not PI-strong under the saved configuration "
                 f"(no supersequence among {members} summary members)")

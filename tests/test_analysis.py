@@ -233,12 +233,21 @@ def test_witness_tie_goes_to_shorter_member():
     assert approximate_pi((1, 2), csts).witness == (1, 2, 3)
 
 
+def test_interval_upper_clamps_at_one():
+    csts = CstsSet({(0, 1): Fraction(9, 10), (2, 3): Fraction(3, 4),
+                    (4, 5): Fraction(7, 10)}, "1/4")
+    assert approximate_pi((0,), csts) == PiEstimate(
+        lower=Fraction(9, 10), upper=Fraction(1), witness=(0, 1), exact=False)
+    assert approximate_pi((2,), csts).upper == Fraction(1)
+    assert approximate_pi((4,), csts).upper == Fraction(19, 20)
+
+
 def test_empty_summary_answers_none():
     assert approximate_pi((0,), CstsSet({}, "0.25")) is None
 
 
 # ---------------------------------------------------------------------------
-# The witness index against the linear scan it replaced
+# The answer index against the linear scan it replaced
 # ---------------------------------------------------------------------------
 
 def scan_pi(q, csts):

@@ -525,7 +525,9 @@ class TestQuery:
                                       "pi-above-one",
                                       "pi-below-zero",
                                       "pi-zero-denominator",
-                                      "epsilon-zero-denominator"])
+                                      "epsilon-zero-denominator",
+                                      "two-documents-on-one-line",
+                                      "split-and-joined-lines"])
     def test_malformed_record_file_exits_2(self, saved, tmp_path, capsys,
                                            case):
         with open(saved) as fh:
@@ -548,6 +550,15 @@ class TestQuery:
         lines = [json.dumps(rec) for rec in recs]
         if case == "line-not-an-object":
             lines.insert(1, "[1,2]")
+        elif case == "two-documents-on-one-line":
+            at = recs.index(run)
+            lines[at:at + 2] = [lines[at] + "," + lines[at + 1]]
+        elif case == "split-and-joined-lines":
+            # The line count still equals the document count.
+            at = recs.index(run)
+            cut = lines[at].index(', "config"')
+            lines[at:at + 1] = [lines[at][:cut], lines[at][cut + 2:]]
+            lines[-2:] = [lines[-2] + "," + lines[-1]]
         broken = tmp_path / "broken.jsonl"
         broken.write_text("\n".join(lines) + "\n")
         assert main(["query", "--from", str(broken),
@@ -557,6 +568,57 @@ class TestQuery:
     def test_missing_file_exits_2(self, capsys):
         assert main(["query", "--from", "/nonexistent/x.jsonl",
                      "--pattern", "A"]) == 2
+
+    def test_blank_lines_between_records_load(self, saved, tmp_path, capsys):
+        patterns = ["--pattern", "B->B->C", "--pattern", "B->B->C->E",
+                    "--pattern", "B->A"]
+        assert main(["query", "--from", saved, *patterns]) == 0
+        want = capsys.readouterr().out
+        with open(saved) as fh:
+            lines = fh.read().splitlines()
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_text("\n" + "\n  \n".join(lines) + "\n\n")
+        assert main(["query", "--from", str(spaced), *patterns]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_capped_run_leaves_longer_patterns_unknown(self, tmp_path, capsys):
+        # At full depth B->B->C->E is a member with pi 3/8; a search capped
+        # at length 3 cannot tell.
+        out = tmp_path / "cap.jsonl"
+        assert main(BASE + ["--theta", "0.2", "--epsilon", "0.25",
+                            "--max-length", "3", "--out", str(out)]) == 0
+        run = run_of([json.loads(line) for line in out.read_text().splitlines()])
+        assert run["capped"] is True and run["depth"] == 3
+        capsys.readouterr()
+        assert main(["query", "--from", str(out), "--pattern", "B->B->C->E",
+                     "--pattern", "B->B->C"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "B->B->C->E: unknown: longer than the saved run's depth 3, "
+            "where the search was capped",
+            "B->B->C: PI-strong, exact pi 1/2 (0.5) — member of the summary",
+        ]
+
+    def test_upper_bound_clamps_at_one(self, tmp_path, capsys):
+        out = tmp_path / "wide.jsonl"
+        assert main(BASE + ["--theta", "0.2", "--epsilon", "0.75",
+                            "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["query", "--from", str(out), "--pattern", "B->B->C"]) == 0
+        assert capsys.readouterr().out == (
+            "B->B->C: PI-strong, pi in [1/4, 1] ([0.25, 1.0]) "
+            "via witness A->B->B->C->E->C\n")
+
+    def test_consecutive_calls_share_no_parser_state(self, saved, tmp_path,
+                                                     capsys):
+        assert main(["query", "--from", saved, "--pattern", "B->B->C",
+                     "--pattern", "B->B->C->E"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert main(["query", "--from", saved, "--pattern", "B->B->C"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+        argv = BASE + ["--theta", "0.2", "--epsilon", "0.25"]
+        assert run_of(run_records(tmp_path, "all.jsonl", argv + [
+            "--algorithm", "all"]))["algorithm"] == "all"
+        assert run_of(run_records(tmp_path, "plain.jsonl", argv))["algorithm"] == "csts"
 
     def test_repeated_pattern_prints_one_shot_lines_in_order(self, saved, capsys):
         patterns = ["B->B->C", "B->B->C->E", "B->A", "B->B->C"]
