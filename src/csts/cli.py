@@ -31,9 +31,9 @@ from .oracle import (
     OracleSizeError,
     RandomSpec,
     generate_random,
-    oracle_all_patterns,
     oracle_closed,
     oracle_cmax,
+    oracle_search,
 )
 from .topdown import mine_all, require_bounded
 
@@ -167,41 +167,52 @@ def _load_dataset(args) -> tuple[EventDataset, dict]:
             )
         except ValueError as exc:
             raise _CliError(f"bad --synthetic spec: {exc}") from exc
-        dataset = generate_random(spec)
-        record = {
-            "record": "dataset",
-            "source": f"synthetic(seed={spec.seed},types={spec.n_types},"
-                      f"instances={spec.n_instances},area={spec.area},"
-                      f"horizon={spec.horizon})",
-            "instances": len(dataset),
-            "types": len(dataset.types),
-            "rows_read": None,
-            "rejected": None,
-        }
-        return dataset, record
-    if not args.input:
+        dataset, report = generate_random(spec), None
+        source = (f"synthetic(seed={spec.seed},types={spec.n_types},"
+                  f"instances={spec.n_instances},area={spec.area},"
+                  f"horizon={spec.horizon})")
+    elif not args.input:
         raise _CliError("give --input FILE or --synthetic SPEC")
-    loaders = {
-        "generic": load_generic,
-        "pittsburgh": load_pittsburgh,
-        "boston": lambda p: load_boston(p, reduced=False),
-        "boston-reduced": lambda p: load_boston(p, reduced=True),
-    }
-    try:
-        dataset, report = loaders[args.schema](args.input)
-    except OSError as exc:
-        raise _CliError(f"cannot read {args.input}: {exc}") from exc
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
-    record = {
+    else:
+        loaders = {
+            "generic": load_generic,
+            "pittsburgh": load_pittsburgh,
+            "boston": lambda p: load_boston(p, reduced=False),
+            "boston-reduced": lambda p: load_boston(p, reduced=True),
+        }
+        try:
+            dataset, report = loaders[args.schema](args.input)
+        except OSError as exc:
+            raise _CliError(f"cannot read {args.input}: {exc}") from exc
+        except ValueError as exc:
+            raise _CliError(str(exc)) from exc
+        source = str(args.input)
+    return dataset, {
         "record": "dataset",
-        "source": str(args.input),
-        "instances": report.instances_kept,
-        "types": report.types_found,
-        "rows_read": report.rows_read,
-        "rejected": report.rejection_breakdown(),
+        "source": source,
+        "instances": len(dataset),
+        "types": len(dataset.types),
+        "rows_read": None if report is None else report.rows_read,
+        "rejected": None if report is None else report.rejection_breakdown(),
     }
-    return dataset, record
+
+
+def _start(args, multi: bool):
+    """The steps mine and sweep share, in this order: check the grid and
+    --out, then load the data. Returns (grid, dataset, 'dataset' record,
+    load seconds)."""
+    grid = _grid(args, multi)
+    _check_out(args.out)
+    t0 = time.perf_counter()
+    dataset, ds_record = _load_dataset(args)
+    return grid, dataset, ds_record, time.perf_counter() - t0
+
+
+def _finish(args, ds_record: dict, records: list[dict]) -> None:
+    """Write the record stream, then name the input on stderr."""
+    _write_records(args.out, [ds_record, *records])
+    _say(f"input={ds_record['source']} instances={ds_record['instances']} "
+         f"types={ds_record['types']}")
 
 
 def _config(args, theta: Fraction, epsilon: Fraction) -> MiningConfig:
@@ -248,13 +259,16 @@ def _ratio(num: Optional[int], den: Optional[int]) -> Optional[Fraction]:
     return None if num is None or not den else Fraction(num, den)
 
 
-def _ratios(counts: dict) -> dict:
+def _point_record(kind: str, cfg: MiningConfig, counts: dict, capped: bool,
+                  depth: int) -> dict:
+    """A 'run' or 'sweep_point' record: one grid point's counts."""
     ratios = {}
     for den in ("all", "closed"):
         value = _ratio(counts["csts"], counts[den])
         ratios[f"csts_over_{den}"] = _frac(value)
         ratios[f"csts_over_{den}_decimal"] = _dec(value)
-    return ratios
+    return {"record": kind, "config": _config_echo(cfg), "counts": counts,
+            "ratios": ratios, "capped": capped, "depth": depth}
 
 
 def _pattern_record(dataset: EventDataset, pattern, pi: Fraction, closed,
@@ -328,85 +342,64 @@ def _say(text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_tree_algorithms(dataset, cfg, algorithm):
-    """Returns (counts, capped, depth, pattern records, timings)."""
+    """Returns ((key, pattern, pi) items, closed keys or None, cmax map or
+    None, capped, depth, timings); every run returns this shape."""
     index, t_index = _index(dataset, cfg)
     t0 = time.perf_counter()
     tree = mine_all(dataset, cfg, index=index)
     timings = {"index_s": t_index, "topdown_s": time.perf_counter() - t0}
-    counts = {"all": len(tree), "closed": None, "csts": None}
-
-    closed_nodes = cmax = None
+    closed = cmax = None
     if algorithm in ("closed", "csts"):
-        closed_nodes = set(extract_closed(tree))
-        counts["closed"] = len(closed_nodes)
+        closed = set(extract_closed(tree))
     if algorithm == "csts":
         t1 = time.perf_counter()
         cmax = run_bottom_up(tree, cfg.epsilon)
-        rcmax = _rcmax_sizes(cmax)
-        counts["csts"] = len(rcmax)
         timings["bottomup_s"] = time.perf_counter() - t1
-
-    listing = []
-    for node in tree:
-        closed = None if closed_nodes is None else node in closed_nodes
-        summary = ((None, None, None) if cmax is None
-                   else (node in rcmax, len(cmax[node]), rcmax[node]))
-        listing.append(_pattern_record(dataset, node.pattern, node.pi,
-                                       closed, *summary))
-    return counts, tree.capped, tree.depth, listing, timings
+    items = [(node, node.pattern, node.pi) for node in tree]
+    return items, closed, cmax, tree.capped, tree.depth, timings
 
 
 def _run_oracle_algorithm(dataset, cfg):
-    """Returns (counts, capped, depth, pattern records, timings)."""
+    """Returns what _run_tree_algorithms does, keyed by pattern."""
     t0 = time.perf_counter()
-    max_len = cfg.max_length if cfg.max_length is not None else 7
     try:
-        universe = oracle_all_patterns(dataset, cfg, max_len=max_len)
+        universe, capped = oracle_search(dataset, cfg,
+                                         max_len=cfg.max_length or 7)
     except OracleSizeError:
         raise
     except ValueError as exc:  # bad degrees
         raise _CliError(str(exc)) from exc
     closed = {p for p, _ in oracle_closed(universe)}
     cmax = oracle_cmax(universe, cfg.epsilon)
-    rcmax = _rcmax_sizes(cmax)
     timings = {"oracle_s": time.perf_counter() - t0}
-    listing = [_pattern_record(dataset, p, pi, p in closed, p in rcmax,
-                               len(cmax[p]), rcmax[p])
-               for p, pi in universe]
-    counts = {"all": len(universe), "closed": len(closed), "csts": len(rcmax)}
     depth = max((len(p) for p, _ in universe), default=0)
-    # Like MaxTree.capped: the search stopped at its length limit with
-    # patterns still passing there, so longer ones may be missing.
-    return counts, depth >= max_len, depth, listing, timings
+    return ([(p, p, pi) for p, pi in universe], closed, cmax, capped, depth,
+            timings)
 
 
 def cmd_mine(args) -> int:
-    [[cfg]] = _grid(args, multi=False)
-    _check_out(args.out)
-    t_load0 = time.perf_counter()
-    dataset, ds_record = _load_dataset(args)
-    t_load = time.perf_counter() - t_load0
-
+    [[cfg]], dataset, ds_record, t_load = _start(args, multi=False)
     if args.algorithm == "oracle":
-        counts, capped, depth, listing, timings = _run_oracle_algorithm(dataset, cfg)
+        result = _run_oracle_algorithm(dataset, cfg)
     else:
-        counts, capped, depth, listing, timings = _run_tree_algorithms(
-            dataset, cfg, args.algorithm)
+        result = _run_tree_algorithms(dataset, cfg, args.algorithm)
+    items, closed, cmax, capped, depth, timings = result
+    rcmax = None if cmax is None else _rcmax_sizes(cmax)
+    counts = {"all": len(items),
+              "closed": None if closed is None else len(closed),
+              "csts": None if rcmax is None else len(rcmax)}
+    listing = []
+    for key, pattern, pi in items:
+        summary = ((None, None, None) if cmax is None
+                   else (key in rcmax, len(cmax[key]), rcmax[key]))
+        listing.append(_pattern_record(
+            dataset, pattern, pi, None if closed is None else key in closed,
+            *summary))
+    run_record = {**_point_record("run", cfg, counts, capped, depth),
+                  "algorithm": args.algorithm,
+                  "types": [t.label for t in dataset.types]}
+    _finish(args, ds_record, [run_record, *listing])
 
-    run_record = {
-        "record": "run",
-        "algorithm": args.algorithm,
-        "config": _config_echo(cfg),
-        "types": [t.label for t in dataset.types],
-        "counts": counts,
-        "ratios": _ratios(counts),
-        "capped": capped,
-        "depth": depth,
-    }
-    _write_records(args.out, [ds_record, run_record, *listing])
-
-    _say(f"input={ds_record['source']} instances={ds_record['instances']} "
-         f"types={ds_record['types']}")
     _say(f"algorithm={args.algorithm} theta={cfg.theta}"
          f"({args.theta_strictness}) epsilon={cfg.epsilon} "
          f"radius={args.radius} window={args.window} metric={args.metric}")
@@ -424,56 +417,40 @@ def cmd_mine(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    grid = _grid(args, multi=True)
-    _check_out(args.out)
-    t_load0 = time.perf_counter()
-    dataset, ds_record = _load_dataset(args)
-    t_load = time.perf_counter() - t_load0
+    grid, dataset, ds_record, t_load = _start(args, multi=True)
     # The index depends only on radius, window and metric: one for the grid.
     index, t_index = _index(dataset, grid[0][0])
 
-    points = []
-    grid_records = []
+    points = []  # (sweep_point record, config, (top s, bottom s)) per point
     for row in grid:
         t0 = time.perf_counter()
         tree = mine_all(dataset, row[0], index=index)
         t_top = time.perf_counter() - t0
         closed_count = len(extract_closed(tree))
-        for cfg_pt in row:
+        for cfg in row:
             t1 = time.perf_counter()
-            members = extract_csts(tree, run_bottom_up(tree, cfg_pt.epsilon))
+            members = extract_csts(tree, run_bottom_up(tree, cfg.epsilon))
             t_bot = time.perf_counter() - t1
             counts = {"all": len(tree), "closed": closed_count,
                       "csts": len(members)}
-            points.append({
-                "theta": cfg_pt.theta, "epsilon": cfg_pt.epsilon,
-                "counts": counts, "t_top": t_top, "t_bot": t_bot,
-            })
-            grid_records.append({
-                "record": "sweep_point",
-                "config": _config_echo(cfg_pt),
-                "counts": counts,
-                "ratios": _ratios(counts),
-                "capped": tree.capped,
-                "depth": tree.depth,
-            })
+            points.append((_point_record("sweep_point", cfg, counts,
+                                         tree.capped, tree.depth),
+                           cfg, (t_top, t_bot)))
         del tree, members  # free this theta's tree before the next grows
 
-    _write_records(args.out, [ds_record, *grid_records, *_ratio_series(points)])
+    _finish(args, ds_record,
+            [rec for rec, _, _ in points] + _ratio_series(points))
 
-    _say(f"input={ds_record['source']} instances={ds_record['instances']} "
-         f"types={ds_record['types']}")
     _say(f"sweep: {len(grid)} theta x {len(grid[0])} epsilon points")
     _say(f"load: {t_load:.3f}s")
     _say(f"index: {t_index:.3f}s edges={0 if index is None else index.edge_count}")
     header = f"{'theta':>8} {'epsilon':>8} {'all':>7} {'closed':>7} " \
              f"{'csts':>7} {'top(s)':>8} {'bottom(s)':>9}"
     _say(header)
-    for pt in points:
-        c = pt["counts"]
-        _say(f"{str(pt['theta']):>8} {str(pt['epsilon']):>8} {c['all']:>7} "
-             f"{c['closed']:>7} {c['csts']:>7} {pt['t_top']:>8.3f} "
-             f"{pt['t_bot']:>9.3f}")
+    for rec, cfg, (t_top, t_bot) in points:
+        c = rec["counts"]
+        _say(f"{str(cfg.theta):>8} {str(cfg.epsilon):>8} {c['all']:>7} "
+             f"{c['closed']:>7} {c['csts']:>7} {t_top:>8.3f} {t_bot:>9.3f}")
     return 0
 
 
@@ -482,16 +459,14 @@ def _ratio_series(points) -> list[dict]:
     epsilon (varying theta) and once per theta (varying epsilon)."""
 
     def series(axis, fixed_key, fixed_value, den):
-        pts = sorted((p for p in points if p[fixed_key] == fixed_value),
-                     key=lambda p: p[axis])
-        out_points = []
-        for p in pts:
-            value = _ratio(p["counts"]["csts"], p["counts"][den])
-            out_points.append({
-                axis: str(p[axis]),
-                "value": _frac(value),
-                "percent": None if value is None else float(100 * value),
-            })
+        pts = sorted(((getattr(cfg, axis),
+                       _ratio(rec["counts"]["csts"], rec["counts"][den]))
+                      for rec, cfg, _ in points
+                      if getattr(cfg, fixed_key) == fixed_value),
+                     key=lambda pt: pt[0])
+        out_points = [{axis: str(at), "value": _frac(value),
+                       "percent": None if value is None else float(100 * value)}
+                      for at, value in pts]
         return {
             "record": "series",
             "ratio": f"csts_over_{den}",
@@ -502,7 +477,8 @@ def _ratio_series(points) -> list[dict]:
 
     return [series(axis, fixed_key, fixed_value, den)
             for axis, fixed_key in (("theta", "epsilon"), ("epsilon", "theta"))
-            for fixed_value in sorted({p[fixed_key] for p in points})
+            for fixed_value in sorted({getattr(cfg, fixed_key)
+                                       for _, cfg, _ in points})
             for den in ("all", "closed")]
 
 

@@ -235,10 +235,8 @@ def parse_pattern(text: str, label_to_id: dict[str, int]) -> Pattern:
     return tuple(label_to_id[p] for p in parts)
 
 
-def format_pattern(pattern: Pattern, dataset: Optional[EventDataset] = None) -> str:
-    if dataset is None:
-        return "->".join(str(t) for t in pattern)
-    return "->".join(dataset.pattern_labels(pattern))
+def format_pattern(pattern: Pattern) -> str:
+    return "->".join(str(t) for t in pattern)
 
 
 # ---------------------------------------------------------------------------

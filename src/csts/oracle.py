@@ -94,11 +94,17 @@ class _NaiveNeighbors:
         return result
 
 
-def oracle_all_patterns(
+def oracle_all_patterns(dataset: EventDataset, cfg: MiningConfig,
+                        max_len: int = 7) -> list[tuple[Pattern, Fraction]]:
+    """The patterns of :func:`oracle_search`, without its ``capped``."""
+    return oracle_search(dataset, cfg, max_len)[0]
+
+
+def oracle_search(
     dataset: EventDataset,
     cfg: MiningConfig,
     max_len: int = 7,
-) -> list[tuple[Pattern, Fraction]]:
+) -> tuple[list[tuple[Pattern, Fraction]], bool]:
     """Enumerate every threshold-passing pattern with its exact pi.
 
     Depth-first over raw type sequences, evaluating support sets directly
@@ -107,7 +113,9 @@ def oracle_all_patterns(
     at theta = 0 it enumerates everything up to ``max_len`` so correctness
     never depends on the pruning argument.
 
-    Returns (pattern, pi) pairs sorted by canonical key.
+    Returns (pattern, pi) pairs sorted by canonical key, and whether a
+    pattern one element longer than ``max_len`` passes (``MaxTree.capped``'s
+    rule), probed on the passing ``max_len`` patterns until one does.
     """
     if len(dataset) > ORACLE_MAX_INSTANCES:
         raise OracleSizeError(f"oracle refuses {len(dataset)} instances "
@@ -119,18 +127,26 @@ def oracle_all_patterns(
     neighbors = _NaiveNeighbors(dataset, cfg)
     live_types = [t.id for t in dataset.types if dataset.count(t.id) > 0]
     results: list[tuple[Pattern, Fraction]] = []
+    capped = False
+
+    def extend(support: frozenset[int], g: int) -> tuple[frozenset[int], Fraction]:
+        new_support = frozenset().union(*(neighbors(e, g) for e in support))
+        return new_support, Fraction(len(new_support), dataset.count(g))
 
     def walk(pattern: Pattern, support: frozenset[int], pi: Fraction) -> None:
-        if cfg.passes_theta(pi):
+        nonlocal capped
+        passes = cfg.passes_theta(pi)
+        if passes:
             results.append((pattern, pi))
         elif cfg.theta > 0:
             return  # pruning: no extension can raise the running pi
         if len(pattern) >= max_len:
+            if passes and not capped:
+                capped = any(cfg.passes_theta(min(pi, extend(support, g)[1]))
+                             for g in live_types)
             return
         for g in live_types:
-            new_support = frozenset().union(*(neighbors(e, g) for e in support)) \
-                if support else frozenset()
-            pr = Fraction(len(new_support), dataset.count(g))
+            new_support, pr = extend(support, g)
             walk(pattern + (g,), new_support, min(pi, pr))
 
     for f in live_types:
@@ -138,7 +154,7 @@ def oracle_all_patterns(
         walk((f,), support, Fraction(1))
 
     results.sort(key=lambda item: canonical_key(item[0]))
-    return results
+    return results, capped
 
 
 def oracle_closed(

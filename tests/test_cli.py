@@ -135,14 +135,28 @@ class TestMine:
         assert "B->B" in closed and "B->C->E" not in closed
         assert all(r["csts"] is None for r in patterns_of(recs))
 
-    def test_oracle_mode_matches_tree_mode_record_for_record(self, tmp_path):
-        args = ["--theta", "0.2", "--epsilon", "0.25"]
+    @pytest.mark.parametrize("limit", [[], ["--max-length", "6"]],
+                             ids=["no-max-length", "max-length-6"])
+    def test_oracle_mode_matches_tree_mode_record_for_record(
+            self, tmp_path, capsys, limit):
+        # At --max-length 6 the example's deepest patterns sit at the limit
+        # and none one longer passes, so neither run is capped.
+        args = ["--theta", "0.2", "--epsilon", "0.25", *limit]
         tree = run_records(tmp_path, "t.jsonl",
                            BASE + args + ["--algorithm", "csts"])
         oracle = run_records(tmp_path, "o.jsonl",
                              BASE + args + ["--algorithm", "oracle"])
         assert patterns_of(tree) == patterns_of(oracle)
-        assert run_of(tree)["counts"] == run_of(oracle)["counts"]
+        tree_run, oracle_run = run_of(tree), run_of(oracle)
+        assert tree_run.pop("algorithm") == "csts"
+        assert oracle_run.pop("algorithm") == "oracle"
+        assert tree_run == oracle_run
+        assert oracle_run["capped"] is False and oracle_run["depth"] == 6
+        capsys.readouterr()
+        assert main(["query", "--from", str(tmp_path / "o.jsonl"),
+                     "--pattern", "B->B->C->E->E->E->E"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "B->B->C->E->E->E->E: not PI-strong under the saved configuration")
 
     def test_records_to_stdout_summary_to_stderr(self, capsys):
         assert main(BASE + ["--theta", "0.2", "--algorithm", "all"]) == 0
@@ -527,7 +541,8 @@ class TestQuery:
                                       "pi-zero-denominator",
                                       "epsilon-zero-denominator",
                                       "two-documents-on-one-line",
-                                      "split-and-joined-lines"])
+                                      "split-and-joined-lines",
+                                      "bracket-joined-line"])
     def test_malformed_record_file_exits_2(self, saved, tmp_path, capsys,
                                            case):
         with open(saved) as fh:
@@ -559,11 +574,18 @@ class TestQuery:
             cut = lines[at].index(', "config"')
             lines[at:at + 1] = [lines[at][:cut], lines[at][cut + 2:]]
             lines[-2:] = [lines[-2] + "," + lines[-1]]
+        elif case == "bracket-joined-line":
+            # Valid JSON inside the loader's brackets, but one line too few
+            # for its documents: only the count check refuses it.
+            lines[-2:] = [lines[-2] + "],[" + lines[-1]]
         broken = tmp_path / "broken.jsonl"
         broken.write_text("\n".join(lines) + "\n")
         assert main(["query", "--from", str(broken),
                      "--pattern", "B->B->C"]) == 2
-        assert "is not a record file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "is not a record file" in err
+        if case == "bracket-joined-line":
+            assert "28 documents on 27 lines" in err
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["query", "--from", "/nonexistent/x.jsonl",

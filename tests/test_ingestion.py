@@ -1,6 +1,8 @@
 """CSV loaders: generic schema, portal schemas, rejection accounting, and
 the export round-trip."""
 
+from datetime import datetime, timedelta
+
 import pytest
 
 from csts.ingestion import (
@@ -207,6 +209,27 @@ def test_pittsburgh_loader(tmp_path):
     # minutes from the 2017 epoch
     assert ds.instances[0].time == 10
     assert sorted(t.label for t in ds.types) == ["ASSAULT", "THEFT"]
+
+
+def test_pittsburgh_portal_timestamp_spellings(tmp_path):
+    # ISO-8601 fails on each of these, so the portal spellings decide; the
+    # unpadded 2018-3-5 is one that only strptime accepts.
+    path = _write(tmp_path, "p.csv", PGH_HEADER +
+                  "1,03/15/2018 13:45,THEFT,-79.99,40.44\n"
+                  "2,03/15/2018 01:45:00 PM,THEFT,-79.99,40.44\n"
+                  "3,03/15/2018,THEFT,-79.99,40.44\n"
+                  "4,2018-3-5,THEFT,-79.99,40.44\n"
+                  "5,15/03/2018,THEFT,-79.99,40.44\n")    # day first
+    ds, report = load_pittsburgh(path)
+
+    def minutes(*stamp):
+        return (datetime(*stamp) - datetime(2017, 1, 1)) // timedelta(minutes=1)
+
+    assert [int(t) for t in ds.times] == [
+        minutes(2018, 3, 15, 13, 45), minutes(2018, 3, 15, 13, 45),
+        minutes(2018, 3, 15), minutes(2018, 3, 5)]
+    assert report.instances_kept == 4 and report.unparseable == 1
+    assert report.rows_read == report.instances_kept + report.rows_rejected
 
 
 def test_pittsburgh_range_is_inclusive_of_final_day(tmp_path):
