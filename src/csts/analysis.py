@@ -21,9 +21,9 @@ part of the mined tree, which bounds the index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from itertools import repeat
+from typing import Mapping, NamedTuple, Optional
 
 from .model import (
     MaxTree,
@@ -71,13 +71,13 @@ def closures_of(tree: MaxTree, pattern: Pattern) -> list[PatternNode]:
 # Queries against the constricted summary
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PiEstimate:
+class PiEstimate(NamedTuple):
     """Two-sided participation-index estimate for a queried pattern.
 
     ``witness`` is the summary member the bounds came from (the pattern
     itself when ``exact``). Invariants: 0 <= lower <= upper <= 1 and
-    upper - lower never exceeds the summary's margin.
+    upper - lower never exceeds the summary's margin. A named tuple, so
+    it unpacks and compares equal to ``(lower, upper, witness, exact)``.
     """
 
     lower: Fraction
@@ -99,28 +99,32 @@ class CstsSet:
             raise ValueError("epsilon must lie in [0, 1]")
         pi = {tuple(p): as_fraction(v) for p, v in pis.items()}
         # Canonical order from two C-level sorts: the second is stable.
-        self._pi = {p: pi[p] for p in sorted(sorted(pi), key=len)}
-        # Integer tests: Fraction comparisons cost several times more per load.
-        rank, exact = {}, set()
+        order = sorted(sorted(pi), key=len)
+        self._pi = {p: pi[p] for p in order}
+        vals = list(self._pi.values())
+        # Integer tests: Fraction comparisons and properties cost several
+        # times more per load.
+        ratio, rank = {}, {}
         for p, v in self._pi.items():
-            num, den = v.numerator, v.denominator
+            num, den = ratio[p] = v.as_integer_ratio()
             if not 0 <= num <= den:
                 raise ValueError(f"member {format_pattern(p)} has pi {v} outside [0, 1]")
             rank[p] = num / den
-            exact.add((num, den))
         # Floats rank distinct pis exactly unless two of them round to one
         # float; then the Fractions themselves do. The sort is stable, so
         # equal pis keep canonical order.
-        key = rank.__getitem__ if len(set(rank.values())) == len(exact) \
+        key = rank.__getitem__ \
+            if len(set(rank.values())) == len(set(ratio.values())) \
             else self._pi.__getitem__
-        en, ed = self.epsilon.numerator, self.epsilon.denominator
-        answer: dict[Pattern, PiEstimate] = {}
-        for s in sorted(self._pi, key=key, reverse=True):
-            v = self._pi[s]
-            claimed = s in answer
-            answer[s] = PiEstimate(v, v, s, True)  # positional: keywords cost 2x
-            if claimed:
+        en, ed = self.epsilon.as_integer_ratio()
+        # Answers are built with tuple.__new__, which skips PiEstimate's
+        # Python-level constructor.
+        new = tuple.__new__
+        answer: dict[Pattern, Optional[PiEstimate]] = {}
+        for s in sorted(order, key=key, reverse=True):
+            if s in answer:
                 continue  # a better member holds s, so all of s as well
+            answer[s] = None  # a claim; every member's exact answer comes below
             interval = None  # built when s first claims a substring
             todo = [s]
             for p in todo:  # grows as s claims; stops at claimed substrings
@@ -129,12 +133,16 @@ class CstsSet:
                         if sub not in answer:
                             if interval is None:
                                 # min(v + epsilon, 1) in integers
-                                n = v.numerator * ed + en * v.denominator
-                                d = v.denominator * ed
-                                interval = PiEstimate(
-                                    v, _ONE if n >= d else Fraction(n, d), s, False)
+                                num, den = ratio[s]
+                                n, d = num * ed + en * den, den * ed
+                                interval = new(PiEstimate, (
+                                    self._pi[s], _ONE if n >= d else Fraction(n, d),
+                                    s, False))
                             answer[sub] = interval
                             todo.append(sub)
+        # Every member answers exactly, also one a better member claimed.
+        answer.update(zip(order, map(new, repeat(PiEstimate),
+                                     zip(vals, vals, order, repeat(True)))))
         self._answer = answer
 
     def __contains__(self, pattern: Pattern) -> bool:

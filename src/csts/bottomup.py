@@ -16,7 +16,6 @@ one tree serves any number of margins at once.
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from typing import Optional
 
 from .model import MaxTree, PatternNode, as_fraction
@@ -27,11 +26,12 @@ CmaxMap = dict[PatternNode, set[PatternNode]]
 
 
 def verify_supersequence(s: PatternNode, si: Optional[PatternNode],
-                         bound: Fraction, visited: set[PatternNode],
+                         bound: tuple[int, int], visited: set[PatternNode],
                          offers: dict[PatternNode, list[PatternNode]],
                          ) -> set[PatternNode]:
     """Append candidate ``s`` to the ``offers`` of substring ``si`` and of
-    its ancestors, stopping at any whose pi exceeds ``bound``, pi(s) + eps.
+    its ancestors, stopping at any whose pi exceeds ``bound``, pi(s) + eps
+    as a (numerator, denominator) pair with a positive denominator.
 
     ``visited`` carries the substrings already reached for this candidate so
     diamond-shaped ancestor lattices are walked once; callers verifying one
@@ -39,16 +39,19 @@ def verify_supersequence(s: PatternNode, si: Optional[PatternNode],
     call, so each substring hears of ``s`` at most once. Returns the visited
     set.
     """
+    bn, bd = bound
     stack = [si]
     while stack:
         cur = stack.pop()
         if cur is None or cur in visited:
             continue
         visited.add(cur)
-        # Margin gate. Failing here also kills the whole ancestor chain:
+        # Margin gate, in integers: a Fraction comparison costs several
+        # times more. Failing here also kills the whole ancestor chain:
         # shorter substrings have equal-or-higher pi, so the bound only
         # tightens further down.
-        if cur.pi > bound:
+        n, d = cur.pi.as_integer_ratio()
+        if n * bd > bn * d:
             continue
         offers[cur].append(s)
         stack.append(cur.parent2)
@@ -66,11 +69,13 @@ def run_bottom_up(tree: MaxTree, eps) -> CmaxMap:
     eps = as_fraction(eps)
     if not (0 <= eps <= 1):
         raise ValueError("eps must lie in [0, 1]")
+    en, ed = eps.as_integer_ratio()
     cmax: CmaxMap = {}
     for level in reversed(tree.levels[1:]):
         offers: dict[PatternNode, list[PatternNode]] = defaultdict(list)
         for s in level:
-            bound = s.pi + eps
+            sn, sd = s.pi.as_integer_ratio()
+            bound = (sn * ed + en * sd, sd * ed)
             visited: set[PatternNode] = set()
             verify_supersequence(s, s.parent1, bound, visited, offers)
             verify_supersequence(s, s.parent2, bound, visited, offers)

@@ -487,12 +487,14 @@ def _ratio_series(points) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _fraction(text) -> Fraction:
-    """A record's exact ratio. Records write them as "n/d", and building
-    from two ints costs half of parsing the string."""
-    if type(text) is str:
-        num, _, den = text.partition("/")
-        if num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
-            return Fraction(int(num), int(den))
+    """A record's exact ratio. Records write them as "n/d" strings, so a
+    number (a binary float, or a bool) is refused; building from two ints
+    costs half of parsing the string."""
+    if type(text) is not str:
+        raise TypeError(f"ratio {text!r} is not an \"n/d\" string")
+    num, _, den = text.partition("/")
+    if num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+        return Fraction(int(num), int(den))
     return Fraction(text)
 
 
@@ -505,7 +507,8 @@ def _load_saved_csts(path) -> tuple[CstsSet, list[str], Optional[int]]:
     parsed: dict[str, Fraction] = {}  # members share few distinct pis
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [line for line in fh.read().split("\n") if line.strip()]
+            lines = [line for line in fh.read().split("\n")
+                     if line and not line.isspace()]
         # One json.loads for the whole file, each line in its own brackets:
         # a line holding two documents makes a pair, which the loop refuses,
         # and a document split over lines changes the count.
@@ -513,15 +516,14 @@ def _load_saved_csts(path) -> tuple[CstsSet, list[str], Optional[int]]:
         if len(records) != len(lines):
             raise ValueError(f"{len(records)} documents on {len(lines)} lines")
         for rec, in records:
-            kind = rec.get("record")
-            if kind == "pattern":
-                if rec.get("csts"):
-                    text = rec["pi"]
-                    value = parsed.get(text)
-                    if value is None:
-                        value = parsed[text] = _fraction(text)
-                    members[tuple(rec["pattern"].split("->"))] = value
-            elif kind == "run":
+            # Only member pattern records carry a true csts: test it first.
+            if rec.get("csts") and rec.get("record") == "pattern":
+                text = rec["pi"]
+                value = parsed.get(text)
+                if value is None:
+                    value = parsed[text] = _fraction(text)
+                members[tuple(rec["pattern"].split("->"))] = value
+            elif rec.get("record") == "run":
                 run_record = rec
         if run_record is None:
             raise _CliError(f"{path} holds no run record (was it a sweep?)")

@@ -246,6 +246,23 @@ def test_empty_summary_answers_none():
     assert approximate_pi((0,), CstsSet({}, "0.25")) is None
 
 
+def test_answers_are_shared_and_immutable(fixture_csts):
+    csts, _ = fixture_csts
+    ds = example_dataset()
+    bbc = ds.parse_pattern("B->B->C")
+    est = approximate_pi(bbc, csts)
+    assert approximate_pi(list(bbc), csts) is est
+    # B->B and B->B->C are both claimed by the member B->B->C->E.
+    assert approximate_pi(ds.parse_pattern("B->B"), csts) is est
+    member = ds.parse_pattern("B->B->C->E")
+    assert approximate_pi(member, csts) is approximate_pi(member, csts)
+    for field in ("lower", "upper", "witness", "exact"):
+        with pytest.raises(AttributeError):
+            setattr(est, field, None)
+    assert est == PiEstimate(lower=Fraction(3, 8), upper=Fraction(5, 8),
+                             witness=member, exact=False)
+
+
 # ---------------------------------------------------------------------------
 # The answer index against the linear scan it replaced
 # ---------------------------------------------------------------------------

@@ -71,6 +71,26 @@ def run_of(records):
     return rec
 
 
+# tests/data/streams/query.txt holds one `csts query` run per source, in
+# this order, over golden_query_patterns().
+QUERY_SOURCES = ("mine-csts", "mine-oracle")
+
+
+def golden_query_patterns() -> list[str]:
+    """Every pattern of the example tree, then every one-step extension at
+    either end that is not listed yet."""
+    lines = (STREAMS / "mine-all.jsonl").read_text().splitlines()
+    recs = [json.loads(line) for line in lines]
+    tree = [rec["pattern"] for rec in recs if rec["record"] == "pattern"]
+    labels = run_of(recs)["types"]
+    listed = dict.fromkeys(tree)
+    for pattern in tree:
+        for label in labels:
+            listed.setdefault(f"{label}->{pattern}")
+            listed.setdefault(f"{pattern}->{label}")
+    return list(listed)
+
+
 # ---------------------------------------------------------------------------
 # mine
 # ---------------------------------------------------------------------------
@@ -542,7 +562,10 @@ class TestQuery:
                                       "epsilon-zero-denominator",
                                       "two-documents-on-one-line",
                                       "split-and-joined-lines",
-                                      "bracket-joined-line"])
+                                      "bracket-joined-line",
+                                      "pi-as-number",
+                                      "pi-as-bool",
+                                      "epsilon-as-number"])
     def test_malformed_record_file_exits_2(self, saved, tmp_path, capsys,
                                            case):
         with open(saved) as fh:
@@ -556,12 +579,15 @@ class TestQuery:
             run["config"]["epsilon"] = "3/2"
         elif case == "epsilon-zero-denominator":
             run["config"]["epsilon"] = "1/0"
+        elif case == "epsilon-as-number":
+            run["config"]["epsilon"] = 0.25
         elif case == "types-not-labels":
             run["types"] = [["A"], "B"]
         elif case.startswith("pi-"):
             member, = [rec for rec in recs if rec.get("pattern") == "B->B->C->E"]
             member["pi"] = {"pi-above-one": "3/2", "pi-below-zero": "-1/8",
-                            "pi-zero-denominator": "1/0"}[case]
+                            "pi-zero-denominator": "1/0", "pi-as-number": 0.3,
+                            "pi-as-bool": True}[case]
         lines = [json.dumps(rec) for rec in recs]
         if case == "line-not-an-object":
             lines.insert(1, "[1,2]")
@@ -586,6 +612,18 @@ class TestQuery:
         assert "is not a record file" in err
         if case == "bracket-joined-line":
             assert "28 documents on 27 lines" in err
+
+    @pytest.mark.parametrize("at, name", enumerate(QUERY_SOURCES))
+    def test_query_output_matches_committed_bytes(self, capsys, at, name):
+        patterns = golden_query_patterns()
+        argv = ["query", "--from", str(STREAMS / f"{name}.jsonl")]
+        for pattern in patterns:
+            argv += ["--pattern", pattern]
+        assert main(argv) == 0
+        n = len(patterns)
+        want = (STREAMS / "query.txt").read_bytes().splitlines(keepends=True)
+        assert len(want) == len(QUERY_SOURCES) * n
+        assert capsys.readouterr().out.encode() == b"".join(want[at * n:(at + 1) * n])
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["query", "--from", "/nonexistent/x.jsonl",
