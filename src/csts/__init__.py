@@ -18,7 +18,6 @@ from .analysis import (
     CstsSet,
     PiEstimate,
     approximate_pi,
-    closures_of,
     extract_closed,
 )
 from .bottomup import extract_csts, mine_csts, run_bottom_up
@@ -30,9 +29,7 @@ from .model import (
     MiningConfig,
     Pattern,
     PatternNode,
-    canonical_key,
     format_pattern,
-    is_supersequence,
     parse_pattern,
 )
 from .neighborhoods import NeighborhoodIndex, build_index
@@ -53,12 +50,9 @@ __all__ = [
     "PiEstimate",
     "approximate_pi",
     "build_index",
-    "canonical_key",
-    "closures_of",
     "extract_closed",
     "extract_csts",
     "format_pattern",
-    "is_supersequence",
     "mine_all",
     "mine_csts",
     "parse_pattern",

@@ -4,8 +4,8 @@ indexes from the constricted set.
 The constricted set is a lossy summary: most patterns are dropped, each
 leaving behind a representative supersequence whose participation index is
 within the chosen margin. This module answers queries against that summary —
-exact membership, recoverable closures, and two-sided index estimates whose
-width never exceeds the margin the summary was built with.
+exact membership and two-sided index estimates whose width never exceeds
+the margin the summary was built with.
 
 A summary answers every query with one dict lookup. ``CstsSet`` builds the
 answers once, at construction: the members are ranked best-first (pi
@@ -25,14 +25,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Mapping, NamedTuple, Optional
 
-from .model import (
-    MaxTree,
-    Pattern,
-    PatternNode,
-    as_fraction,
-    format_pattern,
-    is_supersequence,
-)
+from .model import MaxTree, Pattern, PatternNode, as_fraction, format_pattern
 
 
 def extract_closed(tree: MaxTree) -> list[PatternNode]:
@@ -53,18 +46,6 @@ def extract_closed(tree: MaxTree) -> list[PatternNode]:
         if node.pi == node.parent2.pi:
             beaten.add(node.parent2)
     return [node for node in tree if node not in beaten]
-
-
-def closures_of(tree: MaxTree, pattern: Pattern) -> list[PatternNode]:
-    """Closed supersequences of ``pattern`` carrying its exact pi (itself
-    included when closed)."""
-    node = tree.node(pattern)
-    if node is None:
-        raise ValueError(f"pattern {pattern!r} is not in the tree")
-    return [
-        c for c in extract_closed(tree)
-        if c.pi == node.pi and is_supersequence(c.pattern, node.pattern)
-    ]
 
 
 # ---------------------------------------------------------------------------

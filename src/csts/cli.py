@@ -20,6 +20,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .analysis import CstsSet, approximate_pi, extract_closed
@@ -501,10 +502,12 @@ def _fraction(text) -> Fraction:
 def _load_saved_csts(path) -> tuple[CstsSet, list[str], Optional[int]]:
     """Rebuild the queryable summary from a mine --algorithm csts (or
     oracle) record file. The third value is the run's depth when its
-    search was capped there, else None."""
+    search was capped there, else None. A file whose pattern records
+    disagree with its run record's counts or types is refused."""
     run_record = None
     members: dict[tuple, Fraction] = {}
     parsed: dict[str, Fraction] = {}  # members share few distinct pis
+    patterns = 0
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [line for line in fh.read().split("\n")
@@ -516,26 +519,38 @@ def _load_saved_csts(path) -> tuple[CstsSet, list[str], Optional[int]]:
         if len(records) != len(lines):
             raise ValueError(f"{len(records)} documents on {len(lines)} lines")
         for rec, in records:
-            # Only member pattern records carry a true csts: test it first.
-            if rec.get("csts") and rec.get("record") == "pattern":
-                text = rec["pi"]
-                value = parsed.get(text)
-                if value is None:
-                    value = parsed[text] = _fraction(text)
-                members[tuple(rec["pattern"].split("->"))] = value
-            elif rec.get("record") == "run":
+            kind = rec.get("record")
+            if kind == "pattern":
+                patterns += 1
+                csts = rec.get("csts")
+                if csts is True:
+                    text = rec["pi"]
+                    value = parsed.get(text)
+                    if value is None:
+                        value = parsed[text] = _fraction(text)
+                    members[tuple(rec["pattern"].split("->"))] = value
+                elif csts is not False and csts is not None:
+                    raise ValueError(f"csts {csts!r} is not true, false or null")
+            elif kind == "run":
                 run_record = rec
         if run_record is None:
             raise _CliError(f"{path} holds no run record (was it a sweep?)")
-        if run_record["counts"].get("csts") is None:
+        counts = run_record["counts"]
+        if counts.get("csts") is None:
             raise _CliError(
                 f"{path} was mined with --algorithm {run_record['algorithm']}; "
                 "query needs --algorithm csts or oracle output")
+        if (len(members), patterns) != (counts["csts"], counts["all"]):
+            raise ValueError(
+                f"{len(members)} members and {patterns} patterns, but the run "
+                f"counts {counts['csts']} and {counts['all']}")
         summary = CstsSet(members, _fraction(run_record["config"]["epsilon"]))
         labels = run_record.get("types", [])
         if not (isinstance(labels, list)
                 and all(isinstance(label, str) for label in labels)):
             raise ValueError("the run record's types are not a list of labels")
+        if not set(labels).issuperset(chain.from_iterable(members)):
+            raise ValueError("a member names a type the run record does not list")
         capped_at = run_record["depth"] if run_record.get("capped") else None
         if not (capped_at is None or type(capped_at) is int):
             raise ValueError("the run record's depth is not a length")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -240,33 +241,6 @@ def format_pattern(pattern: Pattern) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Sequence algebra
-# ---------------------------------------------------------------------------
-
-def is_supersequence(outer: Pattern, inner: Pattern) -> bool:
-    """True iff ``inner`` occurs in ``outer`` as a contiguous run.
-
-    Equal patterns count (the non-proper case). Gapped containment does not:
-    the relation is substring containment over event-type ids.
-    """
-    if not outer or not inner:
-        raise ValueError("patterns must be non-empty")
-    n, m = len(outer), len(inner)
-    if m > n:
-        return False
-    return any(outer[k : k + m] == inner for k in range(n - m + 1))
-
-
-def canonical_key(pattern: Pattern) -> tuple[int, Pattern]:
-    """Total order: length ascending, then lexicographic by type ids.
-
-    Every listing this package emits is sorted by this key, which makes
-    output deterministic regardless of generation order.
-    """
-    return (len(pattern), pattern)
-
-
-# ---------------------------------------------------------------------------
 # Mining configuration
 # ---------------------------------------------------------------------------
 
@@ -359,17 +333,15 @@ class PatternNode:
 class MaxTree:
     """Level-structured lattice of all threshold-passing patterns.
 
-    ``levels[k-1]`` holds the length-k nodes, each level sorted by
-    :func:`canonical_key`. The tree is never changed after the growth phase;
-    the closure phase returns its result instead of storing it on the nodes.
+    ``levels[k-1]`` holds the length-k nodes, each level in canonical order
+    (lexicographic by type ids). The tree is never changed after the growth
+    phase; the closure phase returns its result instead of storing it on the
+    nodes.
     """
 
     def __init__(self, levels: Sequence[Sequence[PatternNode]], capped: bool = False) -> None:
         self.levels: list[list[PatternNode]] = [list(level) for level in levels]
         self.capped = capped
-        self._by_pattern: dict[Pattern, PatternNode] = {
-            node.pattern: node for level in self.levels for node in level
-        }
 
     def __iter__(self) -> Iterator[PatternNode]:
         for level in self.levels:
@@ -379,7 +351,13 @@ class MaxTree:
         return sum(len(level) for level in self.levels)
 
     def node(self, pattern: Pattern) -> Optional[PatternNode]:
-        return self._by_pattern.get(tuple(pattern))
+        """The node for ``pattern``, or None: a binary search of its level."""
+        pattern = tuple(pattern)
+        if not 0 < len(pattern) <= self.depth:
+            return None
+        level = self.levels[len(pattern) - 1]
+        at = bisect_left(level, pattern, key=operator.attrgetter("pattern"))
+        return level[at] if at < len(level) and level[at].pattern == pattern else None
 
     @property
     def depth(self) -> int:

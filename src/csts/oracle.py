@@ -1,10 +1,11 @@
 """Brute-force reference miner and synthetic-data generator.
 
 Everything here is deliberately naive: neighborhoods come from a double loop
-with its own inline distance arithmetic, and sub/supersequence checks use
-their own explicit offset scan. None of it shares code with the fast miner,
-so agreement between the two is meaningful evidence of correctness. A size
-guard refuses inputs large enough to make the naive algorithms painful.
+with its own inline distance arithmetic, sub/supersequence checks use their
+own explicit offset scan, and the theta test and canonical order are its own
+too. None of it shares code with the fast miner, so agreement between the
+two is meaningful evidence of correctness. A size guard refuses inputs large
+enough to make the naive algorithms painful.
 ``csts mine --algorithm oracle`` runs this miner, and ``--synthetic`` runs
 :func:`generate_random`.
 
@@ -23,14 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .ingestion import EXAMPLE_EVENTS_FILE, load_generic
-from .model import (
-    EventDataset,
-    EventInstance,
-    EventType,
-    MiningConfig,
-    Pattern,
-    canonical_key,
-)
+from .model import EventDataset, EventInstance, EventType, MiningConfig, Pattern
 
 #: Inputs past these limits are refused; the oracle is for desk-scale data.
 ORACLE_MAX_INSTANCES = 200
@@ -50,6 +44,11 @@ def _contains(outer: Pattern, inner: Pattern) -> bool:
         if all(outer[k + i] == inner[i] for i in range(m)):
             return True
     return False
+
+
+def _canonical_key(pattern: Pattern) -> tuple[int, Pattern]:
+    # Length ascending, then lexicographic: the order of every listing.
+    return (len(pattern), pattern)
 
 
 def _distance(a: EventInstance, b: EventInstance, cfg: MiningConfig) -> float:
@@ -129,20 +128,24 @@ def oracle_search(
     results: list[tuple[Pattern, Fraction]] = []
     capped = False
 
+    def passes(pi: Fraction) -> bool:
+        # The oracle's own theta test, kept apart from the miner's.
+        return pi > cfg.theta if cfg.strict_theta else pi >= cfg.theta
+
     def extend(support: frozenset[int], g: int) -> tuple[frozenset[int], Fraction]:
         new_support = frozenset().union(*(neighbors(e, g) for e in support))
         return new_support, Fraction(len(new_support), dataset.count(g))
 
     def walk(pattern: Pattern, support: frozenset[int], pi: Fraction) -> None:
         nonlocal capped
-        passes = cfg.passes_theta(pi)
-        if passes:
+        strong = passes(pi)
+        if strong:
             results.append((pattern, pi))
         elif cfg.theta > 0:
             return  # pruning: no extension can raise the running pi
         if len(pattern) >= max_len:
-            if passes and not capped:
-                capped = any(cfg.passes_theta(min(pi, extend(support, g)[1]))
+            if strong and not capped:
+                capped = any(passes(min(pi, extend(support, g)[1]))
                              for g in live_types)
             return
         for g in live_types:
@@ -153,7 +156,7 @@ def oracle_search(
         support = frozenset(inst.idx for inst in dataset.by_type[f])
         walk((f,), support, Fraction(1))
 
-    results.sort(key=lambda item: canonical_key(item[0]))
+    results.sort(key=lambda item: _canonical_key(item[0]))
     return results, capped
 
 
@@ -196,7 +199,7 @@ def oracle_cmax(
         best_len = max(len(q) for q, _ in quals)
         pool = [(q, qpi) for q, qpi in quals if len(q) == best_len]
         best_pi = max(qpi for _, qpi in pool)
-        cmax[p] = sorted((q for q, qpi in pool if qpi == best_pi), key=canonical_key)
+        cmax[p] = sorted((q for q, qpi in pool if qpi == best_pi), key=_canonical_key)
     return cmax
 
 
@@ -211,7 +214,7 @@ def oracle_csts(
     cmax = oracle_cmax(all_patterns, epsilon)
     member_set = {q for qs in cmax.values() for q in qs}
     pi_of = dict(all_patterns)
-    members = [(q, pi_of[q]) for q in sorted(member_set, key=canonical_key)]
+    members = [(q, pi_of[q]) for q in sorted(member_set, key=_canonical_key)]
     return members, cmax
 
 

@@ -13,7 +13,13 @@ offset scan, never on the code under test.
 from collections import Counter
 from fractions import Fraction
 
-from csts.oracle import _contains, _NaiveNeighbors, example_dataset, oracle_closed
+from csts.oracle import (
+    _canonical_key as canonical_key,
+    _contains,
+    _NaiveNeighbors,
+    example_dataset,
+    oracle_closed,
+)
 
 F = Fraction
 
@@ -177,3 +183,11 @@ def oracle_closures(all_patterns, pattern) -> list:
         for q, qpi in oracle_closed(all_patterns)
         if qpi == pi and (q == pattern or (len(q) > len(pattern) and _contains(q, pattern)))
     ]
+
+
+def is_supersequence(outer, inner) -> bool:
+    """Whether ``inner`` occurs in ``outer`` as a contiguous run (equal
+    patterns included): the oracle's offset scan, for non-empty patterns."""
+    if not outer or not inner:
+        raise ValueError("patterns must be non-empty")
+    return _contains(outer, inner)

@@ -1,16 +1,15 @@
-"""Closed-set extraction, closures, and interval estimates."""
+"""Closed-set extraction and interval estimates."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from csts import MiningConfig, is_supersequence
+from csts import MiningConfig
 from csts.analysis import (
     CstsSet,
     PiEstimate,
     approximate_pi,
-    closures_of,
     extract_closed,
 )
 from csts.bottomup import extract_csts, mine_csts, run_bottom_up
@@ -26,10 +25,9 @@ from csts.topdown import mine_all
 
 from expected import (
     EXPECTED_CLOSED,
-    EXPECTED_CLOSURES_BCE,
     EXPECTED_CSTS_EPS_25,
     FULL,
-    oracle_closures,
+    is_supersequence,
 )
 
 
@@ -64,46 +62,6 @@ def test_named_closed_examples(fixture_tree):
     assert ds.parse_pattern("B->C->E") not in closed
 
 
-def test_closures_of_bce(fixture_tree):
-    ds = example_dataset()
-    got = closures_of(fixture_tree, ds.parse_pattern("B->C->E"))
-    assert _names(ds, got) == EXPECTED_CLOSURES_BCE
-    for node in got:
-        assert node.pi == Fraction(3, 8)
-
-
-def test_closed_pattern_is_its_own_closure(fixture_tree):
-    ds = example_dataset()
-    bb = ds.parse_pattern("B->B")
-    assert [n.pattern for n in closures_of(fixture_tree, bb)] == [bb]
-
-
-def test_quarter_pi_closures(fixture_tree):
-    # All pi-1/4 patterns close into the two closed length-5/6 carriers;
-    # the length-5 closed one stands alone.
-    ds = example_dataset()
-
-    def closure_names(name):
-        return _names(ds, closures_of(fixture_tree, ds.parse_pattern(name)))
-
-    assert closure_names("A->B->B") == {FULL}
-    assert closure_names("A->B->B->C") == {FULL}
-    assert closure_names("A->B->B->C->E") == {FULL}
-    assert closure_names("B->B->C->E->C") == {FULL}
-    assert closure_names("C->E->C") == {"A->B->C->E->C", FULL}
-    assert closure_names("B->C->E->C") == {"A->B->C->E->C", FULL}
-    assert closure_names("A->B->C->E->C") == {"A->B->C->E->C"}
-
-
-def test_closures_match_oracle_everywhere(fixture_tree):
-    ds = example_dataset()
-    universe = oracle_all_patterns(ds, example_config())
-    for node in fixture_tree:
-        got = sorted(n.pattern for n in closures_of(fixture_tree, node.pattern))
-        want = sorted(oracle_closures(universe, node.pattern))
-        assert got == want, node.pattern
-
-
 def test_closed_matches_oracle_on_random_datasets():
     rng = random.Random(31337)
     for trial in range(10):
@@ -115,11 +73,6 @@ def test_closed_matches_oracle_on_random_datasets():
         got = {n.pattern for n in extract_closed(tree)}
         want = {p for p, _ in oracle_closed(oracle_all_patterns(ds, cfg, max_len=7))}
         assert got == want, spec.seed
-
-
-def test_closures_of_unknown_pattern_raises(fixture_tree):
-    with pytest.raises(ValueError):
-        closures_of(fixture_tree, (0, 0, 0, 0, 0, 0, 0))
 
 
 def test_estimate_worked_example(fixture_csts):

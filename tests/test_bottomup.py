@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from csts import MiningConfig, is_supersequence
+from csts import MiningConfig
 from csts.bottomup import extract_csts, mine_csts, run_bottom_up
 from csts.oracle import (
     RandomSpec,
@@ -26,6 +26,7 @@ from expected import (
     EXPECTED_CSTS_EPS_25,
     EXPECTED_RCMAX_FULL_EPS_25,
     FULL,
+    is_supersequence,
 )
 
 

@@ -565,7 +565,11 @@ class TestQuery:
                                       "bracket-joined-line",
                                       "pi-as-number",
                                       "pi-as-bool",
-                                      "epsilon-as-number"])
+                                      "epsilon-as-number",
+                                      "csts-as-string",
+                                      "truncated",
+                                      "count-mismatch",
+                                      "member-label-unknown"])
     def test_malformed_record_file_exits_2(self, saved, tmp_path, capsys,
                                            case):
         with open(saved) as fh:
@@ -583,6 +587,17 @@ class TestQuery:
             run["config"]["epsilon"] = 0.25
         elif case == "types-not-labels":
             run["types"] = [["A"], "B"]
+        elif case == "csts-as-string":
+            # Records write only true, false or null; a truthy string on
+            # the non-member B->B->C must not make it a member.
+            row, = [rec for rec in recs if rec.get("pattern") == "B->B->C"]
+            row["csts"] = "no"
+        elif case == "count-mismatch":
+            member, = [rec for rec in recs if rec.get("pattern") == "B->B->C->E"]
+            member["csts"] = False
+        elif case == "member-label-unknown":
+            member, = [rec for rec in recs if rec.get("pattern") == "B->D"]
+            member["pattern"] = "B->Q"
         elif case.startswith("pi-"):
             member, = [rec for rec in recs if rec.get("pattern") == "B->B->C->E"]
             member["pi"] = {"pi-above-one": "3/2", "pi-below-zero": "-1/8",
@@ -600,6 +615,8 @@ class TestQuery:
             cut = lines[at].index(', "config"')
             lines[at:at + 1] = [lines[at][:cut], lines[at][cut + 2:]]
             lines[-2:] = [lines[-2] + "," + lines[-1]]
+        elif case == "truncated":
+            lines = lines[:20]
         elif case == "bracket-joined-line":
             # Valid JSON inside the loader's brackets, but one line too few
             # for its documents: only the count check refuses it.

@@ -1,4 +1,6 @@
-"""Sequence algebra, config validation, and core type invariants."""
+"""Sequence algebra (the suite's own containment scan and canonical order,
+which the miner-vs-oracle tests check against), config validation, and core
+type invariants."""
 
 import random
 from fractions import Fraction
@@ -11,11 +13,11 @@ from csts.model import (
     EventType,
     MiningConfig,
     as_fraction,
-    canonical_key,
     format_pattern,
-    is_supersequence,
     parse_pattern,
 )
+
+from expected import canonical_key, is_supersequence
 
 
 def brute_force_contains(outer, inner):

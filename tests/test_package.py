@@ -75,3 +75,19 @@ def test_every_oracle_name_has_a_user_outside_the_tests():
     unused = [name for name in names
               if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in users)]
     assert not unused, f"csts.oracle names that only the tests use: {unused}"
+
+
+def test_oracle_shares_no_helper_with_the_miner():
+    # The oracle checks the miner, so it takes only the domain types from
+    # csts.model and decides theta itself: a fault in a shared helper would
+    # otherwise pass every miner-vs-oracle test.
+    tree = ast.parse((Path(csts.__file__).parent / "oracle.py").read_text(encoding="utf-8"))
+    from_model = {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  and node.module == "model"
+                  for alias in node.names}
+    assert from_model <= {"EventDataset", "EventInstance", "EventType",
+                          "MiningConfig", "Pattern"}
+    calls = [node.func.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    assert "passes_theta" not in calls

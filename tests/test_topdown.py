@@ -11,7 +11,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from csts import EventDataset, EventInstance, EventType, MiningConfig, canonical_key
+from csts import EventDataset, EventInstance, EventType, MiningConfig
 from csts.bottomup import mine_csts
 from csts.neighborhoods import build_index
 from csts.oracle import (
@@ -26,6 +26,7 @@ from csts.topdown import gen_and_verify, mine_all, mine_level1
 from expected import (
     EXPECTED_AT_04,
     EXPECTED_LATTICE,
+    canonical_key,
     lattice_as_patterns,
     naive_neighborhood,
 )
@@ -118,6 +119,33 @@ def test_structural_invariants(fixture_tree):
         assert len(set(runs)) == len(runs)
         run_keys = [canonical_key(p.pattern) for p in runs]
         assert run_keys == sorted(run_keys)
+
+
+def test_node_finds_each_node_and_nothing_else(fixture_tree):
+    # node() binary-searches the pattern's level. Every node is found by its
+    # pattern, as a tuple or a list; the empty pattern, one longer than the
+    # depth and a non-strong one of a present length are not.
+    trees = [fixture_tree] + [
+        mine_all(generate_random(RandomSpec(seed=seed, n_types=4, n_instances=40)),
+                 MiningConfig(radius=20.0, window=50.0, theta="0.1", max_length=7))
+        for seed in (3, 17, 29)]
+    absent_checked = 0
+    for tree in trees:
+        present = {node.pattern for node in tree}
+        for node in tree:
+            assert tree.node(node.pattern) is node
+            assert tree.node(list(node.pattern)) is node
+        assert tree.node(()) is None
+        assert tree.node(tree.levels[-1][0].pattern + (0,)) is None
+        types = [node.pattern[0] for node in tree.levels[0]]
+        for shorter in tree.levels[:-1]:
+            for node in shorter:
+                for t in types:
+                    for ext in (node.pattern + (t,), (t,) + node.pattern):
+                        if ext not in present:
+                            assert tree.node(ext) is None, ext
+                            absent_checked += 1
+    assert absent_checked
 
 
 def test_finished_tree_is_freed_without_the_cyclic_collector():
