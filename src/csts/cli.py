@@ -5,7 +5,9 @@ stdout): one ``dataset`` record, one ``run`` (or per-grid-point
 ``sweep_point``) record, ``pattern`` records sorted canonically, and for
 sweeps the ratio ``series`` records. Records never contain wall-clock
 numbers — timings go to the stderr summary — so identical inputs produce
-byte-identical record streams on every run.
+byte-identical record streams on every run. --out is written only once
+the run has succeeded, over an existing file's old bytes (see
+`_write_records`).
 
 Exit codes: 0 success; 2 usage or data errors; 3 oracle size guard.
 """
@@ -16,6 +18,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 import time
 from collections import Counter
@@ -295,8 +298,8 @@ def _rcmax_sizes(cmax) -> Counter:
 
 def _check_out(path: Optional[str]) -> None:
     """Fail before any data is read when --out cannot be written. The file
-    itself is not opened, so an existing one keeps its bytes until the run
-    has succeeded."""
+    itself is not opened: `_write_records` writes it only once every record
+    is built, so a failed run leaves an existing one as it was."""
     if not path:
         return
     directory = os.path.dirname(path) or os.curdir
@@ -312,12 +315,25 @@ def _check_out(path: Optional[str]) -> None:
 
 
 def _write_records(path: Optional[str], records: list[dict]) -> None:
+    """Write one JSON line per record to --out, or to stdout. An existing
+    --out is written over from its first byte and then cut to the new
+    length, never truncated first. On ext4, a file truncated to nothing
+    and rewritten makes its close wait for write-back, and freeing the
+    blocks of a file already on disk, by truncating or unlinking it, can
+    take as long; either can exceed the whole run. Writing over the old
+    bytes does neither unless the output shrinks. The cost is durability:
+    nothing waits for the new bytes to reach the disk, so a power loss
+    soon after a run can leave --out with old bytes, or a mix of old and
+    new."""
     text = "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
                    for rec in records)
     if path:
         try:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            with open(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
+                if stat.S_ISREG(os.fstat(fd).st_mode):  # not a FIFO or device
+                    fh.truncate()
         except OSError as exc:
             raise _CliError(f"cannot write {path}: {exc}") from exc
     else:

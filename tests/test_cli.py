@@ -8,8 +8,10 @@ import gc
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -873,6 +875,153 @@ class TestErrors:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(BASE + ["--frobnicate"]) == 2
         assert main(BASE + ["--threads", "2"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# --out: written over in place, then cut to length
+# ---------------------------------------------------------------------------
+
+GEODESIC_ARGV = ["mine", "--synthetic", "4,400,0.05,2000", "--seed", "2",
+                 "--metric", "geodesic", "--radius", "800", "--window", "300",
+                 "--theta", "0.1", "--epsilon", "0.1"]
+GEODESIC_SHA256 = "9fbb0cee80c5457b080dd7e056ca24f5b97712716661aa2019eca258d4da020f"
+EXAMPLE_ARGV = BASE + ["--theta", "0.2", "--epsilon", "0.25"]
+
+
+@pytest.fixture
+def example_bytes(tmp_path):
+    """The example run's records, written to a fresh path outside the
+    directory a test lists."""
+    (tmp_path / "ref").mkdir()
+    ref = tmp_path / "ref" / "example.jsonl"
+    assert main(EXAMPLE_ARGV + ["--out", str(ref)]) == 0
+    return ref.read_bytes()
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("command", ["mine", "sweep"])
+    def test_rerun_into_one_out_gives_the_same_bytes(self, tmp_path, command):
+        argv = GEODESIC_ARGV if command == "mine" else STREAM_ARGV["sweep"]
+        out = tmp_path / "run.jsonl"
+        assert main(argv + ["--out", str(out)]) == 0
+        first, inode = out.read_bytes(), out.stat().st_ino
+        if command == "mine":
+            assert hashlib.sha256(first).hexdigest() == GEODESIC_SHA256
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == first
+        assert out.stat().st_ino == inode
+        assert os.listdir(tmp_path) == ["run.jsonl"]
+
+    def test_longer_old_file_is_cut_to_the_records(self, tmp_path,
+                                                   example_bytes):
+        out = tmp_path / "run.jsonl"
+        out.write_bytes(b"earlier output\n" * 100_000)
+        assert main(EXAMPLE_ARGV + ["--out", str(out)]) == 0
+        assert out.read_bytes() == example_bytes
+
+    def test_out_keeps_its_mode(self, tmp_path, example_bytes):
+        out = tmp_path / "run.jsonl"
+        out.write_text("earlier output\n")
+        out.chmod(0o640)
+        assert main(EXAMPLE_ARGV + ["--out", str(out)]) == 0
+        assert out.read_bytes() == example_bytes
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_new_out_gets_the_mode_open_gives(self, tmp_path):
+        out, opened = tmp_path / "run.jsonl", tmp_path / "opened"
+        old = os.umask(0o027)
+        try:
+            assert main(EXAMPLE_ARGV + ["--out", str(out)]) == 0
+            with open(opened, "w"):
+                pass
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == \
+            stat.S_IMODE(opened.stat().st_mode) == 0o640
+
+    def test_broken_pipe_exits_2(self, tmp_path, capsys):
+        # The reader takes one byte and leaves; the 310 kB stream outgrows
+        # the pipe's buffer, so the writer sees the broken pipe.
+        out = tmp_path / "pipe"
+        os.mkfifo(out)
+
+        def read_one_byte():
+            with open(out, "rb") as fh:
+                fh.read(1)
+        reader = threading.Thread(target=read_one_byte, daemon=True)
+        reader.start()
+        assert main(GEODESIC_ARGV + ["--out", str(out)]) == 2
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        err = capsys.readouterr().err
+        assert f"cannot write {out}: " in err and "Broken pipe" in err
+
+    @pytest.mark.parametrize("device, code", [("/dev/null", 0), ("/dev/full", 2)])
+    def test_device_out(self, capsys, device, code):
+        if not os.path.exists(device):
+            pytest.skip(f"needs {device}")
+        assert main(EXAMPLE_ARGV + ["--out", device]) == code
+        err = capsys.readouterr().err
+        assert (f"cannot write {device}: " in err) == (code == 2)
+        assert "Traceback" not in err
+
+    def test_symlink_out_stays_a_link(self, tmp_path, example_bytes):
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        target.write_text("earlier output\n")
+        link.symlink_to(target)
+        assert main(EXAMPLE_ARGV + ["--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == example_bytes
+
+    def test_hard_linked_out_is_written_in_place(self, tmp_path, example_bytes):
+        out, other = tmp_path / "run.jsonl", tmp_path / "other.jsonl"
+        out.write_text("earlier output\n")
+        os.link(out, other)
+        inode = out.stat().st_ino
+        assert main(EXAMPLE_ARGV + ["--out", str(out)]) == 0
+        assert out.read_bytes() == other.read_bytes() == example_bytes
+        assert out.stat().st_ino == other.stat().st_ino == inode
+
+    def test_fifo_out_receives_the_stream(self, tmp_path, example_bytes):
+        out, received = tmp_path / "pipe", []
+
+        def read_all():
+            with open(out, "rb") as fh:
+                received.append(fh.read())
+        os.mkfifo(out)
+        reader = threading.Thread(target=read_all, daemon=True)
+        reader.start()
+        assert main(EXAMPLE_ARGV + ["--out", str(out)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [example_bytes]
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0,
+                        reason="only root can give a file any owner and group")
+    def test_out_of_another_owner_keeps_owner_and_group(self, tmp_path,
+                                                        example_bytes):
+        out = tmp_path / "run.jsonl"
+        out.write_text("earlier output\n")
+        os.chown(out, 65534, 65534)
+        assert main(EXAMPLE_ARGV + ["--out", str(out)]) == 0
+        assert out.read_bytes() == example_bytes
+        assert (out.stat().st_uid, out.stat().st_gid) == (65534, 65534)
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                        reason="root may write to a read-only directory")
+    def test_writable_out_in_read_only_directory(self, tmp_path,
+                                                 example_bytes):
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        out = locked / "run.jsonl"
+        out.write_text("earlier output\n")
+        locked.chmod(0o500)
+        try:
+            assert main(EXAMPLE_ARGV + ["--out", str(out)]) == 0
+        finally:
+            locked.chmod(0o700)
+        assert out.read_bytes() == example_bytes
 
 
 def test_console_script_help_runs():
