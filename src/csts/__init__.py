@@ -32,7 +32,7 @@ from .model import (
     format_pattern,
     parse_pattern,
 )
-from .neighborhoods import NeighborhoodIndex, build_index
+from .neighborhoods import NeighborhoodIndex
 from .topdown import mine_all
 
 __version__ = "0.1.0"
@@ -49,7 +49,6 @@ __all__ = [
     "PatternNode",
     "PiEstimate",
     "approximate_pi",
-    "build_index",
     "extract_closed",
     "extract_csts",
     "format_pattern",

@@ -9,7 +9,8 @@ byte-identical record streams on every run. --out is written only once
 the run has succeeded, over an existing file's old bytes (see
 `_write_records`).
 
-Exit codes: 0 success; 2 usage or data errors; 3 oracle size guard.
+Exit codes: 0 success; 2 usage or data errors, or a failed write to --out
+or stdout; 3 oracle size guard.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .analysis import CstsSet, approximate_pi, extract_closed
 from .bottomup import extract_csts, run_bottom_up
 from .ingestion import load_boston, load_generic, load_pittsburgh
 from .model import EventDataset, MiningConfig, parse_pattern
-from .neighborhoods import build_index
+from .neighborhoods import NeighborhoodIndex
 from .oracle import (
     OracleSizeError,
     RandomSpec,
@@ -341,10 +342,10 @@ def _write_records(path: Optional[str], records: list[dict]) -> None:
 
 
 def _index(dataset: EventDataset, cfg: MiningConfig):
-    """(neighbor index, build seconds); no index for an empty dataset."""
+    """(neighbor index, build seconds)."""
     t0 = time.perf_counter()
     try:
-        index = build_index(dataset, cfg) if len(dataset) else None
+        index = NeighborhoodIndex(dataset, cfg)
     except ValueError as exc:  # bad degrees
         raise _CliError(str(exc)) from exc
     return index, time.perf_counter() - t0
@@ -460,7 +461,7 @@ def cmd_sweep(args) -> int:
 
     _say(f"sweep: {len(grid)} theta x {len(grid[0])} epsilon points")
     _say(f"load: {t_load:.3f}s")
-    _say(f"index: {t_index:.3f}s edges={0 if index is None else index.edge_count}")
+    _say(f"index: {t_index:.3f}s edges={index.edge_count}")
     header = f"{'theta':>8} {'epsilon':>8} {'all':>7} {'closed':>7} " \
              f"{'csts':>7} {'top(s)':>8} {'bottom(s)':>9}"
     _say(header)
@@ -624,9 +625,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     handlers = {"mine": cmd_mine, "sweep": cmd_sweep, "query": cmd_query}
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        print(end="", flush=True)  # stdout, if open: a reader that left fails here
+        return code
     except _CliError as exc:
         print(f"{_PROG}: error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        print(f"{_PROG}: error: cannot write stdout: {exc}", file=sys.stderr)
         return 2
     except OracleSizeError as exc:
         print(f"{_PROG}: oracle guard: {exc}", file=sys.stderr)

@@ -55,8 +55,10 @@ def _cells(coords: Sequence[np.ndarray], size: float) -> tuple[np.ndarray, np.nd
     """(cell id per point, id offsets of the 3**d cells around any cell) for
     a grid over the d coordinate arrays whose cells are at least ``size``
     wide. A pair of points closer than ``size`` along every coordinate lies
-    in neighbouring cells."""
+    in neighbouring cells. No points make no cells and the one offset 0."""
     n = coords[0].size
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
     extent = max(float(np.abs(c).max()) for c in coords)
     per_axis = max(1, int((_KEY_LIMIT / n) ** (1 / len(coords))) // 2 - 2)
     # The margins keep float rounding from putting a pair that passes the
@@ -79,7 +81,8 @@ def _cells(coords: Sequence[np.ndarray], size: float) -> tuple[np.ndarray, np.nd
 
 class NeighborhoodIndex:
     """The neighbor relation of one dataset under one config.
-    ``edge_count`` is the number of (source, target) pairs in it.
+    ``edge_count`` is the number of (source, target) pairs in it, 0 for a
+    dataset with no instances. Geodesic degrees out of range raise ValueError.
 
     Each type numbers its instances 0..count-1 in idx order; these are the
     type's local ids, and :meth:`instances_of` maps them back to idx."""
@@ -105,7 +108,7 @@ class NeighborhoodIndex:
         # Every union's masks take the largest type's count: masks sized per
         # type left the heap fragmented, which raised a whole run's peak RSS
         # by 1-2 MB on a 12,000-instance, 5-type dataset.
-        self._mask_size = int(np.diff(starts).max())
+        self._mask_size = int(np.diff(starts).max(initial=0))
         major = np.empty(n, dtype=np.int64)
         major[dataset.type_order] = np.arange(n)
 
@@ -228,12 +231,3 @@ class NeighborhoodIndex:
         hit = np.zeros(self._mask_size, dtype=bool)
         hit[self._dst[a:b][chosen[self._src[a:b]]]] = True
         return hit.nonzero()[0]
-
-
-def build_index(dataset: EventDataset, config: MiningConfig) -> NeighborhoodIndex:
-    """Construct the neighbor relation for a dataset/config pair. Raises
-    ValueError for an empty dataset or, in geodesic mode, degrees out of
-    range."""
-    if len(dataset) == 0:
-        raise ValueError("cannot index an empty dataset")
-    return NeighborhoodIndex(dataset, config)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import EventDataset, MaxTree, MiningConfig, PatternNode
-from .neighborhoods import NeighborhoodIndex, build_index
+from .neighborhoods import NeighborhoodIndex
 
 
 def mine_level1(dataset: EventDataset) -> list[PatternNode]:
@@ -99,18 +99,17 @@ def mine_all(dataset: EventDataset, cfg: MiningConfig,
     raises ValueError.
     """
     require_bounded(cfg)
-    if index is not None:
-        if index.dataset is not dataset:
-            raise ValueError("the neighbor index was built for another dataset")
-        built = (index.config.radius, index.config.window, index.config.metric)
-        if built != (cfg.radius, cfg.window, cfg.metric):
-            raise ValueError(
-                f"the neighbor index was built for (radius, window, metric) "
-                f"{built}, not {(cfg.radius, cfg.window, cfg.metric)}")
+    if index is None:
+        index = NeighborhoodIndex(dataset, cfg)
+    if index.dataset is not dataset:
+        raise ValueError("the neighbor index was built for another dataset")
+    built = (index.config.radius, index.config.window, index.config.metric)
+    if built != (cfg.radius, cfg.window, cfg.metric):
+        raise ValueError(
+            f"the neighbor index was built for (radius, window, metric) "
+            f"{built}, not {(cfg.radius, cfg.window, cfg.metric)}")
     levels: list[list[PatternNode]] = []
     level = mine_level1(dataset)
-    if index is None and level:
-        index = build_index(dataset, cfg)
     capped = False
     while level:
         levels.append(level)

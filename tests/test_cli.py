@@ -1,9 +1,10 @@
 """End-to-end checks of the command-line interface.
 
 Everything runs in-process through ``csts.cli.main`` so the suite stays
-fast; one subprocess test proves the installed console script works.
+fast; two subprocess tests run the console script itself.
 """
 
+import contextlib
 import gc
 import hashlib
 import json
@@ -52,7 +53,7 @@ def pipeline_calls(monkeypatch):
             return real(*args, **kwargs)
         return wrapped
 
-    for name in ("load_generic", "build_index", "mine_all"):
+    for name in ("load_generic", "NeighborhoodIndex", "mine_all"):
         monkeypatch.setattr(csts.cli, name, counting(name))
     return calls
 
@@ -400,14 +401,14 @@ class TestSweep:
         import csts.cli
         import csts.topdown
         built = []
-        real = csts.topdown.build_index
+        real = csts.topdown.NeighborhoodIndex
 
         def counting(*args):
             built.append(args)
             return real(*args)
 
-        monkeypatch.setattr(csts.cli, "build_index", counting)
-        monkeypatch.setattr(csts.topdown, "build_index", counting)
+        monkeypatch.setattr(csts.cli, "NeighborhoodIndex", counting)
+        monkeypatch.setattr(csts.topdown, "NeighborhoodIndex", counting)
         assert main(["sweep", "--input", FIXTURE, "--radius", "10",
                      "--window", "20", "--theta", "0,0.2",
                      "--epsilon", "0,0.25"]) == 0
@@ -1022,6 +1023,79 @@ class TestOutFile:
         finally:
             locked.chmod(0o700)
         assert out.read_bytes() == example_bytes
+
+
+# ---------------------------------------------------------------------------
+# Inputs with no instances
+# ---------------------------------------------------------------------------
+
+EMPTY_INPUTS = {"synthetic": ["--synthetic", "3,0"],
+                "header-only": ["--input", "header.csv"]}
+EMPTY_GRIDS = {"mine": ["--theta", "0.2", "--epsilon", "0.25"],
+               "sweep": ["--theta", "0,0.2", "--epsilon", "0,0.25"]}
+# Their record streams: all counts 0, every ratio null.
+EMPTY_SHA256 = {
+    ("mine", "synthetic"):
+        "f5ad6b430e3ac8c57bc54fb0d247e3398f6cdd3b181dd4c2e62ead36580621c7",
+    ("sweep", "synthetic"):
+        "a11fe074646bb31b0de834d29af5bd488c210a67083032d7e3446740f6d1334d",
+    ("mine", "header-only"):
+        "a46c4756aad70d443c05a34be1d7befdaaf48fb3dc8690cdad0d8ddf19d04bbf",
+    ("sweep", "header-only"):
+        "a7a84847a6eb8e4fb9492a6c4acc291b14a7a32d7ee972e3907629b18dc57d56",
+}
+
+
+@pytest.mark.parametrize("source", sorted(EMPTY_INPUTS))
+@pytest.mark.parametrize("command", sorted(EMPTY_GRIDS))
+def test_empty_input_streams(tmp_path, monkeypatch, capsys, command, source):
+    # The CSV's source in the dataset record is the relative path given.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "header.csv").write_text("type,x,y,time_minutes\n")
+    assert main([command, *EMPTY_INPUTS[source], "--radius", "10",
+                 "--window", "20", *EMPTY_GRIDS[command]]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == \
+        EMPTY_SHA256[command, source]
+    assert ("edges=0" in captured.err) == (command == "sweep")
+
+
+# ---------------------------------------------------------------------------
+# stdout whose reader has left
+# ---------------------------------------------------------------------------
+
+class _LeftReader:
+    """A stdout whose reader has closed its end: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [
+    EXAMPLE_ARGV,
+    STREAM_ARGV["sweep"],
+    ["query", "--from", str(STREAMS / "mine-csts.jsonl"), "--pattern", "B->B->C"],
+], ids=["mine", "sweep", "query"])
+def test_broken_stdout_exits_2(capsys, argv):
+    with contextlib.redirect_stdout(_LeftReader()):
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "csts: error: cannot write stdout: [Errno 32] Broken pipe\n" in err
+    assert "Traceback" not in err
+
+
+def test_console_script_reports_a_reader_that_left():
+    proc = subprocess.Popen([sys.executable, "-m", "csts.cli", *GEODESIC_ARGV],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the run writes its first record
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert "csts: error: cannot write stdout: " in err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_console_script_help_runs():

@@ -14,7 +14,7 @@ import pytest
 
 from csts import EventDataset, EventInstance, EventType, MiningConfig
 from csts.ingestion import load_boston, load_pittsburgh
-from csts.neighborhoods import build_index
+from csts.neighborhoods import NeighborhoodIndex
 
 from expected import naive_neighborhood
 
@@ -32,8 +32,8 @@ def _dataset(points):
 def _reaches(a, b, radius, metric="euclidean"):
     """Whether an instance at b, one minute after one at a, is its neighbor.
     With one type, local ids are idx."""
-    index = build_index(_dataset([a, b]),
-                        MiningConfig(radius=radius, window=10.0, metric=metric))
+    index = NeighborhoodIndex(
+        _dataset([a, b]), MiningConfig(radius=radius, window=10.0, metric=metric))
     return index.union_over([0], 0, 0).tolist() == [1]
 
 
@@ -92,7 +92,7 @@ class TestHaversine:
         points = [(10.0, 20.0), (-170.0, -20.0)]
         points += [_random_point(rng) for _ in range(500)]
         bound = math.pi * EARTH_RADIUS_KM * 1000.0
-        index = build_index(_dataset(points), MiningConfig(
+        index = NeighborhoodIndex(_dataset(points), MiningConfig(
             radius=bound + 1e-6, window=len(points), metric="geodesic"))
         assert index.union_over([0], 0, 0).tolist() == list(range(1, len(points)))
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from csts import EventDataset, EventInstance, EventType, MiningConfig
-from csts.neighborhoods import EARTH_RADIUS_M, NeighborhoodIndex, build_index
+from csts.neighborhoods import EARTH_RADIUS_M, NeighborhoodIndex
 from csts.topdown import mine_all
 from csts.oracle import (
     RandomSpec,
@@ -36,7 +36,7 @@ def _neighbors(index, e_idx, type_id):
 
 
 def _assert_index_matches_naive(dataset, cfg):
-    index = build_index(dataset, cfg)
+    index = NeighborhoodIndex(dataset, cfg)
     for inst in dataset.instances:
         for type_id in range(len(dataset.types)):
             got = set(_neighbors(index, inst.idx, type_id))
@@ -53,7 +53,7 @@ def test_fixture_index_matches_naive_everywhere():
 
 def test_fixture_named_neighborhoods_through_index():
     ds = example_dataset()
-    index = build_index(ds, example_config())
+    index = NeighborhoodIndex(ds, example_config())
     name = EXAMPLE_NAME_TO_IDX
     b = ds.id_of("B")
     e = ds.id_of("E")
@@ -63,7 +63,7 @@ def test_fixture_named_neighborhoods_through_index():
 
 def test_neighbors_sorted_and_stable_across_queries():
     ds = example_dataset()
-    index = build_index(ds, example_config())
+    index = NeighborhoodIndex(ds, example_config())
     for inst in ds.instances:
         for type_id in range(len(ds.types)):
             first = _neighbors(index, inst.idx, type_id)
@@ -146,7 +146,7 @@ def test_float_time_boundary_pair_mines_like_the_oracle():
         [EventInstance(0, 0, 0.0, 0.0, 901.4), EventInstance(1, 1, 0.0, 0.0, 901.5)],
     )
     cfg = MiningConfig(radius=1.0, window=0.1)
-    assert _neighbors(build_index(ds, cfg), 0, 1) == ()
+    assert _neighbors(NeighborhoodIndex(ds, cfg), 0, 1) == ()
     assert [n.pattern for n in mine_all(ds, cfg)] == \
         [p for p, _ in oracle_all_patterns(ds, cfg)] == [(0,), (1,)]
 
@@ -161,7 +161,7 @@ def test_simultaneous_instances_are_never_neighbors():
         ],
     )
     cfg = MiningConfig(radius=100.0, window=100.0)
-    index = build_index(ds, cfg)
+    index = NeighborhoodIndex(ds, cfg)
     assert _neighbors(index, 0, 1) == ()
     assert _neighbors(index, 1, 0) == ()
 
@@ -178,7 +178,7 @@ def test_temporal_boundaries():
             EventInstance(4, 1, 0.0, 0.0, 99),    # earlier
         ],
     )
-    index = build_index(ds, MiningConfig(radius=5.0, window=20.0))
+    index = NeighborhoodIndex(ds, MiningConfig(radius=5.0, window=20.0))
     assert _neighbors(index, 0, 1) == (2,)
 
 
@@ -191,16 +191,16 @@ def test_spatial_boundary_is_inclusive():
             EventInstance(2, 1, 6.0, 8.001, 5),  # just beyond
         ],
     )
-    index = build_index(ds, MiningConfig(radius=10.0, window=20.0))
+    index = NeighborhoodIndex(ds, MiningConfig(radius=10.0, window=20.0))
     assert _neighbors(index, 0, 1) == (1,)
 
 
 def test_integer_radius_whose_square_overflows_float64():
     # 10**200 is a finite float64, but its square, the int 10**400, is not.
     ds, cfg = example_dataset(), example_config()
-    far = build_index(ds, MiningConfig(radius=1e200, window=cfg.window))
-    assert build_index(ds, MiningConfig(radius=10**200, window=cfg.window)).edge_count \
-        == far.edge_count > 0
+    far = NeighborhoodIndex(ds, MiningConfig(radius=1e200, window=cfg.window))
+    near = NeighborhoodIndex(ds, MiningConfig(radius=10**200, window=cfg.window))
+    assert near.edge_count == far.edge_count > 0
 
 
 def _planar_random():
@@ -215,7 +215,7 @@ def test_union_over_matches_per_instance_union():
     # neighborhoods and comes back as sorted local ids of the target type.
     geodesic = _random_geodesic(random.Random(2), 120)  # radius 20 km, 371 edges
     for ds, cfg in [(example_dataset(), example_config()), _planar_random(), geodesic]:
-        index = build_index(ds, cfg)
+        index = NeighborhoodIndex(ds, cfg)
         rng = random.Random(7)
         for _ in range(20):
             for source in range(len(ds.types)):
@@ -236,7 +236,7 @@ def test_edge_blocks_are_ordered_by_source():
     # Contiguous runs per source keep union_over's gather cheap; the
     # (source type, target type) blocks together are the whole relation.
     for ds, cfg in [_planar_random(), _random_geodesic(random.Random(2), 120)]:
-        index = build_index(ds, cfg)
+        index = NeighborhoodIndex(ds, cfg)
         n_types = len(ds.types)
         sizes, edges = 0, set()
         for target in range(n_types):
@@ -271,8 +271,8 @@ def test_relabeling_instances_relabels_neighborhoods():
             for j, old in enumerate(sigma)
         ],
     )
-    idx_a = build_index(base, cfg)
-    idx_b = build_index(permuted, cfg)
+    idx_a = NeighborhoodIndex(base, cfg)
+    idx_b = NeighborhoodIndex(permuted, cfg)
     for old in range(len(base.instances)):
         for type_id in range(len(base.types)):
             mapped = {relabel[n] for n in _neighbors(idx_a, old, type_id)}
@@ -281,7 +281,7 @@ def test_relabeling_instances_relabels_neighborhoods():
 
 def test_unknown_ids_raise():
     ds = example_dataset()
-    index = build_index(ds, example_config())
+    index = NeighborhoodIndex(ds, example_config())
     for source, target in [(0, 99), (99, 0), (-1, 0)]:
         with pytest.raises(KeyError):
             index.union_over([0], source, target)
@@ -298,10 +298,20 @@ def test_unknown_ids_raise():
     assert index.union_over([39], e, c).size == 2
 
 
-def test_empty_dataset_rejected():
-    ds = EventDataset([EventType(0, "A")], [])
-    with pytest.raises(ValueError):
-        build_index(ds, MiningConfig(radius=1.0, window=1.0))
+def test_empty_dataset_has_no_edges():
+    # With no instances there are no cells to search, under either metric;
+    # a type with no instances still answers unions and lookups, empty.
+    for metric in ("euclidean", "geodesic"):
+        cfg = MiningConfig(radius=1.0, window=1.0, metric=metric)
+        index = NeighborhoodIndex(EventDataset([], []), cfg)
+        assert index.edge_count == 0
+        with pytest.raises(KeyError):
+            index.union_over(np.empty(0, np.int64), 0, 0)
+        index = NeighborhoodIndex(EventDataset([EventType(0, "A")], []), cfg)
+        assert index.edge_count == 0
+        union = index.union_over(np.empty(0, np.int64), 0, 0)
+        assert union.size == 0 and union.dtype == np.int64
+        assert index.instances_of(0, []).size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +371,7 @@ def _spec_distance(source, target, metric):
 
 
 def _assert_index_matches_spec(dataset, cfg):
-    index = build_index(dataset, cfg)
+    index = NeighborhoodIndex(dataset, cfg)
     got = set()
     for source in dataset.by_type:
         ids = index.instances_of(source, slice(None)).tolist()

@@ -13,7 +13,7 @@ import pytest
 
 from csts import EventDataset, EventInstance, EventType, MiningConfig
 from csts.bottomup import mine_csts
-from csts.neighborhoods import build_index
+from csts.neighborhoods import NeighborhoodIndex
 from csts.oracle import (
     RandomSpec,
     example_config,
@@ -39,7 +39,7 @@ def fixture_tree():
 
 def test_level1_roots(fixture_tree):
     ds = example_dataset()
-    index = build_index(ds, example_config())
+    index = NeighborhoodIndex(ds, example_config())
     roots = fixture_tree.levels[0]
     assert [n.pattern for n in roots] == [(t,) for t in range(5)]
     for n in roots:
@@ -187,7 +187,7 @@ def _support_chain_from_scratch(dataset, cfg, pattern):
 def test_supports_match_recomputation(fixture_tree):
     ds = example_dataset()
     cfg = example_config()
-    index = build_index(ds, cfg)
+    index = NeighborhoodIndex(ds, cfg)
     for node in fixture_tree:
         support, pi = _support_chain_from_scratch(ds, cfg, node.pattern)
         decoded = index.instances_of(node.pattern[-1], node.last_support)
@@ -264,9 +264,10 @@ def test_nonstrict_zero_theta_requires_cap():
 def test_empty_and_tiny_datasets():
     from csts import EventDataset, EventInstance, EventType
     cfg = MiningConfig(radius=1.0, window=1.0)
-    empty = EventDataset([EventType(0, "A")], [])
-    tree = mine_all(empty, cfg)
-    assert tree.depth == 0 and len(tree) == 0
+    for empty in (EventDataset([], []), EventDataset([EventType(0, "A")], [])):
+        for index in (None, NeighborhoodIndex(empty, cfg)):
+            tree = mine_all(empty, cfg, index=index)
+            assert tree.depth == 0 and len(tree) == 0 and not tree.capped
     single = EventDataset([EventType(0, "A")],
                           [EventInstance(0, 0, 0.0, 0.0, 0)])
     tree = mine_all(single, cfg)
@@ -277,7 +278,7 @@ def test_empty_and_tiny_datasets():
 def test_level_functions_compose_like_mine_all():
     ds = example_dataset()
     cfg = example_config()
-    index = build_index(ds, cfg)
+    index = NeighborhoodIndex(ds, cfg)
     l1 = mine_level1(ds)
     l2 = gen_and_verify(l1, index, cfg)
     before = pickle.dumps(l2)
@@ -292,7 +293,7 @@ def test_level_functions_compose_like_mine_all():
 
 def test_prebuilt_index_gives_the_same_tree():
     ds = example_dataset()
-    index = build_index(ds, example_config())
+    index = NeighborhoodIndex(ds, example_config())
     for theta in ("0", "0.2", "0.4"):
         cfg = MiningConfig(radius=10.0, window=20.0, theta=theta)
         want = [(n.pattern, n.pi) for n in mine_all(ds, cfg)]
@@ -305,7 +306,8 @@ def test_prebuilt_index_for_other_parameters_rejected(change):
     # Valid degrees, so a geodesic index can be built for it too.
     ds = EventDataset([EventType(0, "A"), EventType(1, "B")],
                       [EventInstance(0, 0, 0.0, 0.0, 0), EventInstance(1, 1, 0.0, 1e-4, 1)])
-    index = build_index(ds, MiningConfig(**{"radius": 10.0, "window": 20.0, **change}))
+    index = NeighborhoodIndex(
+        ds, MiningConfig(**{"radius": 10.0, "window": 20.0, **change}))
     with pytest.raises(ValueError, match="radius, window, metric"):
         mine_all(ds, MiningConfig(radius=10.0, window=20.0, theta="0.2"), index=index)
 
@@ -313,6 +315,6 @@ def test_prebuilt_index_for_other_parameters_rejected(change):
 def test_prebuilt_index_for_another_dataset_rejected():
     # An equal copy is still another dataset: the index keeps no proof that
     # two datasets hold the same instances.
-    index = build_index(example_dataset(), example_config())
+    index = NeighborhoodIndex(example_dataset(), example_config())
     with pytest.raises(ValueError, match="another dataset"):
         mine_all(example_dataset(), example_config(), index=index)
