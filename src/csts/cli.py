@@ -298,10 +298,13 @@ def _rcmax_sizes(cmax) -> Counter:
 
 
 def _check_out(path: Optional[str]) -> None:
-    """Fail before any data is read when --out cannot be written. The file
-    itself is not opened: `_write_records` writes it only once every record
-    is built, so a failed run leaves an existing one as it was."""
+    """Fail before any data is read when --out, or stdout without it, cannot
+    be written. The file itself is not opened: `_write_records` writes it
+    only once every record is built, so a failed run leaves an existing one
+    as it was."""
     if not path:
+        if sys.stdout is None:  # started with file descriptor 1 closed
+            raise _CliError("cannot write stdout: it is closed")
         return
     directory = os.path.dirname(path) or os.curdir
     if not os.path.isdir(directory):

@@ -299,8 +299,12 @@ class MiningConfig:
                 raise ValueError(f"max_length must be a positive int, got {self.max_length!r}")
             object.__setattr__(self, "max_length", length)
 
-    def passes_theta(self, pi: Fraction) -> bool:
-        return pi > self.theta if self.strict_theta else pi >= self.theta
+    def passes_theta(self, num: int, den: int) -> bool:
+        """Whether the ratio num / den (den > 0) passes theta: num / den >
+        theta, or >= with ``strict_theta=False``, compared cross-multiplied."""
+        num *= self.theta.denominator
+        den *= self.theta.numerator
+        return num > den if self.strict_theta else num >= den
 
 
 # ---------------------------------------------------------------------------

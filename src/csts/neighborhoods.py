@@ -25,13 +25,13 @@ latitude) in degrees and uses the haversine great-circle distance in meters,
 with the source latitude's cosine from ``math.cos``.
 
 Each type numbers its instances 0..count-1 in idx order: their local ids.
-The edges are kept as two parallel arrays of (source local id, target local
-id), sorted once by (target type, source type, source local id), so the
-edges from one type into another are one contiguous block, found in a cut
+The edges are kept as two parallel arrays of (source local id, target
+type-major id), sorted once by (source type-major id, target type-major
+id), so the edges out of one type are one contiguous run, found in a cut
 table, and one source's edges are contiguous within it. Supports are
 sorted, unique ``int64`` arrays of the local ids of one type; a union
-touches only the block from the support's type into the target type, and
-``instances_of`` maps local ids back to idx.
+gathers the run of the support's type once and slices out every target
+type it is asked for, and ``instances_of`` maps local ids back to idx.
 """
 
 from __future__ import annotations
@@ -92,22 +92,20 @@ class NeighborhoodIndex:
         self.config = config
 
         n = len(dataset)
-        n_types = len(dataset.types)
-        # Edge keys are (target type, source type-major id, target local id),
-        # the last two in fields of ``shift`` bits; they stay below 2**63
-        # while n_types * 4 * n**2 does (up to 2**28 instances of 127 types).
+        # Edge keys are source type-major id << shift | target type-major
+        # id, in fields of ``shift`` bits; they stay below 2**63 while
+        # 4 * n**2 does (up to 2**30 instances).
         shift = max(1, (n - 1).bit_length())
 
         # Type-major ids number the instances by (type, idx), so type t
         # holds the ids starts[t] .. starts[t+1]-1 and a local id is the
         # type-major id less starts[t]; the dataset's type_order maps a
         # type-major id to idx.
-        type_of = dataset.type_ids
         starts = dataset.type_starts
         self._starts = starts.tolist()
-        # Every union's masks take the largest type's count: masks sized per
-        # type left the heap fragmented, which raised a whole run's peak RSS
-        # by 1-2 MB on a 12,000-instance, 5-type dataset.
+        # Every union's source mask takes the largest type's count: masks
+        # sized per type left the heap fragmented, which raised a whole run's
+        # peak RSS by 1-2 MB on a 12,000-instance, 5-type dataset.
         self._mask_size = int(np.diff(starts).max(initial=0))
         major = np.empty(n, dtype=np.int64)
         major[dataset.type_order] = np.arange(n)
@@ -138,12 +136,9 @@ class NeighborhoodIndex:
         else:
             cell, offsets = _cells([xs, ys], radius)
         # Each time position's part of an edge key, as source and as target.
-        major = major[order]
-        src_code = major << shift
-        dst_code = type_of[order] << (2 * shift)
-        dst_code += major
-        dst_code -= starts[type_of[order]]
-        del major, type_of, order
+        dst_code = major[order]
+        src_code = dst_code << shift
+        del major, order
 
         # Each source's candidates [lo, hi) of strictly later instances. The
         # window is decided per candidate by the oracle's test t_f - t_e <=
@@ -183,23 +178,21 @@ class NeighborhoodIndex:
             edge = dst_code[dst[ok]]
             edge += src_code[src[ok]]
             edge_parts.append(edge)
-        # One sort of the keys leaves every (source type, target type) block
-        # of edges contiguous, and each source's edges contiguous within it.
-        # The parts are freed before the sort, which is in place, so the
-        # build's memory peak is the concatenation.
+        # One sort of the keys leaves every source type's edges one
+        # contiguous run, and each source's edges contiguous within it. The
+        # parts are freed before the sort, which is in place, so the build's
+        # memory peak is the concatenation.
         edges = np.concatenate(edge_parts)
         del edge_parts
         edges.sort()
         self.edge_count = int(edges.size)
-        self._dst = edges & ((1 << shift) - 1)  # target local ids
+        self._dst = edges & ((1 << shift) - 1)  # target type-major ids
         edges >>= shift
-        # Block (source s, target t) starts at key t << shift | starts[s].
-        firsts = ((np.arange(n_types, dtype=np.int64)[:, None] << shift)
-                  + starts[:-1]).ravel()
-        cuts = np.searchsorted(edges, firsts)
-        edges -= np.repeat(firsts, np.diff(cuts, append=edges.size))
+        # Source type s's run starts at its first type-major id, starts[s].
+        cuts = np.searchsorted(edges, starts)
+        edges -= np.repeat(starts[:-1], np.diff(cuts))
         self._src = edges  # source local ids
-        self._cuts = [*cuts.tolist(), edges.size]
+        self._cuts = cuts.tolist()
 
     def instances_of(self, type_id: int, local_ids) -> np.ndarray:
         """The idx of type ``type_id``'s instances with the given local ids."""
@@ -209,25 +202,27 @@ class NeighborhoodIndex:
         return members[local_ids]
 
     def union_over(self, support: Sequence[int], source_type: int,
-                   target_type: int) -> np.ndarray:
-        """Sorted, unique local ids of every type-``target_type`` neighbor of
-        the ``support`` instances, given as local ids of ``source_type``: the
-        support-set step of the miner. The support must be sorted; a first
-        or last id outside [0, count) raises ValueError."""
-        n_types = len(self.dataset.types)
-        for type_id in (source_type, target_type):
+                   target_types: Sequence[int]) -> list[np.ndarray]:
+        """For each type in ``target_types``, the sorted, unique local ids of
+        its instances that neighbor some ``support`` instance, given as local
+        ids of ``source_type``: the support-set step of the miner, for every
+        child of one prefix from one gather over ``source_type``'s edges. The
+        support must be sorted; a first or last id outside [0, count) raises
+        ValueError."""
+        starts = self._starts
+        n_types = len(starts) - 1
+        for type_id in (source_type, *target_types):
             if not 0 <= type_id < n_types:
                 raise KeyError(f"unknown event type id {type_id}")
         # Sorted, so the two ends bound every id.
-        count = self._starts[source_type + 1] - self._starts[source_type]
+        count = starts[source_type + 1] - starts[source_type]
         if len(support) and not (0 <= support[0] and support[-1] < count):
             raise ValueError(
                 f"local ids of type {self.dataset.label_of(source_type)!r} must lie "
                 f"in [0, {count}), got {support[0]} .. {support[-1]}")
-        block = target_type * n_types + source_type
-        a, b = self._cuts[block], self._cuts[block + 1]
+        a, b = self._cuts[source_type], self._cuts[source_type + 1]
         chosen = np.zeros(self._mask_size, dtype=bool)
         chosen[support] = True
-        hit = np.zeros(self._mask_size, dtype=bool)
+        hit = np.zeros(starts[-1], dtype=bool)
         hit[self._dst[a:b][chosen[self._src[a:b]]]] = True
-        return hit.nonzero()[0]
+        return [hit[starts[t]:starts[t + 1]].nonzero()[0] for t in target_types]

@@ -4,16 +4,18 @@ Breadth-first, level by level: length-1 patterns are the event types. Grouped
 by prefix node, a level joins each node (a candidate's prefix, ``parent1``)
 with the group of its own suffix node (the candidate's suffix, ``parent2``). A
 candidate's participation index is the minimum of its prefix's index and the
-participation ratio of its new final element, so each level needs one
-neighborhood-union sweep. Candidates below the threshold are dropped with their
-would-be extensions, soundly: the index only shrinks as a pattern grows.
+participation ratio of its new final element, so a prefix's whole group is
+verified from one neighborhood gather over its support, and the index and
+threshold tests compare cross-multiplied integers. Candidates below the
+threshold are dropped with their would-be extensions, soundly: the index only
+shrinks as a pattern grows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -29,30 +31,36 @@ def mine_level1(dataset: EventDataset) -> list[PatternNode]:
             for t in dataset.types if dataset.count(t.id)]
 
 
-def _make_child(parent1: PatternNode, parent2: PatternNode,
-                index: NeighborhoodIndex, cfg: MiningConfig) -> Optional[PatternNode]:
-    # One candidate: extend parent1's pattern by parent2's final element.
-    new_type = parent2.pattern[-1]
-    support = index.union_over(parent1.last_support, parent1.pattern[-1], new_type)
-    ratio = Fraction(len(support), index.dataset.count(new_type))
-    pi = min(parent1.pi, ratio)
-    if not cfg.passes_theta(pi):
-        return None
-    return PatternNode(
-        pattern=parent1.pattern + (new_type,),
-        pi=pi,
-        last_support=support,
-        parent1=parent1,
-        parent2=parent2,
-    )
-
-
-def _pairs(level_prev: Sequence[PatternNode]):
-    # The (prefix, suffix) candidates of the next level; see gen_and_verify.
+def _children(level_prev: Sequence[PatternNode], index: NeighborhoodIndex,
+              cfg: MiningConfig) -> Iterator[PatternNode]:
+    # The verified children of level_prev, prefix by prefix, in canonical
+    # order; see gen_and_verify.
     by_prefix = {p: list(g) for p, g in groupby(level_prev, lambda n: n.parent1)}
+    count = index.dataset.count
     for si in level_prev:
-        for sj in by_prefix.get(si.parent2, ()):
-            yield si, sj
+        group = by_prefix.get(si.parent2)
+        pk, pc = si.pi.numerator, si.pi.denominator
+        # A child's index never exceeds its prefix's: a failing prefix has none.
+        if not group or not cfg.passes_theta(pk, pc):
+            continue
+        targets = [sj.pattern[-1] for sj in group]
+        supports = index.union_over(si.last_support, si.pattern[-1], targets)
+        for sj, new_type, support in zip(group, targets, supports):
+            # pi = min(pi(si), k / c), tested cross-multiplied.
+            k, c = len(support), count(new_type)
+            if k * pc >= pk * c:
+                pi = si.pi
+            elif cfg.passes_theta(k, c):
+                pi = Fraction(k, c)
+            else:
+                continue
+            yield PatternNode(
+                pattern=si.pattern + (new_type,),
+                pi=pi,
+                last_support=support,
+                parent1=si,
+                parent2=sj,
+            )
 
 
 def gen_and_verify(level_prev: Sequence[PatternNode], index: NeighborhoodIndex,
@@ -64,14 +72,10 @@ def gen_and_verify(level_prev: Sequence[PatternNode], index: NeighborhoodIndex,
     patterns overlapping it in all but the first position. Roots have
     neither, so every root pairs with every root, itself included. Each
     candidate comes exactly once and in canonical order, as a canonical
-    level lists each group as one run sorted by final element.
+    level lists each group as one run sorted by final element. A node's
+    whole group is verified from one ``union_over`` gather over its support.
     """
-    level = []
-    for si, sj in _pairs(level_prev):
-        node = _make_child(si, sj, index, cfg)
-        if node is not None:
-            level.append(node)
-    return level
+    return list(_children(level_prev, index, cfg))
 
 
 def require_bounded(cfg: MiningConfig) -> None:
@@ -88,10 +92,10 @@ def mine_all(dataset: EventDataset, cfg: MiningConfig,
     """Grow the full tree of threshold-passing patterns.
 
     Levels are generated until one comes back empty or ``cfg.max_length`` is
-    reached. At the cap the candidates of the next level are verified until
-    one passes, without being kept: the tree is ``capped`` exactly when
-    longer patterns pass. With ``strict_theta=False`` and theta 0 every
-    candidate passes, so a cap is required to terminate.
+    reached. At the cap the candidates of the next level are verified, prefix
+    by prefix, until one passes, without being kept: the tree is ``capped``
+    exactly when longer patterns pass. With ``strict_theta=False`` and theta
+    0 every candidate passes, so a cap is required to terminate.
 
     ``index`` is a neighbor index already built for this dataset object
     under the same radius, window and metric (a sweep over thresholds
@@ -114,8 +118,7 @@ def mine_all(dataset: EventDataset, cfg: MiningConfig,
     while level:
         levels.append(level)
         if len(levels) == cfg.max_length:
-            capped = any(_make_child(si, sj, index, cfg) is not None
-                         for si, sj in _pairs(level))
+            capped = next(_children(level, index, cfg), None) is not None
             break
         level = gen_and_verify(level, index, cfg)
     return MaxTree(levels, capped=capped)

@@ -1,7 +1,7 @@
 """End-to-end checks of the command-line interface.
 
 Everything runs in-process through ``csts.cli.main`` so the suite stays
-fast; two subprocess tests run the console script itself.
+fast; a few subprocess tests run the console script itself.
 """
 
 import contextlib
@@ -1096,6 +1096,17 @@ def test_console_script_reports_a_reader_that_left():
     assert proc.wait(timeout=120) == 2
     assert "csts: error: cannot write stdout: " in err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("command", [BASE, ["sweep", *BASE[1:], "--theta", "0.2,0.4"]])
+def test_console_script_with_stdout_closed_exits_2(command):
+    # Started with file descriptor 1 closed, Python has no sys.stdout: a run
+    # that writes its records there fails before loading, with no traceback.
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh",
+                           sys.executable, "-m", "csts.cli", *command],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "csts: error: cannot write stdout: it is closed\n"
 
 
 def test_console_script_help_runs():

@@ -128,8 +128,12 @@ class TestConfig:
     def test_strictness(self):
         strict = MiningConfig(radius=1, window=1, theta="0.25")
         loose = MiningConfig(radius=1, window=1, theta="0.25", strict_theta=False)
-        assert not strict.passes_theta(Fraction(1, 4))
-        assert loose.passes_theta(Fraction(1, 4))
+        assert not strict.passes_theta(1, 4)
+        assert loose.passes_theta(1, 4)
+        # Integers compared cross-multiplied: 2/8 is 1/4, 26/100 is above it.
+        assert not strict.passes_theta(2, 8) and loose.passes_theta(2, 8)
+        assert strict.passes_theta(26, 100) and loose.passes_theta(26, 100)
+        assert not loose.passes_theta(24, 100)
 
     @pytest.mark.parametrize(
         "kwargs",

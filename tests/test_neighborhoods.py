@@ -32,7 +32,7 @@ def _neighbors(index, e_idx, type_id):
     source = index.dataset.instances[e_idx].event_type
     local = index.instances_of(source, slice(None)).tolist().index(e_idx)
     return tuple(index.instances_of(
-        type_id, index.union_over([local], source, type_id)).tolist())
+        type_id, index.union_over([local], source, [type_id])[0]).tolist())
 
 
 def _assert_index_matches_naive(dataset, cfg):
@@ -225,7 +225,7 @@ def test_union_over_matches_per_instance_union():
                     want = set()
                     for s in index.instances_of(source, local).tolist():
                         want.update(naive_neighborhood(ds, cfg, s, target))
-                    got = index.union_over(local, source, target)
+                    got = index.union_over(local, source, [target])[0]
                     assert got.dtype == np.int64
                     assert np.all(np.diff(got) > 0)
                     assert np.all((0 <= got) & (got < ds.count(target)))
@@ -233,25 +233,62 @@ def test_union_over_matches_per_instance_union():
 
 
 def test_edge_blocks_are_ordered_by_source():
-    # Contiguous runs per source keep union_over's gather cheap; the
-    # (source type, target type) blocks together are the whole relation.
+    # One contiguous run per source type, sorted by source local id, keeps
+    # union_over's gather cheap; together the runs are the whole relation.
     for ds, cfg in [_planar_random(), _random_geodesic(random.Random(2), 120)]:
         index = NeighborhoodIndex(ds, cfg)
         n_types = len(ds.types)
+        assert len(index._cuts) == n_types + 1
         sizes, edges = 0, set()
-        for target in range(n_types):
-            for source in range(n_types):
-                block = target * n_types + source
-                a, b = index._cuts[block], index._cuts[block + 1]
-                src, dst = index._src[a:b], index._dst[a:b]
-                sizes += b - a
-                assert np.all(src[:-1] <= src[1:]), f"block {source} -> {target}"
-                assert np.all((0 <= src) & (src < ds.count(source)))
-                assert np.all((0 <= dst) & (dst < ds.count(target)))
-                edges.update(zip(index.instances_of(source, src).tolist(),
-                                 index.instances_of(target, dst).tolist()))
+        for source in range(n_types):
+            a, b = index._cuts[source], index._cuts[source + 1]
+            src, dst = index._src[a:b], index._dst[a:b]
+            sizes += b - a
+            assert np.all(src[:-1] <= src[1:]), f"run of {source}"
+            assert np.all((0 <= src) & (src < ds.count(source)))
+            assert np.all((0 <= dst) & (dst < len(ds)))
+            edges.update(zip(index.instances_of(source, src).tolist(),
+                             ds.type_order[dst].tolist()))
         assert sizes == index.edge_count == len(edges) > 300
         assert edges == _spec_edges(ds, cfg)
+
+
+def test_one_union_equals_the_per_target_unions():
+    # One call for a list of targets, in any order and with repeats, returns
+    # what the naive union gives for each target on its own.
+    empty_type = EventDataset(
+        [EventType(0, "A"), EventType(1, "B"), EventType(2, "C")],
+        [EventInstance(i, i % 2 * 2, float(i % 5), float(i // 5), i) for i in range(30)])
+    cases = [(example_dataset(), example_config()), _planar_random(),
+             (empty_type, MiningConfig(radius=2.0, window=10.0))]
+    for ds, cfg in cases:
+        index = NeighborhoodIndex(ds, cfg)
+        n_types = len(ds.types)
+        rng = random.Random(11)
+        for _ in range(30):
+            source = rng.randrange(n_types)
+            count = ds.count(source)
+            local = sorted(rng.sample(range(count), rng.randint(0, min(count, 12))))
+            targets = [rng.randrange(n_types) for _ in range(rng.randint(0, 2 * n_types))]
+            got = index.union_over(local, source, targets)
+            assert len(got) == len(targets)
+            for target, union in zip(targets, got):
+                want = set()
+                for s in index.instances_of(source, local).tolist():
+                    want.update(naive_neighborhood(ds, cfg, s, target))
+                assert union.dtype == np.int64
+                assert index.instances_of(target, union).tolist() == sorted(want)
+        assert index.union_over([0], 0, []) == []
+        for support in ([], np.empty(0, np.int64)):
+            assert all(u.size == 0 for u in index.union_over(support, 0, range(n_types)))
+        for bad in ([0, n_types], [-1]):
+            with pytest.raises(KeyError):
+                index.union_over([0], 0, bad)
+    # A type with no instances has no support and is no one's neighbor.
+    index = NeighborhoodIndex(empty_type, cases[-1][1])
+    assert empty_type.count(1) == 0
+    assert [u.size for u in index.union_over([], 1, [0, 1, 2])] == [0, 0, 0]
+    assert index.union_over(list(range(15)), 0, [1])[0].size == 0
 
 
 def test_relabeling_instances_relabels_neighborhoods():
@@ -284,7 +321,7 @@ def test_unknown_ids_raise():
     index = NeighborhoodIndex(ds, example_config())
     for source, target in [(0, 99), (99, 0), (-1, 0)]:
         with pytest.raises(KeyError):
-            index.union_over([0], source, target)
+            index.union_over([0], source, [target])
     with pytest.raises(KeyError):
         index.instances_of(99, [0])
     # Local ids outside [0, count) of the source type: A holds 2 instances
@@ -294,8 +331,8 @@ def test_unknown_ids_raise():
                                     ([-1], e, c), ([0, 40], e, c)]:
         count = ds.count(source)
         with pytest.raises(ValueError, match=rf"'{ds.label_of(source)}'.*\[0, {count}\)"):
-            index.union_over(support, source, target)
-    assert index.union_over([39], e, c).size == 2
+            index.union_over(support, source, [target])
+    assert index.union_over([39], e, [c])[0].size == 2
 
 
 def test_empty_dataset_has_no_edges():
@@ -306,10 +343,10 @@ def test_empty_dataset_has_no_edges():
         index = NeighborhoodIndex(EventDataset([], []), cfg)
         assert index.edge_count == 0
         with pytest.raises(KeyError):
-            index.union_over(np.empty(0, np.int64), 0, 0)
+            index.union_over(np.empty(0, np.int64), 0, [0])
         index = NeighborhoodIndex(EventDataset([EventType(0, "A")], []), cfg)
         assert index.edge_count == 0
-        union = index.union_over(np.empty(0, np.int64), 0, 0)
+        [union] = index.union_over(np.empty(0, np.int64), 0, [0])
         assert union.size == 0 and union.dtype == np.int64
         assert index.instances_of(0, []).size == 0
 
@@ -377,7 +414,7 @@ def _assert_index_matches_spec(dataset, cfg):
         ids = index.instances_of(source, slice(None)).tolist()
         for target in dataset.by_type:
             for local, i in enumerate(ids):
-                hits = index.union_over([local], source, target)
+                [hits] = index.union_over([local], source, [target])
                 got.update((i, j) for j in index.instances_of(target, hits).tolist())
     want = _spec_edges(dataset, cfg)
     assert got == want, f"{cfg}: extra {sorted(got - want)[:5]}, missing {sorted(want - got)[:5]}"

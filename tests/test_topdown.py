@@ -11,7 +11,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from csts import EventDataset, EventInstance, EventType, MiningConfig
+from csts import EventDataset, EventInstance, EventType, MiningConfig, PatternNode
 from csts.bottomup import mine_csts
 from csts.neighborhoods import NeighborhoodIndex
 from csts.oracle import (
@@ -318,3 +318,61 @@ def test_prebuilt_index_for_another_dataset_rejected():
     index = NeighborhoodIndex(example_dataset(), example_config())
     with pytest.raises(ValueError, match="another dataset"):
         mine_all(example_dataset(), example_config(), index=index)
+
+
+def _boundary_level():
+    # One P instance, and X, Y, Z instances one minute after it: 1 of 4 X,
+    # 2 of 8 Y and 2 of 4 Z at its place, the rest far away. P's children
+    # have ratios 1/4, 2/8 and 1/2.
+    near, far = (0.0, 0.0), (100.0, 100.0)
+    rows = [(0, near)] + [(1, near)] + [(1, far)] * 3 + [(2, near)] * 2 + [(2, far)] * 6
+    rows += [(3, near)] * 2 + [(3, far)] * 2
+    ds = EventDataset([EventType(t, label) for t, label in enumerate("PXYZ")],
+                      [EventInstance(i, t, x, y, 0 if i == 0 else 1)
+                       for i, (t, (x, y)) in enumerate(rows)])
+    roots = mine_level1(ds)
+    return ds, NeighborhoodIndex(ds, MiningConfig(radius=1.0, window=10.0)), roots
+
+
+@pytest.mark.parametrize("prefix_pi, target, ratio", [
+    (Fraction(1, 2), "X", Fraction(1, 4)),  # the ratio is below the prefix's pi
+    (Fraction(1, 4), "Y", Fraction(1, 4)),  # equal to it, as 2/8
+    (Fraction(1, 4), "Z", Fraction(1, 2)),  # above it
+])
+def test_candidate_at_theta_exactly(prefix_pi, target, ratio):
+    # The candidate's pi, min(prefix pi, ratio), is theta 1/4 exactly: gt
+    # drops it, ge keeps it, with the prefix's own pi unless the ratio is
+    # below it.
+    ds, index, roots = _boundary_level()
+    roots[0] = PatternNode(pattern=(0,), pi=prefix_pi, last_support=roots[0].last_support)
+    pattern = (0, ds.id_of(target))
+    for strict in (True, False):
+        cfg = MiningConfig(radius=1.0, window=10.0, theta="0.25", strict_theta=strict)
+        kept = {n.pattern: n for n in gen_and_verify(roots, index, cfg)}
+        if strict:
+            assert pattern not in kept
+            continue
+        node = kept[pattern]
+        assert node.pi == Fraction(1, 4)
+        assert (node.pi is prefix_pi) is (ratio >= prefix_pi)
+        assert node.parent1 is roots[0] and node.parent2 is roots[pattern[1]]
+        assert Fraction(len(node.last_support), ds.count(pattern[1])) == ratio
+
+
+def test_every_cap_gives_the_uncapped_levels():
+    # Capped at each length up to one past the depth, a tree holds exactly
+    # the uncapped tree's first levels, and is capped exactly when it is
+    # shallower than the uncapped tree.
+    for seed in (1, 2, 3):
+        ds = generate_random(RandomSpec(seed=seed, n_types=4, n_instances=100))
+        for strict in (True, False):
+            cfg = dict(radius=20.0, window=60.0, theta="0.2", strict_theta=strict)
+            full = mine_all(ds, MiningConfig(**cfg))
+            assert not full.capped and full.depth >= 3
+            rows = [[(n.pattern, n.pi, n.last_support.tolist()) for n in level]
+                    for level in full.levels]
+            for max_length in range(1, full.depth + 2):
+                tree = mine_all(ds, MiningConfig(**cfg, max_length=max_length))
+                assert tree.capped is (max_length < full.depth)
+                assert [[(n.pattern, n.pi, n.last_support.tolist()) for n in level]
+                        for level in tree.levels] == rows[:max_length]
