@@ -1,21 +1,27 @@
 """CSV ingestion: generic event files plus the Pittsburgh and Boston
 crime-incident exports.
 
-Every loader is a streaming row filter over ``csv.reader``: the header is
-read once and each of the four mapped columns found by name (a repeated
-name maps to its last occurrence). Blank lines are skipped without being
-counted, a short row's missing fields read as blank, and extra fields are
-ignored. Rows with missing or unparseable mapped fields are rejected and
-counted by reason, never aborting the file. A type label containing the
-pattern separator ``->`` is unparseable, since patterns over it could not
-be read back.
+Every loader makes one pass over ``csv.reader`` rows, then vets whole
+columns. The header is read once and each of the four mapped columns found
+by name (a repeated name maps to its last occurrence). Blank lines are
+skipped uncounted, a short row's missing fields read as blank, and extra
+fields are ignored. The row pass counts each row, rejects it for a blank
+type, coordinate or time, in that order, and converts the coordinates with
+``float``. The column pass parses the times, then marks unparseable a bad
+time or coordinate, one out of degree range (portals), or a type label
+holding the pattern separator ``->`` (patterns over it could not be read
+back). Only then do a portal's date range and whitelist filter, so a
+row is counted under the first of missing_type, missing_coordinates,
+missing_time, unparseable and filtered that applies. Label tests run once
+per distinct label. Text that ``csv.reader`` or the UTF-8 decoder refuses
+aborts the file with a ValueError naming it and the line.
 
 The generic format is this package's own interchange schema
 (``type,x,y,time_minutes``). The portal loaders map the public exports'
-column names, parse timestamps into minutes from a fixed naive local
-epoch (2017-01-01T00:00 for Pittsburgh, 2014-01-01T00:00 for Boston), and
-apply the date-range / crime-type restrictions the experiments use. A
-timestamp carrying a UTC offset (``Z``, ``+00``, ``+00:00``) is
+column names, parse timestamps into whole minutes, floored, from a fixed
+naive local epoch (2017-01-01T00:00 for Pittsburgh, 2014-01-01T00:00 for
+Boston), and apply the date-range / crime-type restrictions the experiments
+use. A timestamp carrying a UTC offset (``Z``, ``+00``, ``+00:00``) is
 unparseable, because it cannot be placed against a naive epoch. The Boston
 whitelists are edited in ``data/boston_types.json``. Datasets carry no
 epoch: minute 0 means whatever the loader counted from.
@@ -25,9 +31,8 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Optional
 
@@ -81,94 +86,105 @@ class IngestReport:
 
 
 def _parse_timestamp(text: str) -> datetime:
-    """ISO-8601 first, then the portals' native spellings. A stamp with a
-    UTC offset is refused: the loaders' epochs are naive local times."""
-    try:
-        dt = datetime.fromisoformat(text)
-    except ValueError:
-        for fmt in ("%m/%d/%Y %H:%M", "%m/%d/%Y %I:%M:%S %p", "%m/%d/%Y",
-                    "%Y-%m-%d"):
-            try:
-                return datetime.strptime(text, fmt)
-            except ValueError:
-                continue
-        raise ValueError(f"unparseable timestamp: {text!r}") from None
-    if dt.tzinfo is not None:
-        raise ValueError(f"timestamp carries a UTC offset: {text!r}")
-    return dt
+    """The portals' native spellings, tried on a stamp ISO-8601 refuses."""
+    for fmt in ("%m/%d/%Y %H:%M", "%m/%d/%Y %I:%M:%S %p", "%m/%d/%Y",
+                "%Y-%m-%d"):
+        try:
+            return datetime.strptime(text, fmt)
+        except ValueError:
+            continue
+    raise ValueError(f"unparseable timestamp: {text!r}")
 
 
 def _load_rows(path, columns: tuple[str, str, str, str], report: IngestReport,
-               parse_time, in_scope=None, degrees: bool = False,
-               ) -> tuple[list[str], list[float], list[float], list[int]]:
-    """Shared row loop, returning the kept rows' labels, x, y and minutes as
-    four lists. ``parse_time`` maps the raw time field to integer minutes
-    exact in float64; ``in_scope`` may veto an otherwise valid row by its
-    label and minutes (date range or whitelist), counting it as filtered.
-    With ``degrees`` the coordinates are (longitude, latitude) and must lie
-    in [-180, 180] x [-90, 90]."""
-    labels, xs, ys, times = [], [], [], []
+               ) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
+    """The per-row pass: count each row, reject it for its first blank
+    mapped field or a coordinate ``float`` refuses, and return the other
+    rows' labels, x and y (as float64 arrays) and raw time texts, a list
+    the caller parses in place."""
+    labels, xs, ys, stamps = [], [], [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        position = {name: i for i, name in enumerate(header)}
-        missing_cols = [c for c in columns if c not in position]
-        if missing_cols:
-            raise ValueError(
-                f"{path}: missing required column(s) {', '.join(missing_cols)}; "
-                f"found {', '.join(header) or 'no header'}")
-        i_label, i_x, i_y, i_time = (position[c] for c in columns)
-        width = max(i_label, i_x, i_y, i_time) + 1
-        for raw in reader:
-            if not raw:
-                continue  # blank line
-            report.rows_read += 1
-            if len(raw) < width:
-                raw += [""] * (width - len(raw))
-            label = raw[i_label].strip()
-            if not label:
-                report.missing_type += 1
-                continue
-            x_text = raw[i_x].strip()
-            y_text = raw[i_y].strip()
-            if not x_text or not y_text:
-                report.missing_coordinates += 1
-                continue
-            t_text = raw[i_time].strip()
-            if not t_text:
-                report.missing_time += 1
-                continue
-            try:
-                x = float(x_text)
-                y = float(y_text)
-                minutes = parse_time(t_text)
-            except (ValueError, OverflowError):
-                report.unparseable += 1
-                continue
-            if ("->" in label or not (math.isfinite(x) and math.isfinite(y))
-                    or (degrees and not (abs(x) <= 180.0 and abs(y) <= 90.0))):
-                report.unparseable += 1
-                continue
-            if in_scope is not None and not in_scope(label, minutes):
-                report.filtered += 1
-                continue
-            labels.append(label)
-            xs.append(x)
-            ys.append(y)
-            times.append(minutes)
-    return labels, xs, ys, times
+        try:
+            header = next(reader, [])
+            position = {name: i for i, name in enumerate(header)}
+            missing_cols = [c for c in columns if c not in position]
+            if missing_cols:
+                raise ValueError(
+                    f"{path}: missing required column(s) {', '.join(missing_cols)}; "
+                    f"found {', '.join(header) or 'no header'}")
+            i_label, i_x, i_y, i_time = (position[c] for c in columns)
+            width = max(i_label, i_x, i_y, i_time) + 1
+            for raw in reader:
+                if not raw:
+                    continue  # blank line
+                report.rows_read += 1
+                if len(raw) < width:
+                    raw += [""] * (width - len(raw))
+                label = raw[i_label].strip()
+                if not label:
+                    report.missing_type += 1
+                    continue
+                x_text = raw[i_x].strip()
+                y_text = raw[i_y].strip()
+                if not x_text or not y_text:
+                    report.missing_coordinates += 1
+                    continue
+                t_text = raw[i_time].strip()
+                if not t_text:
+                    report.missing_time += 1
+                    continue
+                try:
+                    x = float(x_text)
+                    y = float(y_text)
+                except ValueError:
+                    report.unparseable += 1
+                    continue
+                labels.append(label)
+                xs.append(x)
+                ys.append(y)
+                stamps.append(t_text)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            # The decoder reads ahead, so its fault lies past the last line read.
+            where = "line" if isinstance(exc, csv.Error) else "after line"
+            raise ValueError(f"{path}: {where} {reader.line_num}: {exc}") from None
+    return (labels, np.array(xs, dtype=np.float64),
+            np.array(ys, dtype=np.float64), stamps)
 
 
-def _build_dataset(columns: tuple[list[str], list[float], list[float], list[int]],
-                   report: IngestReport) -> EventDataset:
-    labels, xs, ys, times = columns
-    id_of = {lab: i for i, lab in enumerate(sorted(set(labels)))}
-    types = [EventType(i, lab) for lab, i in id_of.items()]
-    type_ids = np.fromiter(map(id_of.__getitem__, labels), dtype=np.int64,
-                           count=len(labels))
-    report.instances_kept = len(labels)
+def _build_dataset(rows: tuple[list[str], np.ndarray, np.ndarray, list[int]],
+                   bad: list[int], report: IngestReport, degrees: bool = False,
+                   span: Optional[tuple[int, int]] = None,
+                   whitelist: Optional[set[str]] = None) -> EventDataset:
+    """The per-column pass over :func:`_load_rows`' rows, their times parsed
+    to minutes but for the ``bad`` positions. ``degrees`` bounds x and y to
+    [-180, 180] x [-90, 90]; ``span`` is a half-open minute range."""
+    labels, x, y, minutes = rows
+    names = sorted(set(labels))
+    code = np.fromiter(map({lab: i for i, lab in enumerate(names)}.__getitem__,
+                           labels), dtype=np.int64, count=len(labels))
+    # Exact in float64: generic minutes are checked, portal ones lie within 2**33.
+    times = np.array(minutes, dtype=np.float64)
+    unparseable = ~(np.isfinite(x) & np.isfinite(y))
+    if degrees:
+        unparseable |= ~((np.abs(x) <= 180.0) & (np.abs(y) <= 90.0))
+    unparseable[bad] = True
+    unparseable |= np.array(["->" in lab for lab in names], dtype=bool)[code]
+    keep = ~unparseable
+    report.unparseable += int(unparseable.sum())
+    if span is not None:
+        in_scope = (times >= span[0]) & (times < span[1])
+        if whitelist is not None:
+            in_scope &= np.array([lab.lower() in whitelist for lab in names],
+                                 dtype=bool)[code]
+        report.filtered += int((keep & ~in_scope).sum())
+        keep &= in_scope
+    # The kept labels' codes index the sorted names, so ids stay label-sorted.
+    present, type_ids = np.unique(code[keep], return_inverse=True)
+    types = [EventType(i, names[c]) for i, c in enumerate(present)]
+    report.instances_kept = len(type_ids)
     report.types_found = len(types)
-    return EventDataset.from_columns(types, type_ids, xs, ys, times)
+    return EventDataset.from_columns(types, type_ids, x[keep], y[keep], times[keep])
 
 
 def load_generic(path) -> tuple[EventDataset, IngestReport]:
@@ -176,16 +192,19 @@ def load_generic(path) -> tuple[EventDataset, IngestReport]:
     expressed as non-negative integer minutes. A time that float64 cannot
     hold exactly, such as 2**53 + 1, is unparseable."""
     report = IngestReport(source=str(path))
-
-    def parse_minutes(text: str) -> int:
-        minutes = int(text)
-        # float() raises OverflowError past float64's range.
-        if minutes < 0 or float(minutes) != minutes:
-            raise ValueError("time is negative or not exact in float64")
-        return minutes
-
-    columns = _load_rows(path, GENERIC_COLUMNS, report, parse_minutes)
-    return _build_dataset(columns, report), report
+    rows = _load_rows(path, GENERIC_COLUMNS, report)
+    times, bad = rows[3], []
+    for i, text in enumerate(times):
+        try:
+            m = int(text)
+            # float() raises OverflowError past float64's range.
+            if m < 0 or float(m) != m:
+                raise ValueError("time is negative or not exact in float64")
+        except (ValueError, OverflowError):
+            m = 0
+            bad.append(i)
+        times[i] = m
+    return _build_dataset(rows, bad, report), report
 
 
 def _portal_loader(path, columns: tuple[str, str, str, str], epoch_iso: str,
@@ -194,22 +213,25 @@ def _portal_loader(path, columns: tuple[str, str, str, str], epoch_iso: str,
                    ) -> tuple[EventDataset, IngestReport]:
     report = IngestReport(source=str(path))
     epoch = datetime.fromisoformat(epoch_iso)
-
-    def parse_minutes(text: str) -> int:
-        dt = _parse_timestamp(text)
-        return int((dt - epoch).total_seconds() // 60)
-
-    lo = int((datetime(year_lo, 1, 1) - epoch).total_seconds() // 60)
-    hi = int((datetime(year_hi + 1, 1, 1) - epoch).total_seconds() // 60)
-
-    def in_scope(label: str, minutes: int) -> bool:
-        if not (lo <= minutes < hi):
-            return False
-        return whitelist is None or label.lower() in whitelist
-
-    kept = _load_rows(path, columns, report, parse_minutes, in_scope,
-                      degrees=True)
-    return _build_dataset(kept, report), report
+    minute = timedelta(minutes=1)
+    rows = _load_rows(path, columns, report)
+    times, bad = rows[3], []
+    for i, text in enumerate(times):
+        try:
+            try:
+                stamp = datetime.fromisoformat(text)
+            except ValueError:
+                stamp = _parse_timestamp(text)
+            # A stamp with a UTC offset cannot be set against the naive
+            # epoch: the subtraction raises TypeError.
+            times[i] = (stamp - epoch) // minute
+        except (ValueError, TypeError):
+            times[i] = 0
+            bad.append(i)
+    span = ((datetime(year_lo, 1, 1) - epoch) // minute,
+            (datetime(year_hi + 1, 1, 1) - epoch) // minute)
+    return _build_dataset(rows, bad, report, degrees=True, span=span,
+                          whitelist=whitelist), report
 
 
 def load_pittsburgh(path) -> tuple[EventDataset, IngestReport]:

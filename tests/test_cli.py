@@ -748,6 +748,23 @@ class TestErrors:
         assert main(["mine", "--input", "/nonexistent.csv",
                      "--radius", "10", "--window", "20"]) == 2
 
+    @pytest.mark.parametrize("content,where", [
+        (b"type,x,y,time_minutes\nA,0,0,0\nB,0,0," + b"9" * 200_000 + b"\n",
+         "line 3: field larger than field limit"),
+        (b"type,x,y,time_minutes\nA\xe9,0,0,0\n", "after line 0: 'utf-8' codec"),
+        # Python 3.10's csv refuses the NUL; later ones read a header that
+        # lacks time_minutes.
+        (b"type,x,y,time_minutes\x00\nA,0,0,0\n", ""),
+    ], ids=["field-over-csv-limit", "latin-1", "nul-byte"])
+    def test_unreadable_csv_exits_2_naming_the_file(self, tmp_path, capsys,
+                                                    content, where):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        assert main(["mine", "--input", str(path), "--radius", "10",
+                     "--window", "20"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {where}" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["mine", "sweep"])
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_unwritable_out_exits_2(self, tmp_path, pipeline_calls, capsys,

@@ -1,13 +1,21 @@
 """CSV loaders: generic schema, portal schemas, rejection accounting, and
 the export round-trip."""
 
+import csv
+import json
+import math
+import random
 from datetime import datetime, timedelta
+from functools import partial
 
 import pytest
 
 from csts.ingestion import (
+    BOSTON_COLUMNS,
     BOSTON_TYPES_FILE,
     EXAMPLE_EVENTS_FILE,
+    GENERIC_COLUMNS,
+    PITTSBURGH_COLUMNS,
     export_generic,
     load_boston,
     load_generic,
@@ -113,6 +121,22 @@ def test_time_float64_cannot_hold_is_unparseable(tmp_path, minutes):
     ds, report = load_generic(path)
     assert report.unparseable == 1 and report.instances_kept == 1
     assert [inst.time for inst in ds.instances] == [2**53]
+
+
+@pytest.mark.parametrize("field,kept", [
+    (str(2**53 + 2), 2**53 + 2),   # even, so float64 holds it exactly
+    (str(2**53 + 1), None),
+    ("-1", None),
+    ("-0", 0),
+    (" 7 ", 7),
+], ids=["2**53+2", "2**53+1", "-1", "-0", "padded"])
+def test_generic_time_column_edges(tmp_path, field, kept):
+    path = _write(tmp_path, "f.csv", f"type,x,y,time_minutes\nA,0,0,{field}\n")
+    ds, report = load_generic(path)
+    if kept is None:
+        assert report.unparseable == 1 and len(ds) == 0
+    else:
+        assert report.instances_kept == 1 and int(ds.times[0]) == kept
 
 
 def test_type_ids_assigned_label_sorted(tmp_path):
@@ -305,3 +329,172 @@ def test_boston_coordinates_outside_degree_range_unparseable(tmp_path, lon_lat):
     assert report.unparseable == 1
     assert report.rows_read == report.instances_kept + report.rows_rejected == 2
     assert [(i.x, i.y) for i in ds.instances] == [(-71.06, 42.35)]
+
+
+# -- portal reject precedence -----------------------------------------------
+
+# Each row but the last three has two faults or more; the one reason it is
+# counted under is the first in missing_type, missing_coordinates,
+# missing_time, unparseable, filtered. "Towed" is off the Boston whitelist
+# (Pittsburgh has none); {out} is a year outside the loader's range.
+PRECEDENCE_ROWS = [
+    ("Towed", "not a date", "-71.06", "42.35", "unparseable"),
+    ("Arson", "{out}-06-15 13:00:00", "-71.06", "95", "unparseable"),
+    ("A->B", "{out}-03-01 00:00:00", "-71.06", "42.35", "unparseable"),
+    ("Towed", "{out}-06-15T13:00:00+00:00", "-71.06", "42.35", "unparseable"),
+    ("Towed", "{out}-06-15 13:00:00", "nan", "nan", "unparseable"),
+    ("A->B", "", "-71.06", "42.35", "missing_time"),
+    ("Arson", "not a date", "", "42.35", "missing_coordinates"),
+    # Minutes are floored, so the last microsecond before the range is out.
+    ("Arson", "{lo}-01-01 00:00:59.999999", "-71.06", "42.35", None),
+    ("Arson", "{before}-12-31 23:59:59.999999", "-71.06", "42.35", "filtered"),
+    ("Arson", "{hi}-12-31 23:59:59", "-71.06", "42.35", None),
+]
+
+
+@pytest.mark.parametrize("schema", ["boston", "pittsburgh"])
+def test_portal_reject_precedence(tmp_path, schema):
+    if schema == "boston":
+        lo, hi, load = 2014, 2014, load_boston
+        line = "I{n},{label},{stamp},{lat},{lon}\n"
+        header = BOS_HEADER
+    else:
+        lo, hi, load = 2017, 2019, load_pittsburgh
+        line = "{n},{stamp},{label},{lon},{lat}\n"
+        header = PGH_HEADER
+    years = {"out": lo - 1, "lo": lo, "before": lo - 1, "hi": hi}
+    text = header + "".join(
+        line.format(n=n, label=label, stamp=stamp.format(**years), lon=lon, lat=lat)
+        for n, (label, stamp, lon, lat, _) in enumerate(PRECEDENCE_ROWS))
+    ds, report = load(_write(tmp_path, "p.csv", text))
+    expected = {reason: 0 for reason in report.rejection_breakdown()}
+    for *_, reason in PRECEDENCE_ROWS:
+        if reason is not None:
+            expected[reason] += 1
+    assert report.rejection_breakdown() == expected
+    assert report.rows_read == len(PRECEDENCE_ROWS)
+    span = (datetime(hi, 12, 31, 23, 59) - datetime(lo, 1, 1)) // timedelta(minutes=1)
+    assert [int(t) for t in ds.times] == [0, span]
+    if schema == "boston":
+        assert span == 525599
+
+
+# -- a per-row reference loader ---------------------------------------------
+
+def _reference_load(path, columns, minutes_of, in_scope=None, degrees=False):
+    """Every row decided in one place, in reject order: the loaders vet
+    whole columns instead and must agree row for row."""
+    counts = dict.fromkeys(["rows_read", "missing_type", "missing_coordinates",
+                            "missing_time", "unparseable", "filtered"], 0)
+    kept = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        position = {name: i for i, name in enumerate(next(reader))}
+        for raw in filter(None, reader):
+            counts["rows_read"] += 1
+            label, x, y, t = (raw[position[c]].strip() if position[c] < len(raw)
+                              else "" for c in columns)
+            reason = ("missing_type" if not label else
+                      "missing_coordinates" if not (x and y) else
+                      "missing_time" if not t else None)
+            if reason is None:
+                try:
+                    x, y, t = float(x), float(y), minutes_of(t)
+                except (ValueError, OverflowError, TypeError):
+                    reason = "unparseable"
+                else:
+                    if (not (math.isfinite(x) and math.isfinite(y)) or "->" in label
+                            or (degrees and not (abs(x) <= 180 and abs(y) <= 90))):
+                        reason = "unparseable"
+            if reason is None and in_scope is not None and not in_scope(label, t):
+                reason = "filtered"
+            if reason is None:
+                kept.append((label, x, y, t))
+            else:
+                counts[reason] += 1
+    return counts, kept
+
+
+def _generic_minutes(text):
+    minutes = int(text)
+    if minutes < 0 or float(minutes) != minutes:
+        raise ValueError(text)
+    return minutes
+
+
+def _portal_minutes(epoch):
+    def minutes_of(text):
+        try:
+            stamp = datetime.fromisoformat(text)
+        except ValueError:
+            for fmt in ("%m/%d/%Y %H:%M", "%m/%d/%Y %I:%M:%S %p", "%m/%d/%Y", "%Y-%m-%d"):
+                try:
+                    stamp = datetime.strptime(text, fmt)
+                    break
+                except ValueError:
+                    pass
+            else:
+                raise ValueError(text) from None
+        return (stamp - epoch) // timedelta(minutes=1)  # TypeError with an offset
+    return minutes_of
+
+
+FUZZ_LABELS = ["Arson", "HOMICIDE", "Towed", "A->B", "", " Larceny ", "larceny", "x"]
+FUZZ_COORDS = ["-71.06", "42.35", "", " ", "nan", "inf", "-inf", "200", "-181", "95",
+               "-90", "180", "abc", " 1e2 ", "1_0", "-0"]
+FUZZ_TIMES = ["2014-06-15 13:00:00", "2014-06-15T13:00:00+00:00", "2014-06-15T13:00:00Z",
+              "", "not a date", "06/15/2014 13:00", "06/15/2014 01:00:00 PM", "06/15/2014",
+              "2014-6-5", "2013-12-31 23:59:59.999999", "2014-01-01 00:00:59.999999",
+              "2015-01-01 00:00:00", "2018-03-05T10:00", "2019-12-31 23:59:59",
+              "2016-12-31 23:59", "0", "7", " 7 ", "-1", "-0", str(2**53 + 1),
+              str(2**53 + 2), "10" * 200, "1_000", "3.5", str(2**70), str(2**64)]
+
+
+# schema: loader, mapped columns, epoch, first and last year, whitelist key
+REFERENCE_SCHEMAS = {
+    "generic": (load_generic, GENERIC_COLUMNS, None, None, None),
+    "pittsburgh": (load_pittsburgh, PITTSBURGH_COLUMNS, datetime(2017, 1, 1),
+                   (2017, 2019), None),
+    "boston": (load_boston, BOSTON_COLUMNS, datetime(2014, 1, 1), (2014, 2014),
+               "complete"),
+    "boston-reduced": (partial(load_boston, reduced=True), BOSTON_COLUMNS,
+                       datetime(2014, 1, 1), (2014, 2014), "reduced"),
+}
+
+
+@pytest.mark.parametrize("schema", list(REFERENCE_SCHEMAS))
+def test_loaders_agree_with_a_per_row_reference(tmp_path, schema):
+    load, columns, epoch, years, key = REFERENCE_SCHEMAS[schema]
+    minutes_of, in_scope, degrees = _generic_minutes, None, False
+    if epoch is not None:
+        allowed = (None if key is None else
+                   set(json.loads(BOSTON_TYPES_FILE.read_text(encoding="utf-8"))[key]))
+        lo = (datetime(years[0], 1, 1) - epoch) // timedelta(minutes=1)
+        hi = (datetime(years[1] + 1, 1, 1) - epoch) // timedelta(minutes=1)
+        minutes_of, degrees = _portal_minutes(epoch), True
+
+        def in_scope(label, minutes):
+            return lo <= minutes < hi and (allowed is None or label.lower() in allowed)
+
+    rng = random.Random(schema)
+    header = ["PAD", *columns]
+    lines = [header]
+    for n in range(1500):
+        row = [str(n), rng.choice(FUZZ_LABELS), rng.choice(FUZZ_COORDS),
+               rng.choice(FUZZ_COORDS), rng.choice(FUZZ_TIMES)]
+        if rng.random() < 0.5:
+            row[2:4] = ["-71.06", "42.35"]
+        lines.append(row[:rng.randrange(len(row))] if rng.random() < 0.05 else row)
+        if rng.random() < 0.02:
+            lines.append([])
+    path = tmp_path / "fuzz.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(lines)
+
+    counts, kept = _reference_load(path, columns, minutes_of, in_scope, degrees)
+    ds, report = load(path)
+    assert {name: getattr(report, name) for name in counts} == counts
+    assert min(n for name, n in counts.items() if name != "filtered") > 0
+    assert (counts["filtered"] > 0) == (schema != "generic")
+    assert [(ds.label_of(i.event_type), i.x, i.y, i.time) for i in ds.instances] == kept
+    assert report.instances_kept == len(kept) > 0
