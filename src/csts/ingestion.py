@@ -87,12 +87,13 @@ class IngestReport:
 
 def _parse_timestamp(text: str) -> datetime:
     """The portals' native spellings, tried on a stamp ISO-8601 refuses."""
-    for fmt in ("%m/%d/%Y %H:%M", "%m/%d/%Y %I:%M:%S %p", "%m/%d/%Y",
-                "%Y-%m-%d"):
-        try:
-            return datetime.strptime(text, fmt)
-        except ValueError:
-            continue
+    if text[:1].isdecimal():  # every spelling opens with %m or %Y
+        for fmt in ("%m/%d/%Y %H:%M", "%m/%d/%Y %I:%M:%S %p", "%m/%d/%Y",
+                    "%Y-%m-%d"):
+            try:
+                return datetime.strptime(text, fmt)
+            except ValueError:
+                continue
     raise ValueError(f"unparseable timestamp: {text!r}")
 
 
@@ -144,10 +145,17 @@ def _load_rows(path, columns: tuple[str, str, str, str], report: IngestReport,
                 xs.append(x)
                 ys.append(y)
                 stamps.append(t_text)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            # The decoder reads ahead, so its fault lies past the last line read.
-            where = "line" if isinstance(exc, csv.Error) else "after line"
-            raise ValueError(f"{path}: {where} {reader.line_num}: {exc}") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # The decoder reads ahead of the rows, so find the byte in the file.
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+            line = len((data[:exc.start] + b".").splitlines())
+            raise ValueError(f"{path}: line {line}: {exc}") from None
     return (labels, np.array(xs, dtype=np.float64),
             np.array(ys, dtype=np.float64), stamps)
 

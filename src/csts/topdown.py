@@ -14,7 +14,7 @@ shrinks as a pattern grows.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, takewhile
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -121,4 +121,17 @@ def mine_all(dataset: EventDataset, cfg: MiningConfig,
             capped = next(_children(level, index, cfg), None) is not None
             break
         level = gen_and_verify(level, index, cfg)
+    return MaxTree(levels, capped=capped)
+
+
+def _filter_tree(tree: MaxTree, cfg: MiningConfig, index: NeighborhoodIndex) -> MaxTree:
+    """``mine_all(dataset, cfg, index)``'s tree, filtered from the ``tree`` that
+    ``mine_all`` grew with ``index`` and ``cfg`` at a theta no higher, which is
+    not checked (a node's parents have pi at least its own). ``capped`` is probed
+    as there, only if ``tree`` was capped and ``max_length`` is reached."""
+    kept = ([node for node in level if cfg.passes_theta(*node.pi.as_integer_ratio())]
+            for level in tree.levels)
+    levels = list(takewhile(len, kept))  # no level follows an empty one
+    capped = (tree.capped and len(levels) == cfg.max_length
+              and next(_children(levels[-1], index, cfg), None) is not None)
     return MaxTree(levels, capped=capped)

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,10 @@ STREAM_ARGV = {
        for alg in ("all", "closed", "csts", "oracle")},
     "sweep": ["sweep", "--input", FIXTURE, "--radius", "10", "--window", "20",
               "--theta", "0,0.2,0.4", "--epsilon", "0,0.1,0.25"],
+    # capped at thetas 0 and 1/5; at 2/5 length 3 is reached uncapped.
+    "sweep-capped": ["sweep", "--input", FIXTURE, "--radius", "10",
+                     "--window", "20", "--theta", "0,0.2,0.4",
+                     "--epsilon", "0,0.25", "--max-length", "3"],
 }
 
 
@@ -369,31 +374,107 @@ class TestSweep:
         assert alls == sorted(alls, reverse=True)
 
     def test_holds_one_tree_at_a_time(self, monkeypatch, tmp_path):
-        # With the cyclic collector off, each theta's tree must be freed by
-        # reference counting before the next theta's tree grows.
+        # One tree grows, at the lowest theta, and every point's closure runs
+        # on it or on a filter of it. With the cyclic collector off, each
+        # filtered tree must be freed by reference counting before the next.
         import csts.cli
-        real = csts.cli.mine_all
-        grown = []
-        alive_before = []
+        real_mine, real_closure = csts.cli.mine_all, csts.cli.run_bottom_up
+        thetas, grown, trees, live = [], set(), [], []
 
-        def mine_all(*args, **kwargs):
-            alive_before.append(sum(ref() is not None for ref in grown))
-            tree = real(*args, **kwargs)
-            grown.extend(weakref.ref(node) for node in tree)
+        def mine_all(dataset, cfg, **kwargs):
+            thetas.append(cfg.theta)
+            tree = real_mine(dataset, cfg, **kwargs)
+            grown.update(map(id, tree))
+            trees.append(weakref.ref(tree))
             return tree
 
+        def run_bottom_up(tree, eps):
+            assert grown.issuperset(map(id, tree))
+            if all(ref() is not tree for ref in trees):
+                trees.append(weakref.ref(tree))
+            live.append(sum(ref() is not None for ref in trees))
+            return real_closure(tree, eps)
+
         monkeypatch.setattr(csts.cli, "mine_all", mine_all)
+        monkeypatch.setattr(csts.cli, "run_bottom_up", run_bottom_up)
         enabled = gc.isenabled()
         gc.disable()
         try:
             assert main(["sweep", "--input", FIXTURE, "--radius", "10",
-                         "--window", "20", "--theta", "0,0.2,0.4",
+                         "--window", "20", "--theta", "0.2,0,0.4",
                          "--epsilon", "0,0.25",
                          "--out", str(tmp_path / "sweep.jsonl")]) == 0
         finally:
             if enabled:
                 gc.enable()
-        assert alive_before == [0, 0, 0]
+        assert thetas == [0]
+        # The grown tree, plus theta 1/5's and then 2/5's filtered tree.
+        assert live == [2, 2, 1, 1, 2, 2] and len(trees) == 3
+        assert all(ref() is None for ref in trees)
+
+    @pytest.mark.parametrize("max_length,probes", [("3", 2), (None, 0)])
+    def test_probes_only_thetas_whose_tree_reaches_the_cap(
+            self, monkeypatch, tmp_path, max_length, probes):
+        # Capped at length 3 from theta 0, the example's filtered trees reach
+        # that length at thetas 1/5 and 2/5 but not at 1/2, so only those two
+        # look past it. An uncapped tree has nothing past it to look at.
+        import csts.cli
+        import csts.topdown
+        real_mine, real_children = csts.cli.mine_all, csts.topdown._children
+        growing, outside = [], []
+
+        def mine_all(*args, **kwargs):
+            growing.append(True)
+            try:
+                return real_mine(*args, **kwargs)
+            finally:
+                growing.pop()
+
+        def children(*args):
+            if not growing:
+                outside.append(args[2].theta)
+            return real_children(*args)
+
+        monkeypatch.setattr(csts.cli, "mine_all", mine_all)
+        monkeypatch.setattr(csts.topdown, "_children", children)
+        argv = ["sweep", "--input", FIXTURE, "--radius", "10", "--window",
+                "20", "--theta", "0.5,0,0.2,0.4", "--epsilon", "0",
+                "--out", str(tmp_path / "sweep.jsonl")]
+        assert main(argv + (["--max-length", max_length] if max_length
+                            else [])) == 0
+        assert len(outside) == probes
+        assert set(outside) <= {Fraction(1, 5), Fraction(2, 5)}
+
+    @pytest.mark.parametrize("strictness", ["gt", "ge"])
+    @pytest.mark.parametrize("source,max_length", [
+        (["--input", FIXTURE, "--radius", "10", "--window", "20"], "3"),
+        (["--input", FIXTURE, "--radius", "10", "--window", "20"], "4"),
+        (["--input", FIXTURE, "--radius", "10", "--window", "20"], None),
+        *((["--synthetic", "4,300,400,300", "--seed", seed, "--radius", "60",
+            "--window", "60"], max_length)
+          for seed in ("1", "2") for max_length in ("2", "3")),
+    ], ids=["example-3", "example-4", "example", "seed1-2", "seed1-3",
+            "seed2-2", "seed2-3"])
+    def test_points_match_mine_runs(self, tmp_path, source, max_length,
+                                    strictness):
+        # Every theta but the lowest is filtered from the lowest theta's
+        # tree, so each point must still say what mining it alone says.
+        common = [*source, "--theta-strictness", strictness]
+        if max_length is not None:
+            common += ["--max-length", max_length]
+        thetas, epsilons = ["0.3", "0.1", "0.45"], ["0", "0.25"]
+        points = [r for r in run_records(tmp_path, "sweep.jsonl", [
+            "sweep", *common, "--theta", ",".join(thetas),
+            "--epsilon", ",".join(epsilons)]) if r["record"] == "sweep_point"]
+        assert len(points) == len(thetas) * len(epsilons)
+        for point, (theta, epsilon) in zip(points, [
+                (t, e) for t in thetas for e in epsilons]):
+            run = run_of(run_records(tmp_path, "run.jsonl", [
+                "mine", *common, "--theta", theta, "--epsilon", epsilon,
+                "--algorithm", "csts"]))
+            assert point["config"] == run["config"]
+            for key in ("counts", "capped", "depth"):
+                assert point[key] == run[key], (theta, epsilon, key)
 
     def test_index_built_once_and_reported_on_stderr(self, monkeypatch, capsys):
         # mine_all would build its own index through csts.topdown if the
@@ -751,7 +832,7 @@ class TestErrors:
     @pytest.mark.parametrize("content,where", [
         (b"type,x,y,time_minutes\nA,0,0,0\nB,0,0," + b"9" * 200_000 + b"\n",
          "line 3: field larger than field limit"),
-        (b"type,x,y,time_minutes\nA\xe9,0,0,0\n", "after line 0: 'utf-8' codec"),
+        (b"type,x,y,time_minutes\nA\xe9,0,0,0\n", "line 2: 'utf-8' codec"),
         # Python 3.10's csv refuses the NUL; later ones read a header that
         # lacks time_minutes.
         (b"type,x,y,time_minutes\x00\nA,0,0,0\n", ""),

@@ -160,6 +160,17 @@ def test_unreadable_file_is_a_hard_error(tmp_path):
         load_generic(tmp_path / "absent.csv")
 
 
+def test_undecodable_byte_names_its_line(tmp_path):
+    # The decoder reads kilobytes ahead of the rows: the line must still be
+    # the bad byte's own, well past the first chunk.
+    path = tmp_path / "f.csv"
+    path.write_bytes(b"type,x,y,time_minutes\n"
+                     + b"".join(b"A,%d,%d,%d\n" % (i, i, i) for i in range(3000))
+                     + b"B\xff,0,0,0\nA,0,0,0\n")
+    with pytest.raises(ValueError, match=r"f\.csv: line 3002: 'utf-8' codec"):
+        load_generic(path)
+
+
 @pytest.mark.parametrize("text,counts,kept", [
     ("type,x,y,time_minutes\nA,1,2,0\n\nB,3,4,5\n",
      {"rows_read": 2}, [("A", 1, 2, 0), ("B", 3, 4, 5)]),
@@ -254,6 +265,69 @@ def test_pittsburgh_portal_timestamp_spellings(tmp_path):
         minutes(2018, 3, 15), minutes(2018, 3, 5)]
     assert report.instances_kept == 4 and report.unparseable == 1
     assert report.rows_read == report.instances_kept + report.rows_rejected
+
+
+# Each native spelling, as a formatter, with the resolution it keeps.
+NATIVE_SPELLINGS = [
+    (lambda d: d.strftime("%m/%d/%Y %H:%M"), timedelta(minutes=1)),
+    (lambda d: d.strftime("%m/%d/%Y %I:%M:%S %p"), timedelta(seconds=1)),
+    (lambda d: d.strftime("%m/%d/%Y"), timedelta(days=1)),
+    (lambda d: f"{d.year}-{d.month}-{d.day}", timedelta(days=1)),  # unpadded
+]
+PLANTED_WORDS = ["sometime in 2014", "unknown", "n/a", "-", "2014?"]
+
+
+def _native_and_iso_twins(tmp_path, spellings):
+    """One Boston file in the given spellings, row by row in turn, with
+    planted words, and its twin with every stamp in ISO-8601."""
+    rng = random.Random(len(spellings))
+    native, iso = [BOS_HEADER], [BOS_HEADER]
+    for n in range(400):
+        label = rng.choice(["Arson", "HOMICIDE", "Towed"])
+        if n % 17 == 5:
+            native_text = iso_text = rng.choice(PLANTED_WORDS)
+        else:
+            spell, step = spellings[n % len(spellings)]
+            stamp = datetime(2013, 12, 1) + rng.random() * timedelta(days=420)
+            stamp = datetime.min + (stamp - datetime.min) // step * step
+            native_text, iso_text = spell(stamp), stamp.isoformat(sep=" ")
+        row = f"I{n},{label},{{}},42.35,-71.06\n"
+        native.append(row.format(native_text))
+        iso.append(row.format(iso_text))
+    return (_write(tmp_path, "native.csv", "".join(native)),
+            _write(tmp_path, "iso.csv", "".join(iso)))
+
+
+@pytest.mark.parametrize("which", [0, 1, 2, 3, "all"])
+def test_native_spelled_file_loads_as_its_iso_twin(tmp_path, which):
+    spellings = NATIVE_SPELLINGS if which == "all" else [NATIVE_SPELLINGS[which]]
+    native, iso = _native_and_iso_twins(tmp_path, spellings)
+    ds_native, report_native = load_boston(native)
+    ds_iso, report_iso = load_boston(iso)
+    assert _datasets_equal(ds_native, ds_iso)
+    assert report_native.unparseable == report_iso.unparseable == 24
+    assert report_native.filtered > 0
+    report_native.source = report_iso.source
+    assert report_native == report_iso
+
+
+def test_a_stamp_opening_with_no_digit_tries_no_spelling(tmp_path, monkeypatch):
+    # Every native spelling opens with %m or %Y, so only a planted word that
+    # opens with a digit reaches strptime, and it still counts as unparseable.
+    import csts.ingestion
+    calls = []
+
+    class Counting(datetime):
+        @classmethod
+        def strptime(cls, text, fmt):
+            calls.append(text)
+            return datetime.strptime(text, fmt)
+
+    monkeypatch.setattr(csts.ingestion, "datetime", Counting)
+    native, _ = _native_and_iso_twins(tmp_path, [NATIVE_SPELLINGS[2]])
+    _, report = load_boston(native)
+    assert set(calls) & set(PLANTED_WORDS) == {"2014?"}
+    assert report.unparseable == 24
 
 
 def test_pittsburgh_range_is_inclusive_of_final_day(tmp_path):
