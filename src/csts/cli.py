@@ -291,12 +291,6 @@ def _pattern_record(dataset: EventDataset, pattern, pi: Fraction, closed,
     }
 
 
-def _rcmax_sizes(cmax) -> Counter:
-    """How many patterns name each pattern in their cmax set: its rcmax
-    size. The constricted members are exactly the keys."""
-    return Counter(rep for reps in cmax.values() for rep in reps)
-
-
 def _check_out(path: Optional[str]) -> None:
     """Fail before any data is read when --out, or stdout without it, cannot
     be written. The file itself is not opened: `_write_records` writes it
@@ -354,6 +348,35 @@ def _index(dataset: EventDataset, cfg: MiningConfig):
     return index, time.perf_counter() - t0
 
 
+def _run_grid(dataset, grid, algorithm, index):
+    """Yields (config, tree, closed, cmax map, (top s, bottom s)) per point of
+    `_grid`'s ``grid``, in grid order, freeing each cmax map and filtered tree
+    before the next is made unless the caller holds it. One tree grows, at the
+    lowest theta, and is filtered for the others; its closed set is found once,
+    as a closed node stays closed wherever it survives. ``closed`` is None for
+    ``all``; ``cmax`` and the bottom seconds are None unless ``csts``."""
+    lowest = min(grid, key=lambda row: row[0].theta)
+    t0 = time.perf_counter()
+    grown = mine_all(dataset, lowest[0], index=index)
+    t_grow = time.perf_counter() - t0
+    grown_closed = None if algorithm == "all" else set(extract_closed(grown))
+    for row in grid:
+        if row is lowest:
+            tree, closed, t_top = grown, grown_closed, t_grow
+        else:
+            t0 = time.perf_counter()
+            tree = _filter_tree(grown, row[0], index)
+            t_top = time.perf_counter() - t0
+            closed = None if grown_closed is None else grown_closed.intersection(tree)
+        for cfg in row:
+            t0 = time.perf_counter()
+            cmax = run_bottom_up(tree, cfg.epsilon) if algorithm == "csts" else None
+            t_bot = None if cmax is None else time.perf_counter() - t0
+            yield cfg, tree, closed, cmax, (t_top, t_bot)
+            del cmax
+        del tree, closed
+
+
 def _say(text: str) -> None:
     print(f"[{_PROG}] {text}", file=sys.stderr)
 
@@ -362,26 +385,8 @@ def _say(text: str) -> None:
 # mine
 # ---------------------------------------------------------------------------
 
-def _run_tree_algorithms(dataset, cfg, algorithm):
-    """Returns ((key, pattern, pi) items, closed keys or None, cmax map or
-    None, capped, depth, timings); every run returns this shape."""
-    index, t_index = _index(dataset, cfg)
-    t0 = time.perf_counter()
-    tree = mine_all(dataset, cfg, index=index)
-    timings = {"index_s": t_index, "topdown_s": time.perf_counter() - t0}
-    closed = cmax = None
-    if algorithm in ("closed", "csts"):
-        closed = set(extract_closed(tree))
-    if algorithm == "csts":
-        t1 = time.perf_counter()
-        cmax = run_bottom_up(tree, cfg.epsilon)
-        timings["bottomup_s"] = time.perf_counter() - t1
-    items = [(node, node.pattern, node.pi) for node in tree]
-    return items, closed, cmax, tree.capped, tree.depth, timings
-
-
 def _run_oracle_algorithm(dataset, cfg):
-    """Returns what _run_tree_algorithms does, keyed by pattern."""
+    """`cmd_mine`'s (items, closed, cmax, capped, depth, timings), by pattern."""
     t0 = time.perf_counter()
     try:
         universe, capped = oracle_search(dataset, cfg,
@@ -401,11 +406,20 @@ def _run_oracle_algorithm(dataset, cfg):
 def cmd_mine(args) -> int:
     [[cfg]], dataset, ds_record, t_load = _start(args, multi=False)
     if args.algorithm == "oracle":
-        result = _run_oracle_algorithm(dataset, cfg)
-    else:
-        result = _run_tree_algorithms(dataset, cfg, args.algorithm)
-    items, closed, cmax, capped, depth, timings = result
-    rcmax = None if cmax is None else _rcmax_sizes(cmax)
+        items, closed, cmax, capped, depth, timings = _run_oracle_algorithm(
+            dataset, cfg)
+    else:  # the sweep's runner at one grid point, keyed by node
+        index, t_index = _index(dataset, cfg)
+        [(_, tree, closed, cmax, (t_top, t_bot))] = _run_grid(
+            dataset, [[cfg]], args.algorithm, index)
+        del index  # free it before the records are built
+        items = [(node, node.pattern, node.pi) for node in tree]
+        capped, depth = tree.capped, tree.depth
+        timings = {"index_s": t_index, "topdown_s": t_top, "bottomup_s": t_bot}
+    # How many patterns name each one in their cmax set: its rcmax size.
+    # The constricted members are exactly the keys.
+    rcmax = (None if cmax is None
+             else Counter(rep for reps in cmax.values() for rep in reps))
     counts = {"all": len(items),
               "closed": None if closed is None else len(closed),
               "csts": None if rcmax is None else len(rcmax)}
@@ -428,7 +442,7 @@ def cmd_mine(args) -> int:
         f"{k}={v}" for k, v in counts.items() if v is not None)
         + f" depth={depth}" + (" (capped)" if capped else ""))
     phase_text = " ".join(f"{k.replace('_s', '')}={v:.3f}s"
-                          for k, v in timings.items())
+                          for k, v in timings.items() if v is not None)
     _say(f"time: load={t_load:.3f}s {phase_text}")
     return 0
 
@@ -441,30 +455,13 @@ def cmd_sweep(args) -> int:
     grid, dataset, ds_record, t_load = _start(args, multi=True)
     # The index depends only on radius, window and metric: one for the grid.
     index, t_index = _index(dataset, grid[0][0])
-
-    # Grown at the lowest theta; _filter_tree keeps a closed node closed.
-    lowest = min(grid, key=lambda row: row[0].theta)
-    t0 = time.perf_counter()
-    grown = mine_all(dataset, lowest[0], index=index)
-    t_grow = time.perf_counter() - t0
-    closed = set(extract_closed(grown))
     points = []  # (sweep_point record, config, (top s, bottom s)) per point
-    for row in grid:
-        t0 = time.perf_counter()
-        tree = grown if row is lowest else _filter_tree(grown, row[0], index)
-        t_top = t_grow if row is lowest else time.perf_counter() - t0
-        closed_count = len(closed.intersection(tree))
-        for cfg in row:
-            t1 = time.perf_counter()
-            members = extract_csts(tree, run_bottom_up(tree, cfg.epsilon))
-            t_bot = time.perf_counter() - t1
-            counts = {"all": len(tree), "closed": closed_count,
-                      "csts": len(members)}
-            points.append((_point_record("sweep_point", cfg, counts,
-                                         tree.capped, tree.depth),
-                           cfg, (t_top, t_bot)))
-        del tree, members  # free this theta's filtered tree before the next
-    del grown, closed  # free the tree before the records are built
+    for cfg, tree, closed, cmax, secs in _run_grid(dataset, grid, "csts", index):
+        counts = {"all": len(tree), "closed": len(closed),
+                  "csts": len(extract_csts(tree, cmax))}
+        points.append((_point_record("sweep_point", cfg, counts, tree.capped,
+                                     tree.depth), cfg, secs))
+        del tree, closed, cmax  # so the runner can free them
 
     _finish(args, ds_record,
             [rec for rec, _, _ in points] + _ratio_series(points))
@@ -578,7 +575,10 @@ def _load_saved_csts(path) -> tuple[CstsSet, list[str], Optional[int]]:
             raise ValueError("the run record's types are not a list of labels")
         if not set(labels).issuperset(chain.from_iterable(members)):
             raise ValueError("a member names a type the run record does not list")
-        capped_at = run_record["depth"] if run_record.get("capped") else None
+        capped = run_record["capped"]
+        if type(capped) is not bool:
+            raise ValueError(f"capped {capped!r} is not true or false")
+        capped_at = run_record["depth"] if capped else None
         if not (capped_at is None or type(capped_at) is int):
             raise ValueError("the run record's depth is not a length")
         return summary, labels, capped_at

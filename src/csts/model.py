@@ -57,7 +57,10 @@ class EventType:
     """One member of the event-type universe.
 
     ids are dense integers from 0, assigned in label-sorted order at
-    ingestion so that runs over the same data always agree on ids.
+    ingestion so that runs over the same data always agree on ids. A
+    dataset refuses a label that is not a non-empty string, has leading or
+    trailing whitespace, or contains ``->``: none of these survives a
+    generic CSV file and a record's pattern string.
     """
 
     id: int
@@ -93,12 +96,12 @@ class EventInstance:
             raise ValueError(f"instance coordinates must be finite, got ({self.x!r}, {self.y!r})")
 
 
-def _int_column(values: list, what: str) -> np.ndarray:
+def _int_column(values, what: str) -> np.ndarray:
     # Inferred rather than cast, so that 1.5 is refused, not truncated to 1.
     column = np.array(values)
     if column.size and column.dtype.kind not in "iu":
         raise ValueError(f"instance {what} values must be integers")
-    return column.astype(np.int64)
+    return column.astype(np.int64, copy=False)
 
 
 class EventDataset:
@@ -145,10 +148,12 @@ class EventDataset:
                      times) -> "EventDataset":
         """A dataset straight from its columns, with the checks that
         :class:`EventInstance` makes per instance done over whole arrays.
-        ``times`` are converted to float64 here, so integer minutes must
-        already be exact in float64 (the loaders check each row)."""
+        ``type_ids`` must be integers, as in the instance constructor:
+        1.5, ``"1"`` or ``True`` is refused, not cast. ``times`` are
+        converted to float64 here, so integer minutes must already be
+        exact in float64 (the loaders check each row)."""
         ds = cls.__new__(cls)
-        ds._set_columns(types, np.array(type_ids, dtype=np.int64), xs, ys, times)
+        ds._set_columns(types, _int_column(type_ids, "event_type"), xs, ys, times)
         return ds
 
     def _set_columns(self, types: Sequence[EventType], type_ids: np.ndarray,
@@ -158,6 +163,11 @@ class EventDataset:
         if ids != list(range(len(self.types))):
             raise ValueError("event-type ids must be dense integers from 0")
         labels = [t.label for t in self.types]
+        for label in labels:  # see EventType
+            if not (isinstance(label, str) and label and label == label.strip()
+                    and "->" not in label):
+                raise ValueError(f"event-type label {label!r} is not a non-empty "
+                                 "string free of '->' and surrounding whitespace")
         if len(set(labels)) != len(labels):
             raise ValueError("event-type labels must be unique")
         n_types = len(self.types)

@@ -92,10 +92,9 @@ def mine_all(dataset: EventDataset, cfg: MiningConfig,
     """Grow the full tree of threshold-passing patterns.
 
     Levels are generated until one comes back empty or ``cfg.max_length`` is
-    reached. At the cap the candidates of the next level are verified, prefix
-    by prefix, until one passes, without being kept: the tree is ``capped``
-    exactly when longer patterns pass. With ``strict_theta=False`` and theta
-    0 every candidate passes, so a cap is required to terminate.
+    reached. The tree is ``capped`` exactly when longer patterns pass (see
+    ``_capped``). With ``strict_theta=False`` and theta 0 every candidate
+    passes, so a cap is required to terminate.
 
     ``index`` is a neighbor index already built for this dataset object
     under the same radius, window and metric (a sweep over thresholds
@@ -114,24 +113,27 @@ def mine_all(dataset: EventDataset, cfg: MiningConfig,
             f"{built}, not {(cfg.radius, cfg.window, cfg.metric)}")
     levels: list[list[PatternNode]] = []
     level = mine_level1(dataset)
-    capped = False
     while level:
         levels.append(level)
         if len(levels) == cfg.max_length:
-            capped = next(_children(level, index, cfg), None) is not None
             break
         level = gen_and_verify(level, index, cfg)
-    return MaxTree(levels, capped=capped)
+    return MaxTree(levels, capped=_capped(levels, index, cfg))
+
+
+def _capped(levels: list, index: NeighborhoodIndex, cfg: MiningConfig) -> bool:
+    """Whether ``levels`` reach ``cfg.max_length`` with longer patterns passing:
+    the next level is verified until one candidate passes, keeping none."""
+    return (len(levels) == cfg.max_length
+            and next(_children(levels[-1], index, cfg), None) is not None)
 
 
 def _filter_tree(tree: MaxTree, cfg: MiningConfig, index: NeighborhoodIndex) -> MaxTree:
     """``mine_all(dataset, cfg, index)``'s tree, filtered from the ``tree`` that
     ``mine_all`` grew with ``index`` and ``cfg`` at a theta no higher, which is
     not checked (a node's parents have pi at least its own). ``capped`` is probed
-    as there, only if ``tree`` was capped and ``max_length`` is reached."""
+    as there, only if ``tree`` was capped."""
     kept = ([node for node in level if cfg.passes_theta(*node.pi.as_integer_ratio())]
             for level in tree.levels)
     levels = list(takewhile(len, kept))  # no level follows an empty one
-    capped = (tree.capped and len(levels) == cfg.max_length
-              and next(_children(levels[-1], index, cfg), None) is not None)
-    return MaxTree(levels, capped=capped)
+    return MaxTree(levels, capped=tree.capped and _capped(levels, index, cfg))

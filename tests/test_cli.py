@@ -45,8 +45,8 @@ STREAM_ARGV = {
 
 @pytest.fixture
 def pipeline_calls(monkeypatch):
-    """The names of the load, index and mining calls made through csts.cli,
-    in call order."""
+    """The names of the load, index, growth, closed-set and closure calls
+    made through csts.cli, in call order."""
     import csts.cli
     calls = []
 
@@ -58,7 +58,8 @@ def pipeline_calls(monkeypatch):
             return real(*args, **kwargs)
         return wrapped
 
-    for name in ("load_generic", "NeighborhoodIndex", "mine_all"):
+    for name in ("load_generic", "NeighborhoodIndex", "mine_all",
+                 "extract_closed", "run_bottom_up"):
         monkeypatch.setattr(csts.cli, name, counting(name))
     return calls
 
@@ -104,6 +105,17 @@ def golden_query_patterns() -> list[str]:
 # ---------------------------------------------------------------------------
 
 class TestMine:
+    @pytest.mark.parametrize("algorithm, phases", [
+        ("all", ["mine_all"]),
+        ("closed", ["mine_all", "extract_closed"]),
+        ("csts", ["mine_all", "extract_closed", "run_bottom_up"]),
+    ])
+    def test_each_algorithm_runs_only_its_phases(self, tmp_path, pipeline_calls,
+                                                 algorithm, phases):
+        run_records(tmp_path, "run.jsonl", BASE + [
+            "--theta", "0.2", "--epsilon", "0.25", "--algorithm", algorithm])
+        assert pipeline_calls == ["load_generic", "NeighborhoodIndex", *phases]
+
     def test_csts_run_counts_and_ratios(self, tmp_path):
         recs = run_records(tmp_path, "run.jsonl", BASE + [
             "--theta", "0.2", "--epsilon", "0.25", "--algorithm", "csts"])
@@ -372,6 +384,13 @@ class TestSweep:
         points = [r for r in recs if r["record"] == "sweep_point"]
         alls = [p["counts"]["all"] for p in points]
         assert alls == sorted(alls, reverse=True)
+
+    def test_grows_and_finds_the_closed_set_once(self, tmp_path, pipeline_calls):
+        run_records(tmp_path, "sweep.jsonl", [
+            "sweep", "--input", FIXTURE, "--radius", "10", "--window", "20",
+            "--theta", "0.2,0,0.4", "--epsilon", "0,0.25"])
+        assert pipeline_calls == ["load_generic", "NeighborhoodIndex", "mine_all",
+                                  "extract_closed"] + ["run_bottom_up"] * 6
 
     def test_holds_one_tree_at_a_time(self, monkeypatch, tmp_path):
         # One tree grows, at the lowest theta, and every point's closure runs
@@ -651,6 +670,8 @@ class TestQuery:
                                       "pi-as-bool",
                                       "epsilon-as-number",
                                       "csts-as-string",
+                                      "capped-as-string",
+                                      "capped-missing",
                                       "truncated",
                                       "count-mismatch",
                                       "member-label-unknown"])
@@ -676,6 +697,11 @@ class TestQuery:
             # the non-member B->B->C must not make it a member.
             row, = [rec for rec in recs if rec.get("pattern") == "B->B->C"]
             row["csts"] = "no"
+        elif case == "capped-as-string":
+            # A truthy "false" would cap the run at its depth, 6.
+            run["capped"] = "false"
+        elif case == "capped-missing":
+            del run["capped"]
         elif case == "count-mismatch":
             member, = [rec for rec in recs if rec.get("pattern") == "B->B->C->E"]
             member["csts"] = False

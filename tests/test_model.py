@@ -284,9 +284,12 @@ class TestColumns:
 
     @pytest.mark.parametrize("column, values", [
         (0, [0, 2]), (0, [-1, 1]),
+        # Cast to int64 these would read as the valid ids 0 and 1.
+        (0, [0, 1.5]), (0, [0.2, 1]), (0, ["0", "1"]), (0, [False, True]),
         (1, [0.0, float("nan")]), (2, [float("inf"), 0.0]), (1, [10**400, 0.0]),
         (3, [0, -1]), (3, [0, float("nan")]), (3, [0]),
-    ], ids=["unknown-type", "negative-type", "nan-x", "inf-y", "1e400-x",
+    ], ids=["unknown-type", "negative-type", "type-1.5", "type-0.2",
+            "type-as-string", "type-as-bool", "nan-x", "inf-y", "1e400-x",
             "negative-time", "nan-time", "short-column"])
     def test_from_columns_checks_whole_columns(self, column, values):
         types = [EventType(0, "A"), EventType(1, "B")]
@@ -303,3 +306,28 @@ class TestColumns:
             EventDataset(types, [EventInstance(0, 1.5, 0.0, 0.0, 0.0)])
         with pytest.raises(ValueError, match="integers"):
             EventDataset(types, [EventInstance(0.5, 0, 0.0, 0.0, 0.0)])
+
+    @pytest.mark.parametrize("label", [" A", "A ", "\tA", "", "A->B", "->", 1, None],
+                             ids=["leading-space", "trailing-space", "leading-tab",
+                                  "empty", "arrow", "bare-arrow", "int", "none"])
+    def test_labels_that_cannot_round_trip_are_refused(self, label):
+        # A loader strips each label, drops an empty one and refuses one with
+        # "->", and a record joins a pattern's labels with "->".
+        types = [EventType(0, "B"), EventType(1, label)]
+        with pytest.raises(ValueError, match="event-type label"):
+            EventDataset.from_columns(types, [0, 1], [0.0, 1.0], [0.0, 1.0], [0, 5])
+        with pytest.raises(ValueError, match="event-type label"):
+            EventDataset(types, [EventInstance(0, 1, 0.0, 0.0, 0.0)])
+
+    def test_accepted_labels_round_trip_through_the_generic_schema(self, tmp_path):
+        from csts.ingestion import export_generic, load_generic
+        labels = ["A B", "Q\"uote", "a,b", "x-y>z", "\u00c4"]  # label-sorted
+        types = [EventType(i, label) for i, label in enumerate(labels)]
+        ds = EventDataset.from_columns(types, [0, 1, 2, 3, 4], [0, 1, 2, 3, 4],
+                                       [0, 0, 0, 0, 0], [0, 5, 9, 12, 20])
+        path = tmp_path / "labels.csv"
+        export_generic(ds, path)
+        again, report = load_generic(path)
+        assert again.types == ds.types and report.rows_rejected == 0
+        for column in ("type_ids", "xs", "ys", "times"):
+            assert getattr(again, column).tolist() == getattr(ds, column).tolist()
