@@ -282,13 +282,10 @@ def export_generic(dataset: EventDataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(GENERIC_COLUMNS)
-        for inst in dataset.instances:
-            writer.writerow([
-                dataset.label_of(inst.event_type),
-                _plain_number(inst.x),
-                _plain_number(inst.y),
-                _minutes_field(inst.time),
-            ])
+        for type_id, x, y, time in zip(dataset.type_ids.tolist(), dataset.xs.tolist(),
+                                       dataset.ys.tolist(), dataset.times.tolist()):
+            writer.writerow([dataset.label_of(type_id), _plain_number(x),
+                             _plain_number(y), _minutes_field(time)])
 
 
 def _plain_number(value: float) -> str:

@@ -11,6 +11,7 @@ tests between patterns never suffer float drift.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -45,7 +46,10 @@ def as_fraction(value: RatioLike) -> Fraction:
 
 
 def _finite(value) -> bool:
-    """Whether ``value`` is a finite float64 (an int too large for one is not)."""
+    """Whether ``value`` is a number, not a bool, that float64 holds finite
+    (an int too large for one is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
     try:
         return math.isfinite(value)
     except OverflowError:
@@ -71,9 +75,10 @@ class EventType:
 class EventInstance:
     """A single occurrence: type, location, and time in minutes from epoch.
 
-    ``idx`` is the instance's dense position within its dataset; it is the
-    identity used by support sets and neighbor indexes. In geodesic mode
-    ``x`` is longitude and ``y`` is latitude, both in degrees.
+    A plain row, the list constructor's input and the ``instances`` view's
+    element; :class:`EventDataset` checks the values. ``idx`` is the
+    instance's dense position within its dataset. In geodesic mode ``x`` is
+    longitude and ``y`` is latitude, both in degrees.
     """
 
     idx: int
@@ -82,26 +87,23 @@ class EventInstance:
     y: float
     time: float
 
-    def __post_init__(self) -> None:
-        # The neighbor index keeps times as float64, so a time it cannot hold
-        # exactly (such as an int beyond 2**53) would shift its window tests.
-        try:
-            exact = float(self.time) == self.time
-        except OverflowError:
-            exact = False
-        if not (exact and 0 <= self.time < math.inf):
-            raise ValueError("instance time must be finite, non-negative and exact "
-                             f"in float64, got {self.time!r}")
-        if not (_finite(self.x) and _finite(self.y)):
-            raise ValueError(f"instance coordinates must be finite, got ({self.x!r}, {self.y!r})")
 
-
-def _int_column(values, what: str) -> np.ndarray:
-    # Inferred rather than cast, so that 1.5 is refused, not truncated to 1.
-    column = np.array(values)
-    if column.size and column.dtype.kind not in "iu":
-        raise ValueError(f"instance {what} values must be integers")
-    return column.astype(np.int64, copy=False)
+def _column(values, what: str, kinds: str) -> np.ndarray:
+    """``values`` as a one-dimensional array of one of the numpy ``kinds``,
+    taken as is when it already is one. The dtype is inferred, never cast,
+    so a type id of 1.5 is refused, not truncated, and a coordinate of
+    ``"1.5"`` or None refused, not parsed."""
+    try:
+        column = np.asarray(values)
+        # np.asarray reads a bool among numbers as 0 or 1.
+        ok = column.ndim == 1 and (not column.size or column.dtype.kind in kinds and (
+            column is values or {bool, np.bool_}.isdisjoint(map(type, values))))
+    except OverflowError:  # an int past float64's range among floats
+        ok = False
+    if not ok:
+        noun = "integers" if kinds == "iu" else "finite int64 or float64 numbers"
+        raise ValueError(f"instance {what} values must be a sequence of {noun}")
+    return column
 
 
 class EventDataset:
@@ -110,9 +112,14 @@ class EventDataset:
     ``type_ids`` (``int64``) and ``xs``, ``ys``, ``times`` (``float64``) are
     read-only arrays. ``type_order`` lists the idx sorted by (type, idx), so
     type t's instances are ``type_order[type_starts[t]:type_starts[t + 1]]``;
-    both are computed once, with the per-type counts. ``instances`` and
-    ``by_type`` are views built from the columns on first use and cached;
-    the miner never builds them.
+    both are computed once, with the per-type counts. ``instances`` is a view
+    built from the columns on first use and cached; the miner never builds
+    it.
+
+    Both constructors check the columns the same way. A type id must be an
+    integer, a coordinate or time a finite int or float that fits 64 bits
+    (a bool, string, None or 10**400 is refused, not cast), and a time
+    non-negative and exact in float64 (2**53 + 1 is refused, not rounded).
 
     Parameters
     ----------
@@ -130,34 +137,26 @@ class EventDataset:
         instances: Sequence[EventInstance],
     ) -> None:
         instances = list(instances)
-        idx = _int_column([inst.idx for inst in instances], "idx")
+        idx = _column([inst.idx for inst in instances], "idx", "iu")
         bad = np.flatnonzero(idx != np.arange(idx.size))
         if bad.size:
             pos = int(bad[0])
             raise ValueError(f"instance at position {pos} carries idx {instances[pos].idx}")
-        self._set_columns(
-            types,
-            _int_column([inst.event_type for inst in instances], "event_type"),
-            [inst.x for inst in instances],
-            [inst.y for inst in instances],
-            [inst.time for inst in instances],
-        )
+        self._set_columns(types, *([getattr(inst, name) for inst in instances]
+                                   for name in ("event_type", "x", "y", "time")))
 
     @classmethod
     def from_columns(cls, types: Sequence[EventType], type_ids, xs, ys,
                      times) -> "EventDataset":
-        """A dataset straight from its columns, with the checks that
-        :class:`EventInstance` makes per instance done over whole arrays.
-        ``type_ids`` must be integers, as in the instance constructor:
-        1.5, ``"1"`` or ``True`` is refused, not cast. ``times`` are
-        converted to float64 here, so integer minutes must already be
-        exact in float64 (the loaders check each row)."""
+        """A dataset straight from its columns, checked as the instance
+        constructor's are. An ``int64`` or ``float64`` array is kept as is,
+        not copied, and made read-only."""
         ds = cls.__new__(cls)
-        ds._set_columns(types, _int_column(type_ids, "event_type"), xs, ys, times)
+        ds._set_columns(types, type_ids, xs, ys, times)
         return ds
 
-    def _set_columns(self, types: Sequence[EventType], type_ids: np.ndarray,
-                     xs, ys, times) -> None:
+    def _set_columns(self, types: Sequence[EventType], type_ids, xs, ys,
+                     times) -> None:
         self.types: tuple[EventType, ...] = tuple(types)
         ids = [t.id for t in self.types]
         if ids != list(range(len(self.types))):
@@ -170,23 +169,29 @@ class EventDataset:
                                  "string free of '->' and surrounding whitespace")
         if len(set(labels)) != len(labels):
             raise ValueError("event-type labels must be unique")
+        type_ids = _column(type_ids, "event_type", "iu").astype(np.int64, copy=False)
+        given = times
+        xs, ys, times = (_column(c, what, "iuf").astype(np.float64, copy=False)
+                         for c, what in ((xs, "x"), (ys, "y"), (times, "time")))
+        if not type_ids.shape == xs.shape == ys.shape == times.shape:
+            raise ValueError("the columns must be of equal length")
         n_types = len(self.types)
         unknown = np.flatnonzero((type_ids < 0) | (type_ids >= n_types))
         if unknown.size:
             pos = int(unknown[0])
             raise ValueError(f"instance {pos} references unknown event type {type_ids[pos]}")
-        # float() of an int past float64's range raises OverflowError,
-        # which is a non-finite value here as in EventInstance.
-        try:
-            xs, ys, times = (np.array(c, dtype=np.float64) for c in (xs, ys, times))
-        except OverflowError:
-            raise ValueError("instance coordinates and times must be finite") from None
-        if not (type_ids.ndim == 1 and type_ids.shape == xs.shape == ys.shape == times.shape):
-            raise ValueError("the columns must be one-dimensional and of equal length")
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError("instance coordinates must be finite")
-        if not (np.isfinite(times).all() and (times >= 0).all()):
-            raise ValueError("instance times must be finite and non-negative")
+        ok = np.isfinite(times).all() and (times >= 0).all()
+        if ok and not (isinstance(given, np.ndarray) and given.dtype.kind == "f"):
+            # float64 rounds an int past 2**53 (2**53 + 1 reads as 2**53),
+            # which would shift the window tests, so such a time must read
+            # back equal. Compared as ints, since numpy compares its own
+            # ints with a float in float64.
+            given = list(given)
+            ok = all(int(times[i]) == given[i] for i in np.flatnonzero(times >= 2.0**53).tolist())
+        if not ok:
+            raise ValueError("instance times must be finite, non-negative and exact in float64")
         counts = np.bincount(type_ids, minlength=n_types)
         starts = np.zeros(n_types + 1, dtype=np.int64)
         np.cumsum(counts, out=starts[1:])
@@ -204,14 +209,6 @@ class EventDataset:
         return tuple(map(EventInstance, range(len(self)), self.type_ids.tolist(),
                          self.xs.tolist(), self.ys.tolist(), self.times.tolist()))
 
-    @cached_property
-    def by_type(self) -> dict[int, tuple[EventInstance, ...]]:
-        """Each type's instances in idx order, built on first use."""
-        instances, order = self.instances, self.type_order.tolist()
-        bounds = self.type_starts.tolist()
-        return {t.id: tuple(instances[i] for i in order[bounds[t.id]:bounds[t.id + 1]])
-                for t in self.types}
-
     def __len__(self) -> int:
         return self.type_ids.size
 
@@ -221,12 +218,6 @@ class EventDataset:
 
     def label_of(self, type_id: int) -> str:
         return self.types[type_id].label
-
-    def id_of(self, label: str) -> int:
-        try:
-            return self._label_to_id[label]
-        except KeyError:
-            raise KeyError(f"unknown event type label {label!r}") from None
 
     def pattern_labels(self, pattern: Pattern) -> list[str]:
         return [self.label_of(t) for t in pattern]
@@ -261,12 +252,12 @@ class MiningConfig:
     Parameters
     ----------
     radius : float
-        Spatial neighborhood threshold (meters), finite and > 0; inclusive
-        comparison.
+        Spatial neighborhood threshold (meters), a finite number > 0 (not a
+        bool); inclusive comparison.
     window : float
-        Temporal neighborhood threshold (minutes), finite and > 0; a
-        neighbor must occur strictly later and at most ``window`` minutes
-        after the source.
+        Temporal neighborhood threshold (minutes), a finite number > 0 (not
+        a bool); a neighbor must occur strictly later and at most ``window``
+        minutes after the source.
     theta : ratio-like
         Participation-index threshold in [0, 1). Patterns are kept when
         pi > theta (default) or pi >= theta with ``strict_theta=False``.
@@ -290,10 +281,10 @@ class MiningConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", as_fraction(self.theta))
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
-        if not (_finite(self.radius) and self.radius > 0):
-            raise ValueError("radius must be finite and > 0")
-        if not (_finite(self.window) and self.window > 0):
-            raise ValueError("window must be finite and > 0")
+        for name in ("radius", "window"):
+            value = getattr(self, name)
+            if not (_finite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0 (a number, not a bool)")
         if not (0 <= self.theta < 1):
             raise ValueError("theta must lie in [0, 1)")
         if not (0 <= self.epsilon <= 1):

@@ -5,7 +5,7 @@ type F within ``radius`` of e that occurs strictly later than e but at most
 ``window`` minutes later. The index computes the whole relation at
 construction with whole-array numpy work over the dataset's columns (type
 id, x, y, time), and takes each type's instances from the dataset's
-per-type order; it never reads ``EventInstance`` objects:
+per-type order:
 
 - instances are sorted by time once, and each source's forward time window
   lies in a [lo, hi) range of time positions found by binary search; a

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .ingestion import EXAMPLE_EVENTS_FILE, load_generic
-from .model import EventDataset, EventInstance, EventType, MiningConfig, Pattern
+from .model import EventDataset, EventType, MiningConfig, Pattern
 
 #: Inputs past these limits are refused; the oracle is for desk-scale data.
 ORACLE_MAX_INSTANCES = 200
@@ -51,29 +51,35 @@ def _canonical_key(pattern: Pattern) -> tuple[int, Pattern]:
     return (len(pattern), pattern)
 
 
-def _distance(a: EventInstance, b: EventInstance, cfg: MiningConfig) -> float:
+def _distance(a: tuple[float, float], b: tuple[float, float], cfg: MiningConfig) -> float:
     # The oracle's own distance arithmetic, kept separate from the index's.
+    (ax, ay), (bx, by) = a, b
     if cfg.metric == "euclidean":
-        dx = a.x - b.x
-        dy = a.y - b.y
+        dx = ax - bx
+        dy = ay - by
         return math.sqrt(dx * dx + dy * dy)
-    s_lat = math.sin(math.radians(b.y - a.y) / 2.0)
-    s_lon = math.sin(math.radians(b.x - a.x) / 2.0)
-    h = s_lat * s_lat + s_lon * s_lon * math.cos(math.radians(a.y)) * math.cos(math.radians(b.y))
+    s_lat = math.sin(math.radians(by - ay) / 2.0)
+    s_lon = math.sin(math.radians(bx - ax) / 2.0)
+    h = s_lat * s_lat + s_lon * s_lon * math.cos(math.radians(ay)) * math.cos(math.radians(by))
     return 2.0 * 6_371_000.0 * math.asin(min(1.0, math.sqrt(h)))
 
 
 class _NaiveNeighbors:
-    """Double-loop neighborhood evaluation with memoization per (idx, type).
-    Geodesic degrees outside [-180, 180] x [-90, 90] raise ValueError."""
+    """Double-loop neighborhood evaluation over the dataset's columns, with
+    memoization per (idx, type). Geodesic degrees outside [-180, 180] x
+    [-90, 90] raise ValueError."""
 
     def __init__(self, dataset: EventDataset, cfg: MiningConfig) -> None:
+        self.points = list(zip(dataset.xs.tolist(), dataset.ys.tolist()))
         if cfg.metric != "euclidean" and any(
-                not (-180.0 <= p.x <= 180.0 and -90.0 <= p.y <= 90.0)
-                for p in dataset.instances):
+                not (-180.0 <= x <= 180.0 and -90.0 <= y <= 90.0) for x, y in self.points):
             raise ValueError("geodesic coordinates must lie within "
                              "[-180, 180] x [-90, 90] degrees")
-        self.dataset = dataset
+        self.times = dataset.times.tolist()
+        # Its own scan of the type column, not the dataset's per-type order.
+        type_ids = dataset.type_ids.tolist()
+        self.members = {t.id: [i for i, g in enumerate(type_ids) if g == t.id]
+                        for t in dataset.types}
         self.cfg = cfg
         self._cache: dict[tuple[int, int], frozenset[int]] = {}
 
@@ -82,12 +88,12 @@ class _NaiveNeighbors:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        e = self.dataset.instances[e_idx]
         found = []
-        for p in self.dataset.by_type[type_id]:
-            dt = p.time - e.time
-            if 0 < dt <= self.cfg.window and _distance(p, e, self.cfg) <= self.cfg.radius:
-                found.append(p.idx)
+        for p in self.members[type_id]:
+            dt = self.times[p] - self.times[e_idx]
+            if (0 < dt <= self.cfg.window
+                    and _distance(self.points[p], self.points[e_idx], self.cfg) <= self.cfg.radius):
+                found.append(p)
         result = frozenset(found)
         self._cache[key] = result
         return result
@@ -153,7 +159,7 @@ def oracle_search(
             walk(pattern + (g,), new_support, min(pi, pr))
 
     for f in live_types:
-        support = frozenset(inst.idx for inst in dataset.by_type[f])
+        support = frozenset(neighbors.members[f])
         walk((f,), support, Fraction(1))
 
     results.sort(key=lambda item: _canonical_key(item[0]))

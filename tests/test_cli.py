@@ -585,13 +585,13 @@ def instance_inits(monkeypatch):
     """The idx of every EventInstance built while the fixture is active."""
     from csts.model import EventInstance
     built = []
-    real = EventInstance.__post_init__
+    real = EventInstance.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
+        real(self, *args, **kwargs)
         built.append(self.idx)
-        real(self)
 
-    monkeypatch.setattr(EventInstance, "__post_init__", counting)
+    monkeypatch.setattr(EventInstance, "__init__", counting)
     return built
 
 
@@ -613,6 +613,9 @@ def test_mining_path_builds_no_event_instance(tmp_path, capsys, instance_inits,
     counts = [r["counts"]["all"] for r in recs if "counts" in r]
     assert counts and min(counts) > ds["types"]
     assert instance_inits == []
+    # The fixture does see the rows that the instances view builds.
+    from csts.oracle import example_dataset
+    assert len(example_dataset().instances) == 61 and instance_inits == list(range(61))
 
 
 # ---------------------------------------------------------------------------

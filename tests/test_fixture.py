@@ -57,8 +57,8 @@ def test_shape(dataset):
 
 def test_reference_neighborhoods(dataset, names):
     cfg = example_config()
-    b = dataset.id_of("B")
-    e = dataset.id_of("E")
+    b = dataset.parse_pattern("B")[0]
+    e = dataset.parse_pattern("E")[0]
     assert naive_neighborhood(dataset, cfg, names["a1"], b) == idx_set(names, EXPECTED_N_A1_B)
     assert naive_neighborhood(dataset, cfg, names["c1"], e) == idx_set(names, EXPECTED_N_C1_E)
 
@@ -73,7 +73,7 @@ def test_latest_instance_has_empty_neighborhoods(dataset):
 def test_support_chain_of_abc(dataset, names):
     cfg = example_config()
     pattern = dataset.parse_pattern("A->B->C")
-    support = frozenset(i.idx for i in dataset.by_type[pattern[0]])
+    support = frozenset(i.idx for i in dataset.instances if i.event_type == pattern[0])
     chain = [support]
     for element in pattern[1:]:
         support = frozenset().union(

@@ -146,7 +146,7 @@ def test_type_ids_assigned_label_sorted(tmp_path):
                                      "moth,0,0,2\n")
     ds, _ = load_generic(path)
     assert [t.label for t in ds.types] == ["ant", "moth", "zebra"]
-    assert ds.instances[0].event_type == ds.id_of("zebra")
+    assert ds.instances[0].event_type == ds.parse_pattern("zebra")[0]
 
 
 def test_missing_column_is_a_hard_error(tmp_path):

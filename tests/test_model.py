@@ -5,6 +5,7 @@ type invariants."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from csts.model import (
@@ -156,11 +157,67 @@ class TestConfig:
             {"radius": 1, "window": 1, "max_length": 2.0},
             {"radius": 1, "window": 1, "max_length": True},
             {"radius": 1, "window": 1, "theta": 0, "strict_theta": False, "max_length": 2.5},
+            # Thresholds are numbers, as max_length is an int: a bool is not
+            # read as 1, nor a string parsed.
+            {"radius": True, "window": 1},
+            {"radius": 1, "window": True},
+            {"radius": "5", "window": 1},
+            {"radius": 1, "window": "5"},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             MiningConfig(**kwargs)
+
+
+TYPES = [EventType(0, "A"), EventType(1, "B")]
+GOOD_COLUMNS = ([0, 1], [0.0, 1.0], [0.0, 1.0], [0, 5])
+
+
+def _with(column, values):
+    """GOOD_COLUMNS with one column replaced."""
+    columns = list(GOOD_COLUMNS)
+    columns[column] = values
+    return columns
+
+
+def _rows(columns):
+    """One EventInstance per row of the columns."""
+    return [EventInstance(i, *row) for i, row in enumerate(zip(*columns))]
+
+
+def _assert_both_refuse(columns, match=None):
+    with pytest.raises(ValueError, match=match):
+        EventDataset.from_columns(TYPES, *columns)
+    with pytest.raises(ValueError, match=match):
+        EventDataset(TYPES, _rows(columns))
+
+
+# Bad columns, each refused by both constructors (short-column only by
+# from_columns: rows cannot be of unequal length).
+BAD_COLUMNS = [
+    pytest.param(0, [0, 2], id="unknown-type"),
+    pytest.param(0, [-1, 1], id="negative-type"),
+    # Cast to int64 these would read as the valid ids 0 and 1.
+    pytest.param(0, [0, 1.5], id="type-1.5"),
+    pytest.param(0, [0.2, 1], id="type-0.2"),
+    pytest.param(0, ["0", "1"], id="type-as-string"),
+    pytest.param(0, [False, True], id="type-as-bool"),
+    pytest.param(1, [0.0, float("nan")], id="nan-x"),
+    pytest.param(2, [float("inf"), 0.0], id="inf-y"),
+    pytest.param(1, [10**400, 0.0], id="1e400-x"),
+    pytest.param(3, [0, -1], id="negative-time"),
+    pytest.param(3, [0, float("nan")], id="nan-time"),
+    pytest.param(3, [0], id="short-column"),
+    # Cast to float64 these would be parsed, read as 1 or rounded.
+    pytest.param(1, [0.0, "1.5"], id="x-as-string"),
+    pytest.param(3, [0, "5"], id="time-as-string"),
+    pytest.param(3, [0, True], id="time-as-bool"),
+    pytest.param(3, [0, 2**53 + 1], id="time-2**53+1"),
+    pytest.param(3, [0, 10**17 + 1], id="time-10**17+1"),
+    pytest.param(3, [0.5, 2**53 + 1], id="time-2**53+1-among-floats"),
+    pytest.param(3, [np.int64(0), np.int64(2**53 + 1)], id="time-2**53+1-as-numpy-int"),
+]
 
 
 class TestDataset:
@@ -173,7 +230,7 @@ class TestDataset:
         ]
         ds = EventDataset(types, instances)
         assert sum(ds.count(t.id) for t in ds.types) == len(ds)
-        assert ds.id_of("B") == 1
+        assert ds.parse_pattern("B")[0] == 1
         assert ds.pattern_labels((0, 1)) == ["A", "B"]
 
     def test_bad_idx_rejected(self):
@@ -189,16 +246,16 @@ class TestDataset:
             EventDataset([EventType(0, "A"), EventType(1, "A")], [])
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            EventInstance(0, 0, 0.0, 0.0, -1.0)
+        _assert_both_refuse(_with(3, [0, -1.0]), match="non-negative")
 
     @pytest.mark.parametrize("time", [10**400, 2**53 + 1, float("inf"), float("nan")],
                              ids=["1e400", "2**53+1", "inf", "nan"])
     def test_time_float64_cannot_hold_rejected(self, time):
         # The neighbor index keeps times as float64.
-        with pytest.raises(ValueError, match="exact in float64"):
-            EventInstance(0, 0, 0.0, 0.0, time)
-        assert EventInstance(0, 0, 0.0, 0.0, 2**53).time == 2**53
+        _assert_both_refuse(_with(3, [0, time]), match="float64")
+        exact = _with(3, [0, 2**53])
+        for ds in (EventDataset.from_columns(TYPES, *exact), EventDataset(TYPES, _rows(exact))):
+            assert ds.times.tolist() == [0, 2**53]
 
     @pytest.mark.parametrize("x, y", [(float("nan"), 1.0), (0.0, float("nan")),
                                       (float("inf"), 0.0), (0.0, -float("inf")),
@@ -206,8 +263,7 @@ class TestDataset:
                                       pytest.param(0.0, -10**400, id="0.0--1e400")])
     def test_non_finite_coordinates_rejected(self, x, y):
         # Every instance must fall into a well-defined cell of the index.
-        with pytest.raises(ValueError, match="finite"):
-            EventInstance(0, 0, x, y, 0.0)
+        _assert_both_refuse(([0], [x], [y], [0]), match="finite")
 
 
 def _boston_dataset(tmp_path):
@@ -230,7 +286,7 @@ def _boston_dataset(tmp_path):
 
 
 class TestColumns:
-    """The columns are the dataset; ``instances`` and ``by_type`` are views."""
+    """The columns are the dataset; ``instances`` is a view."""
 
     @staticmethod
     def _datasets(tmp_path):
@@ -255,15 +311,17 @@ class TestColumns:
             assert [(i.event_type, i.x, i.y, i.time) for i in ds.instances] == list(zip(
                 ds.type_ids.tolist(), ds.xs.tolist(), ds.ys.tolist(), ds.times.tolist()))
 
-    def test_by_type_partitions_the_instances_in_idx_order(self, tmp_path):
+    def test_type_order_partitions_the_instances_in_idx_order(self, tmp_path):
+        # The index numbers each type's instances 0..count-1 in this order.
         for name, ds in self._datasets(tmp_path).items():
-            assert set(ds.by_type) == {t.id for t in ds.types}
-            for type_id, members in ds.by_type.items():
-                assert len(members) == ds.count(type_id)
-                assert all(inst.event_type == type_id for inst in members)
-                idx = [inst.idx for inst in members]
-                assert idx == sorted(idx), name
-            assert sorted(i.idx for m in ds.by_type.values() for i in m) == list(range(len(ds)))
+            order, starts = ds.type_order.tolist(), ds.type_starts.tolist()
+            assert sorted(order) == list(range(len(ds))), name
+            assert starts[0] == 0 and starts[-1] == len(ds) and len(starts) == len(ds.types) + 1
+            for t in ds.types:
+                members = order[starts[t.id]:starts[t.id + 1]]
+                assert len(members) == ds.count(t.id)
+                assert all(ds.instances[i].event_type == t.id for i in members)
+                assert members == sorted(members), name
 
     def test_loaded_instances_equal_hand_built_ones(self, tmp_path):
         ds, kept = _boston_dataset(tmp_path)
@@ -280,24 +338,27 @@ class TestColumns:
             with pytest.raises(ValueError):
                 column[0] = 1
 
-    GOOD_COLUMNS = ([0, 1], [0.0, 1.0], [0.0, 1.0], [0, 5])
-
-    @pytest.mark.parametrize("column, values", [
-        (0, [0, 2]), (0, [-1, 1]),
-        # Cast to int64 these would read as the valid ids 0 and 1.
-        (0, [0, 1.5]), (0, [0.2, 1]), (0, ["0", "1"]), (0, [False, True]),
-        (1, [0.0, float("nan")]), (2, [float("inf"), 0.0]), (1, [10**400, 0.0]),
-        (3, [0, -1]), (3, [0, float("nan")]), (3, [0]),
-    ], ids=["unknown-type", "negative-type", "type-1.5", "type-0.2",
-            "type-as-string", "type-as-bool", "nan-x", "inf-y", "1e400-x",
-            "negative-time", "nan-time", "short-column"])
+    @pytest.mark.parametrize("column, values", BAD_COLUMNS)
     def test_from_columns_checks_whole_columns(self, column, values):
-        types = [EventType(0, "A"), EventType(1, "B")]
-        assert len(EventDataset.from_columns(types, *self.GOOD_COLUMNS)) == 2
-        columns = list(self.GOOD_COLUMNS)
-        columns[column] = values
+        assert len(EventDataset.from_columns(TYPES, *GOOD_COLUMNS)) == 2
         with pytest.raises(ValueError):
-            EventDataset.from_columns(types, *columns)
+            EventDataset.from_columns(TYPES, *_with(column, values))
+
+    @pytest.mark.parametrize("column, values",
+                             [p for p in BAD_COLUMNS if p.id != "short-column"])
+    def test_instance_rows_are_checked_as_columns(self, column, values):
+        assert len(EventDataset(TYPES, _rows(GOOD_COLUMNS))) == 2
+        with pytest.raises(ValueError):
+            EventDataset(TYPES, _rows(_with(column, values)))
+
+    def test_int64_and_float64_arrays_are_kept_without_a_copy(self):
+        # The loaders' columns pass through as they are, made read-only.
+        columns = (np.array([0, 1], dtype=np.int64), np.array([0.0, 1.0]),
+                   np.array([0.0, 1.0]), np.array([0.0, 5.0]))
+        ds = EventDataset.from_columns(TYPES, *columns)
+        assert all(got is given for got, given in
+                   zip((ds.type_ids, ds.xs, ds.ys, ds.times), columns))
+        assert not any(column.flags.writeable for column in columns)
 
     def test_non_integer_type_or_idx_rejected(self):
         # Cast to int64 these would truncate to a valid id.

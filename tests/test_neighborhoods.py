@@ -55,8 +55,8 @@ def test_fixture_named_neighborhoods_through_index():
     ds = example_dataset()
     index = NeighborhoodIndex(ds, example_config())
     name = EXAMPLE_NAME_TO_IDX
-    b = ds.id_of("B")
-    e = ds.id_of("E")
+    b = ds.parse_pattern("B")[0]
+    e = ds.parse_pattern("E")[0]
     assert set(_neighbors(index, name["a1"], b)) == {name[n] for n in EXPECTED_N_A1_B}
     assert set(_neighbors(index, name["c1"], e)) == {name[n] for n in EXPECTED_N_C1_E}
 
@@ -326,7 +326,7 @@ def test_unknown_ids_raise():
         index.instances_of(99, [0])
     # Local ids outside [0, count) of the source type: A holds 2 instances
     # and E 40, while every mask holds 40 entries.
-    a, b, c, e = (ds.id_of(label) for label in "ABCE")
+    a, b, c, e = (ds.parse_pattern(label)[0] for label in "ABCE")
     for support, source, target in [([2], a, b), ([3], a, b), ([40], a, b),
                                     ([-1], e, c), ([0, 40], e, c)]:
         count = ds.count(source)
@@ -410,9 +410,9 @@ def _spec_distance(source, target, metric):
 def _assert_index_matches_spec(dataset, cfg):
     index = NeighborhoodIndex(dataset, cfg)
     got = set()
-    for source in dataset.by_type:
+    for source in range(len(dataset.types)):
         ids = index.instances_of(source, slice(None)).tolist()
-        for target in dataset.by_type:
+        for target in range(len(dataset.types)):
             for local, i in enumerate(ids):
                 [hits] = index.union_over([local], source, [target])
                 got.update((i, j) for j in index.instances_of(target, hits).tolist())

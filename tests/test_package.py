@@ -86,8 +86,17 @@ def test_oracle_shares_no_helper_with_the_miner():
                   if isinstance(node, ast.ImportFrom) and node.level == 1
                   and node.module == "model"
                   for alias in node.names}
-    assert from_model <= {"EventDataset", "EventInstance", "EventType",
-                          "MiningConfig", "Pattern"}
+    assert from_model <= {"EventDataset", "EventType", "MiningConfig", "Pattern"}
     calls = [node.func.attr for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
     assert "passes_theta" not in calls
+
+
+def test_event_dataset_surface():
+    # The dataset is its columns: the one instance view is left, and no
+    # per-type view or label lookup beside parse_pattern.
+    from csts.oracle import example_dataset
+    public = {name for name in dir(example_dataset()) if not name.startswith("_")}
+    assert public == {"count", "from_columns", "instances", "label_of", "parse_pattern",
+                      "pattern_labels", "times", "type_ids", "type_order", "type_starts",
+                      "types", "xs", "ys"}

@@ -48,7 +48,7 @@ def test_level1_roots(fixture_tree):
         [type_id] = n.pattern
         assert n.last_support.tolist() == list(range(ds.count(type_id)))
         assert (index.instances_of(type_id, n.last_support).tolist()
-                == sorted(i.idx for i in ds.by_type[type_id]))
+                == [i.idx for i in ds.instances if i.event_type == type_id])
 
 
 def test_fixture_lattice_exact(fixture_tree):
@@ -173,7 +173,7 @@ def test_anti_monotonicity_every_edge(fixture_tree):
 
 def _support_chain_from_scratch(dataset, cfg, pattern):
     """Def-style recomputation: fold neighborhoods along the pattern."""
-    current = frozenset(i.idx for i in dataset.by_type[pattern[0]])
+    current = frozenset(i.idx for i in dataset.instances if i.event_type == pattern[0])
     ratios = [Fraction(1)]
     for element in pattern[1:]:
         nxt = set()
@@ -345,7 +345,7 @@ def test_candidate_at_theta_exactly(prefix_pi, target, ratio):
     # below it.
     ds, index, roots = _boundary_level()
     roots[0] = PatternNode(pattern=(0,), pi=prefix_pi, last_support=roots[0].last_support)
-    pattern = (0, ds.id_of(target))
+    pattern = (0, ds.parse_pattern(target)[0])
     for strict in (True, False):
         cfg = MiningConfig(radius=1.0, window=10.0, theta="0.25", strict_theta=strict)
         kept = {n.pattern: n for n in gen_and_verify(roots, index, cfg)}
