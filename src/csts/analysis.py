@@ -21,6 +21,7 @@ part of the mined tree, which bounds the index.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import repeat
 from typing import Mapping, NamedTuple, Optional
@@ -85,24 +86,22 @@ class CstsSet:
         vals = list(self._pi.values())
         # Integer tests: Fraction comparisons and properties cost several
         # times more per load.
-        ratio, rank = {}, {}
+        ratio = {}
         for p, v in self._pi.items():
             num, den = ratio[p] = v.as_integer_ratio()
             if not 0 <= num <= den:
                 raise ValueError(f"member {format_pattern(p)} has pi {v} outside [0, 1]")
-            rank[p] = num / den
-        # Floats rank distinct pis exactly unless two of them round to one
-        # float; then the Fractions themselves do. The sort is stable, so
-        # equal pis keep canonical order.
-        key = rank.__getitem__ \
-            if len(set(rank.values())) == len(set(ratio.values())) \
-            else self._pi.__getitem__
+        # One exact integer rank: pis scaled to the members' common
+        # denominator, small for a mined summary (its denominators divide the
+        # type counts). The sort is stable, so equal pis keep canonical order.
+        common = math.lcm(*(den for _, den in ratio.values()))
+        rank = {p: num * (common // den) for p, (num, den) in ratio.items()}
         en, ed = self.epsilon.as_integer_ratio()
         # Answers are built with tuple.__new__, which skips PiEstimate's
         # Python-level constructor.
         new = tuple.__new__
         answer: dict[Pattern, Optional[PiEstimate]] = {}
-        for s in sorted(order, key=key, reverse=True):
+        for s in sorted(order, key=rank.__getitem__, reverse=True):
             if s in answer:
                 continue  # a better member holds s, so all of s as well
             answer[s] = None  # a claim; every member's exact answer comes below

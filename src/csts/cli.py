@@ -207,7 +207,7 @@ def _start(args, multi: bool):
     --out, then load the data. Returns (grid, dataset, 'dataset' record,
     load seconds)."""
     grid = _grid(args, multi)
-    _check_out(args.out)
+    _check_out(args.out, args.input)
     t0 = time.perf_counter()
     dataset, ds_record = _load_dataset(args)
     return grid, dataset, ds_record, time.perf_counter() - t0
@@ -291,11 +291,12 @@ def _pattern_record(dataset: EventDataset, pattern, pi: Fraction, closed,
     }
 
 
-def _check_out(path: Optional[str]) -> None:
+def _check_out(path: Optional[str], source: Optional[str]) -> None:
     """Fail before any data is read when --out, or stdout without it, cannot
-    be written. The file itself is not opened: `_write_records` writes it
-    only once every record is built, so a failed run leaves an existing one
-    as it was."""
+    be written, or when --out is the --input file ``source`` (by any name,
+    so through a symlink or hard link too). The file itself is not opened:
+    `_write_records` writes it only once every record is built, so a failed
+    run leaves an existing one as it was."""
     if not path:
         if sys.stdout is None:  # started with file descriptor 1 closed
             raise _CliError("cannot write stdout: it is closed")
@@ -305,6 +306,9 @@ def _check_out(path: Optional[str]) -> None:
         problem = f"no directory {directory}"
     elif os.path.isdir(path):
         problem = "it is a directory"
+    elif (source and os.path.exists(path) and os.path.exists(source)
+          and os.path.samefile(path, source)):
+        problem = "it is the --input file"
     elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
         problem = "permission denied"
     else:

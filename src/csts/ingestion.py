@@ -7,34 +7,37 @@ by name (a repeated name maps to its last occurrence). Blank lines are
 skipped uncounted, a short row's missing fields read as blank, and extra
 fields are ignored. The row pass counts each row, rejects it for a blank
 type, coordinate or time, in that order, and converts the coordinates with
-``float``. The column pass parses the times, then marks unparseable a bad
-time or coordinate, one out of degree range (portals), or a type label
-holding the pattern separator ``->`` (patterns over it could not be read
-back). Only then do a portal's date range and whitelist filter, so a
-row is counted under the first of missing_type, missing_coordinates,
-missing_time, unparseable and filtered that applies. Label tests run once
-per distinct label. Text that ``csv.reader`` or the UTF-8 decoder refuses
+``float``. The column pass parses the times, a time that does not parse
+becoming NaN, then rejects in one mask as unparseable a row whose time or
+coordinate is not finite, whose coordinate is out of degree range
+(portals), or whose type label holds the pattern separator ``->``
+(patterns over it could not be read back). Only then do a portal's date
+range and whitelist filter, so a row is counted under the first of
+:attr:`IngestReport.REASONS` that applies. Label tests run once per
+distinct label. Text that ``csv.reader`` or the UTF-8 decoder refuses
 aborts the file with a ValueError naming it and the line.
 
 The generic format is this package's own interchange schema
 (``type,x,y,time_minutes``). The portal loaders map the public exports'
 column names, parse timestamps into whole minutes, floored, from a fixed
-naive local epoch (2017-01-01T00:00 for Pittsburgh, 2014-01-01T00:00 for
-Boston), and apply the date-range / crime-type restrictions the experiments
-use. A timestamp carrying a UTC offset (``Z``, ``+00``, ``+00:00``) is
-unparseable, because it cannot be placed against a naive epoch. The Boston
-whitelists are edited in ``data/boston_types.json``. Datasets carry no
-epoch: minute 0 means whatever the loader counted from.
+naive local epoch, January 1 of the first year in scope (2017-01-01T00:00
+for Pittsburgh, 2014-01-01T00:00 for Boston), and apply the date-range /
+crime-type restrictions the experiments use. A timestamp carrying a UTC
+offset (``Z``, ``+00``, ``+00:00``) is unparseable, because it cannot be
+placed against a naive epoch. The Boston whitelists are edited in
+``data/boston_types.json``. Datasets carry no epoch: minute 0 means
+whatever the loader counted from.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -60,6 +63,11 @@ class IngestReport:
     rejected for exactly one reason, so rows_read always equals
     instances_kept + rows_rejected."""
 
+    #: The rejection reasons, in the order rows are tested for them.
+    REASONS: ClassVar[tuple[str, ...]] = (
+        "missing_type", "missing_coordinates", "missing_time", "unparseable",
+        "filtered")
+
     source: str
     rows_read: int = 0
     instances_kept: int = 0
@@ -72,17 +80,10 @@ class IngestReport:
 
     @property
     def rows_rejected(self) -> int:
-        return (self.missing_type + self.missing_coordinates
-                + self.missing_time + self.unparseable + self.filtered)
+        return sum(self.rejection_breakdown().values())
 
     def rejection_breakdown(self) -> dict[str, int]:
-        return {
-            "missing_type": self.missing_type,
-            "missing_coordinates": self.missing_coordinates,
-            "missing_time": self.missing_time,
-            "unparseable": self.unparseable,
-            "filtered": self.filtered,
-        }
+        return {reason: getattr(self, reason) for reason in self.REASONS}
 
 
 def _parse_timestamp(text: str) -> datetime:
@@ -160,28 +161,26 @@ def _load_rows(path, columns: tuple[str, str, str, str], report: IngestReport,
             np.array(ys, dtype=np.float64), stamps)
 
 
-def _build_dataset(rows: tuple[list[str], np.ndarray, np.ndarray, list[int]],
-                   bad: list[int], report: IngestReport, degrees: bool = False,
-                   span: Optional[tuple[int, int]] = None,
+def _build_dataset(rows: tuple[list[str], np.ndarray, np.ndarray, list[float]],
+                   report: IngestReport, end: Optional[int] = None,
                    whitelist: Optional[set[str]] = None) -> EventDataset:
     """The per-column pass over :func:`_load_rows`' rows, their times parsed
-    to minutes but for the ``bad`` positions. ``degrees`` bounds x and y to
-    [-180, 180] x [-90, 90]; ``span`` is a half-open minute range."""
+    to minutes, NaN where a time does not parse. Only the portals give
+    ``end``, keeping minutes in [0, end), and only their x and y are
+    degrees, bounded to [-180, 180] x [-90, 90]."""
     labels, x, y, minutes = rows
     names = sorted(set(labels))
     code = np.fromiter(map({lab: i for i, lab in enumerate(names)}.__getitem__,
                            labels), dtype=np.int64, count=len(labels))
     # Exact in float64: generic minutes are checked, portal ones lie within 2**33.
     times = np.array(minutes, dtype=np.float64)
-    unparseable = ~(np.isfinite(x) & np.isfinite(y))
-    if degrees:
-        unparseable |= ~((np.abs(x) <= 180.0) & (np.abs(y) <= 90.0))
-    unparseable[bad] = True
-    unparseable |= np.array(["->" in lab for lab in names], dtype=bool)[code]
-    keep = ~unparseable
-    report.unparseable += int(unparseable.sum())
-    if span is not None:
-        in_scope = (times >= span[0]) & (times < span[1])
+    keep = np.isfinite(x) & np.isfinite(y) & np.isfinite(times)
+    if end is not None:
+        keep &= (np.abs(x) <= 180.0) & (np.abs(y) <= 90.0)
+    keep &= np.array(["->" not in lab for lab in names], dtype=bool)[code]
+    report.unparseable += len(keep) - int(keep.sum())
+    if end is not None:
+        in_scope = (times >= 0) & (times < end)
         if whitelist is not None:
             in_scope &= np.array([lab.lower() in whitelist for lab in names],
                                  dtype=bool)[code]
@@ -201,29 +200,27 @@ def load_generic(path) -> tuple[EventDataset, IngestReport]:
     hold exactly, such as 2**53 + 1, is unparseable."""
     report = IngestReport(source=str(path))
     rows = _load_rows(path, GENERIC_COLUMNS, report)
-    times, bad = rows[3], []
+    times = rows[3]
     for i, text in enumerate(times):
         try:
             m = int(text)
             # float() raises OverflowError past float64's range.
-            if m < 0 or float(m) != m:
-                raise ValueError("time is negative or not exact in float64")
+            times[i] = m if m >= 0 and float(m) == m else math.nan
         except (ValueError, OverflowError):
-            m = 0
-            bad.append(i)
-        times[i] = m
-    return _build_dataset(rows, bad, report), report
+            times[i] = math.nan
+    return _build_dataset(rows, report), report
 
 
-def _portal_loader(path, columns: tuple[str, str, str, str], epoch_iso: str,
-                   year_lo: int, year_hi: int,
-                   whitelist: Optional[set[str]] = None,
+def _portal_loader(path, columns: tuple[str, str, str, str], year_lo: int,
+                   year_hi: int, whitelist: Optional[set[str]] = None,
                    ) -> tuple[EventDataset, IngestReport]:
+    """Minutes count from January 1 of ``year_lo``; rows outside years
+    ``year_lo`` through ``year_hi`` are filtered."""
     report = IngestReport(source=str(path))
-    epoch = datetime.fromisoformat(epoch_iso)
+    epoch = datetime(year_lo, 1, 1)
     minute = timedelta(minutes=1)
     rows = _load_rows(path, columns, report)
-    times, bad = rows[3], []
+    times = rows[3]
     for i, text in enumerate(times):
         try:
             try:
@@ -234,12 +231,9 @@ def _portal_loader(path, columns: tuple[str, str, str, str], epoch_iso: str,
             # epoch: the subtraction raises TypeError.
             times[i] = (stamp - epoch) // minute
         except (ValueError, TypeError):
-            times[i] = 0
-            bad.append(i)
-    span = ((datetime(year_lo, 1, 1) - epoch) // minute,
-            (datetime(year_hi + 1, 1, 1) - epoch) // minute)
-    return _build_dataset(rows, bad, report, degrees=True, span=span,
-                          whitelist=whitelist), report
+            times[i] = math.nan
+    end = (datetime(year_hi + 1, 1, 1) - epoch) // minute
+    return _build_dataset(rows, report, end, whitelist), report
 
 
 def load_pittsburgh(path) -> tuple[EventDataset, IngestReport]:
@@ -250,8 +244,7 @@ def load_pittsburgh(path) -> tuple[EventDataset, IngestReport]:
     X and Y are longitude and latitude: rows whose X lies outside
     [-180, 180] or Y outside [-90, 90] count as unparseable.
     """
-    return _portal_loader(path, PITTSBURGH_COLUMNS, "2017-01-01T00:00",
-                          2017, 2019)
+    return _portal_loader(path, PITTSBURGH_COLUMNS, 2017, 2019)
 
 
 def load_boston(path, reduced: bool = False) -> tuple[EventDataset, IngestReport]:
@@ -271,8 +264,7 @@ def load_boston(path, reduced: bool = False) -> tuple[EventDataset, IngestReport
     if key not in lists or not isinstance(lists[key], list) or not lists[key]:
         raise ValueError(f"{BOSTON_TYPES_FILE}: expected a non-empty {key!r} list")
     whitelist = {str(label).lower() for label in lists[key]}
-    return _portal_loader(path, BOSTON_COLUMNS, "2014-01-01T00:00",
-                          2014, 2014, whitelist)
+    return _portal_loader(path, BOSTON_COLUMNS, 2014, 2014, whitelist)
 
 
 def export_generic(dataset: EventDataset, path) -> None:

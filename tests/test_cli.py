@@ -26,11 +26,18 @@ FIXTURE = str(EXAMPLE_EVENTS_FILE)
 
 BASE = ["mine", "--input", FIXTURE, "--radius", "10", "--window", "20"]
 
-# The bundled example's record streams, committed byte for byte under
-# tests/data/streams/ with the dataset record's source reduced to the
-# file name.
-STREAMS = Path(__file__).parent / "data" / "streams"
+# Record streams committed byte for byte under tests/data/streams/, with
+# the dataset record's source reduced to the file name: the bundled
+# example's, and one per portal layout over a small export in tests/data/
+# that holds every rejection reason and some rows with two faults.
+DATA = Path(__file__).parent / "data"
+STREAMS = DATA / "streams"
+PORTAL_ARGV = ["--metric", "geodesic", "--radius", "300", "--window", "120",
+               "--theta", "0.2", "--epsilon", "0.25"]
 STREAM_ARGV = {
+    **{f"mine-{schema}": ["mine", "--input", str(DATA / f"{schema}-small.csv"),
+                          "--schema", schema] + PORTAL_ARGV
+       for schema in ("boston", "pittsburgh")},
     **{f"mine-{alg}": BASE + ["--theta", "0.2", "--epsilon", "0.25",
                               "--algorithm", alg]
        for alg in ("all", "closed", "csts", "oracle")},
@@ -310,12 +317,14 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name", sorted(STREAM_ARGV))
     def test_example_stream_matches_committed_bytes(self, tmp_path, name):
+        argv = STREAM_ARGV[name]
+        source = argv[argv.index("--input") + 1]
         out = tmp_path / "out.jsonl"
-        assert main(STREAM_ARGV[name] + ["--out", str(out)]) == 0
+        assert main(argv + ["--out", str(out)]) == 0
         first, rest = out.read_bytes().split(b"\n", 1)
         dataset = json.loads(first)
-        assert dataset["record"] == "dataset" and dataset["source"] == FIXTURE
-        dataset["source"] = Path(FIXTURE).name
+        assert dataset["record"] == "dataset" and dataset["source"] == source
+        dataset["source"] = Path(source).name
         got = json.dumps(dataset, sort_keys=True,
                          separators=(",", ":")).encode() + b"\n" + rest
         assert got == (STREAMS / f"{name}.jsonl").read_bytes()
@@ -888,6 +897,26 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"cannot write {out}: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["mine", "sweep"])
+    @pytest.mark.parametrize("name", ["same-path", "symlink", "hard-link"])
+    def test_out_that_is_the_input_exits_2(self, tmp_path, pipeline_calls, capsys,
+                                           command, name):
+        # Checked before the load, so the input is neither read nor written.
+        source = tmp_path / "events.csv"
+        source.write_bytes(Path(FIXTURE).read_bytes())
+        out = source if name == "same-path" else tmp_path / "out.jsonl"
+        if name == "symlink":
+            out.symlink_to(source)
+        elif name == "hard-link":
+            os.link(source, out)
+        argv = [command, "--input", str(source), "--radius", "10", "--window", "20",
+                "--theta", "0.2", "--out", str(out)]
+        assert main(argv) == 2
+        assert pipeline_calls == []
+        assert source.read_bytes() == Path(FIXTURE).read_bytes()
+        err = capsys.readouterr().err
+        assert f"cannot write {out}: it is the --input file" in err
+
     @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
                         reason="root may write to a read-only directory")
     def test_read_only_out_directory_fails_before_loading(self, tmp_path,
@@ -924,6 +953,8 @@ class TestErrors:
                      "--radius", "20", "--window", "60",
                      "--theta", "0.2", "--algorithm", "oracle"]) == 3
         assert "guard" in capsys.readouterr().err
+        assert main(BASE + ["--algorithm", "oracle", "--max-length", "9"]) == 3
+        assert "oracle refuses max_len 9 (guard: 8)" in capsys.readouterr().err
 
     def test_unbounded_inclusive_zero_theta_exits_2(self, capsys):
         assert main(BASE + ["--theta", "0", "--theta-strictness", "ge"]) == 2
