@@ -21,7 +21,6 @@ part of the mined tree, which bounds the index.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import repeat
 from typing import Mapping, NamedTuple, Optional
@@ -91,11 +90,15 @@ class CstsSet:
             num, den = ratio[p] = v.as_integer_ratio()
             if not 0 <= num <= den:
                 raise ValueError(f"member {format_pattern(p)} has pi {v} outside [0, 1]")
-        # One exact integer rank: pis scaled to the members' common
-        # denominator, small for a mined summary (its denominators divide the
-        # type counts). The sort is stable, so equal pis keep canonical order.
-        common = math.lcm(*(den for _, den in ratio.values()))
-        rank = {p: num * (common // den) for p, (num, den) in ratio.items()}
+        # One exact rank per distinct pi, from one sort of the distinct pis,
+        # found by their integer ratios (which hash faster than a Fraction).
+        # Each sorts as (correctly rounded float, Fraction), so only pis whose
+        # floats tie compare as Fractions. The members' sort is stable, so
+        # equal pis keep canonical order.
+        distinct = dict(zip(ratio.values(), vals))
+        ranked = sorted(zip([n / d for n, d in distinct], distinct.values(), distinct))
+        place = {r: i for i, (_, _, r) in enumerate(ranked)}
+        rank = {p: place[r] for p, r in ratio.items()}
         en, ed = self.epsilon.as_integer_ratio()
         # Answers are built with tuple.__new__, which skips PiEstimate's
         # Python-level constructor.

@@ -25,13 +25,16 @@ latitude) in degrees and uses the haversine great-circle distance in meters,
 with the source latitude's cosine from ``math.cos``.
 
 Each type numbers its instances 0..count-1 in idx order: their local ids.
-The edges are kept as two parallel arrays of (source local id, target
-type-major id), sorted once by (source type-major id, target type-major
-id), so the edges out of one type are one contiguous run, found in a cut
-table, and one source's edges are contiguous within it. Supports are
-sorted, unique ``int64`` arrays of the local ids of one type; a union
-gathers the run of the support's type once and slices out every target
-type it is asked for, and ``instances_of`` maps local ids back to idx.
+The edges out of one source type are one run of source local ids, sorted
+by (target type-major id, source local id); one sort of integer keys gives
+that order for every type at once. Within a run, the edges into one target
+instance are one segment, and the segments into one target type are one
+block. Supports are sorted, unique ``int64`` arrays of the local ids of one
+type. A union takes a batch of supports of one source type: bit j of a word
+per source instance marks support j, and one ``bitwise_or.reduceat`` of the
+run's words over its segments gives each target instance the OR of its
+in-neighbours' words, so one pass over the run answers up to ``WORD_BITS``
+supports. ``instances_of`` maps local ids back to idx.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ from .model import EventDataset, MiningConfig, METRIC_EUCLIDEAN
 
 #: Globe radius of the geodesic metric, in meters.
 EARTH_RADIUS_M = 6_371_000.0
+
+#: Supports that one union pass serves: bit j of a source's word marks support j.
+WORD_BITS = 64
 
 # Cell keys are cell * n + time position; every key, and every key searched
 # for, stays below 2**63.
@@ -92,23 +98,20 @@ class NeighborhoodIndex:
         self.config = config
 
         n = len(dataset)
-        # Edge keys are source type-major id << shift | target type-major
-        # id, in fields of ``shift`` bits; they stay below 2**63 while
-        # 4 * n**2 does (up to 2**30 instances).
-        shift = max(1, (n - 1).bit_length())
-
         # Type-major ids number the instances by (type, idx), so type t
         # holds the ids starts[t] .. starts[t+1]-1 and a local id is the
         # type-major id less starts[t]; the dataset's type_order maps a
         # type-major id to idx.
         starts = dataset.type_starts
+        type_counts = np.diff(starts)
         self._starts = starts.tolist()
-        # Every union's source mask takes the largest type's count: masks
+        # Every union's source words take the largest type's count: masks
         # sized per type left the heap fragmented, which raised a whole run's
         # peak RSS by 1-2 MB on a 12,000-instance, 5-type dataset.
-        self._mask_size = int(np.diff(starts).max(initial=0))
+        self._mask_size = int(type_counts.max(initial=0))
         major = np.empty(n, dtype=np.int64)
         major[dataset.type_order] = np.arange(n)
+        kinds = dataset.type_ids
 
         order = np.argsort(dataset.times, kind="stable")  # time position -> idx
         times = dataset.times[order]
@@ -135,10 +138,15 @@ class NeighborhoodIndex:
                 [ys], math.degrees(radius / EARTH_RADIUS_M))
         else:
             cell, offsets = _cells([xs, ys], radius)
-        # Each time position's part of an edge key, as source and as target.
+        # An edge from a source of type s with local id l to the target with
+        # type-major id d has the key starts[s] * n + d * count_s + l. Type
+        # s's keys fill [starts[s] * n, starts[s + 1] * n), ordered by (d, l),
+        # and stay below n**2 < 2**63 (up to 2**31 instances). Each time
+        # position's parts of a key, as target and as source:
         dst_code = major[order]
-        src_code = dst_code << shift
-        del major, order
+        src_base = (starts[kinds] * (n - 1) + major)[order]
+        src_mult = type_counts[kinds][order]
+        del major, order, kinds
 
         # Each source's candidates [lo, hi) of strictly later instances. The
         # window is decided per candidate by the oracle's test t_f - t_e <=
@@ -175,24 +183,49 @@ class NeighborhoodIndex:
                 h = s_lat * s_lat + s_lon * s_lon * (cos_lats[dst] * src_cos_lats[src])
                 np.clip(h, 0.0, 1.0, out=h)
                 ok &= 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h)) <= radius
+            src = src[ok]
             edge = dst_code[dst[ok]]
-            edge += src_code[src[ok]]
+            edge *= src_mult[src]
+            edge += src_base[src]
             edge_parts.append(edge)
         # One sort of the keys leaves every source type's edges one
-        # contiguous run, and each source's edges contiguous within it. The
-        # parts are freed before the sort, which is in place, so the build's
-        # memory peak is the concatenation.
+        # contiguous run in (target, source) order, the run of type s
+        # [cuts[s], cuts[s + 1]). The parts are freed before the sort, which
+        # is in place, and so is the decoding of each key into its source
+        # local id, while dst gets its target type-major id.
         edges = np.concatenate(edge_parts)
         del edge_parts
         edges.sort()
         self.edge_count = int(edges.size)
-        self._dst = edges & ((1 << shift) - 1)  # target type-major ids
-        edges >>= shift
-        # Source type s's run starts at its first type-major id, starts[s].
-        cuts = np.searchsorted(edges, starts)
-        edges -= np.repeat(starts[:-1], np.diff(cuts))
-        self._src = edges  # source local ids
-        self._cuts = cuts.tolist()
+        n_types = type_counts.size
+        cuts = np.searchsorted(edges, starts * n)
+        lengths = np.diff(cuts)
+        edges -= np.repeat(starts[:-1] * n, lengths)
+        width = np.repeat(type_counts, lengths)
+        dst = edges // width
+        width *= dst
+        edges -= width
+        del width
+        # A segment, the edges of one run into one target instance, starts
+        # wherever (source type, target) changes; seg has each one's code
+        # s * n + target type-major id, and blocks[s, t] is where the
+        # segments from type s into type t start.
+        dst += np.repeat(np.arange(n_types, dtype=np.int64) * n, lengths)
+        first = np.ones(dst.size, dtype=bool)
+        np.not_equal(dst[1:], dst[:-1], out=first[1:])
+        first = np.flatnonzero(first)
+        seg = dst[first]
+        del dst
+        marks = np.arange(n_types, dtype=np.int64)[:, None] * n + starts
+        blocks = np.searchsorted(seg, marks.ravel()).reshape(marks.shape)
+        seg -= np.repeat(marks[:, :-1].ravel(), np.diff(blocks).ravel())  # target local ids
+        first -= np.repeat(cuts[:-1], blocks[:, -1] - blocks[:, 0])
+        # Per source type: its run of source local ids; where each of its
+        # segments starts in the run; each segment's target local id; and
+        # the bounds of each target type's block of its segments.
+        cuts = cuts.tolist()
+        self._runs = [(edges[a:b], first[g:h], seg[g:h], row - g) for a, b, row, (g, h)
+                      in zip(cuts, cuts[1:], blocks, blocks[:, [0, -1]].tolist())]
 
     def instances_of(self, type_id: int, local_ids) -> np.ndarray:
         """The idx of type ``type_id``'s instances with the given local ids."""
@@ -201,28 +234,58 @@ class NeighborhoodIndex:
         members = self.dataset.type_order[self._starts[type_id]:self._starts[type_id + 1]]
         return members[local_ids]
 
-    def union_over(self, support: Sequence[int], source_type: int,
-                   target_types: Sequence[int]) -> list[np.ndarray]:
-        """For each type in ``target_types``, the sorted, unique local ids of
-        its instances that neighbor some ``support`` instance, given as local
-        ids of ``source_type``: the support-set step of the miner, for every
-        child of one prefix from one gather over ``source_type``'s edges. The
-        support must be sorted; a first or last id outside [0, count) raises
-        ValueError."""
+    def union_over(self, supports: Sequence[Sequence[int]], source_type: int,
+                   target_lists: Sequence[Sequence[int]]) -> list[list[np.ndarray]]:
+        """For each support, given as sorted local ids of ``source_type``, and
+        each type in its target list: the sorted, unique local ids of that
+        type's instances that neighbor some instance of the support. One list
+        per support, holding one ``int64`` array per listed target, in order.
+
+        This is the miner's support-set step for a batch of prefixes that
+        end in ``source_type``, each with its candidates' final types. Up to
+        ``WORD_BITS`` supports share one pass over ``source_type``'s edges; a
+        longer batch takes ``WORD_BITS`` at a time.
+        An unknown type id raises KeyError; a support whose first or last id
+        lies outside [0, count), or a batch whose two lists differ in
+        length, raises ValueError."""
         starts = self._starts
         n_types = len(starts) - 1
-        for type_id in (source_type, *target_types):
+        asked = {t for targets in target_lists for t in targets}
+        for type_id in (source_type, *asked):
             if not 0 <= type_id < n_types:
                 raise KeyError(f"unknown event type id {type_id}")
+        if len(supports) != len(target_lists):
+            raise ValueError(f"{len(supports)} supports but {len(target_lists)} target lists")
         # Sorted, so the two ends bound every id.
         count = starts[source_type + 1] - starts[source_type]
-        if len(support) and not (0 <= support[0] and support[-1] < count):
-            raise ValueError(
-                f"local ids of type {self.dataset.label_of(source_type)!r} must lie "
-                f"in [0, {count}), got {support[0]} .. {support[-1]}")
-        a, b = self._cuts[source_type], self._cuts[source_type + 1]
-        chosen = np.zeros(self._mask_size, dtype=bool)
-        chosen[support] = True
-        hit = np.zeros(starts[-1], dtype=bool)
-        hit[self._dst[a:b][chosen[self._src[a:b]]]] = True
-        return [hit[starts[t]:starts[t + 1]].nonzero()[0] for t in target_types]
+        for support in supports:
+            if len(support) and not (0 <= support[0] and support[-1] < count):
+                raise ValueError(
+                    f"local ids of type {self.dataset.label_of(source_type)!r} must "
+                    f"lie in [0, {count}), got {support[0]} .. {support[-1]}")
+        unions = []
+        for lo in range(0, len(supports), WORD_BITS):
+            unions += self._union_word(supports[lo:lo + WORD_BITS], source_type,
+                                       target_lists[lo:lo + WORD_BITS])
+        return unions
+
+    def _union_word(self, supports, source_type, target_lists):
+        # union_over for up to WORD_BITS checked supports. Words take the
+        # fewest bytes that hold one bit per support.
+        size = 1 << max(0, (len(supports) - 1).bit_length() - 3)
+        words = np.zeros(self._mask_size, dtype=f"<u{size}")
+        bits = [words.dtype.type(1 << j) for j in range(len(supports))]
+        for support, bit in zip(supports, bits):
+            words[support] |= bit
+        src, first, dst, blocks = self._runs[source_type]
+        # One word per target instance with an in-edge from the source type,
+        # the OR of its in-neighbours' words.
+        hit = np.bitwise_or.reduceat(words[src], first)
+        unions = []
+        for bit, targets in zip(bits, target_lists):
+            # The support's hits, as segment numbers, cut at each target
+            # type's block.
+            seg = np.not_equal(hit & bit, 0).nonzero()[0]
+            ends = seg.searchsorted(blocks).tolist()
+            unions.append([dst[seg[ends[t]:ends[t + 1]]] for t in targets])
+        return unions

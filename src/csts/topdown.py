@@ -5,10 +5,12 @@ by prefix node, a level joins each node (a candidate's prefix, ``parent1``)
 with the group of its own suffix node (the candidate's suffix, ``parent2``). A
 candidate's participation index is the minimum of its prefix's index and the
 participation ratio of its new final element, so a prefix's whole group is
-verified from one neighborhood gather over its support, and the index and
-threshold tests compare cross-multiplied integers. Candidates below the
-threshold are dropped with their would-be extensions, soundly: the index only
-shrinks as a pattern grows.
+verified from the union of its support's neighborhoods, and the index and
+threshold tests compare cross-multiplied integers. Prefixes that end in one
+type share their unions: up to ``WORD_BITS`` of them at a time, each a bit
+of one word per source instance, take one pass over that type's edges.
+Candidates below the threshold are dropped with their would-be extensions,
+soundly: the index only shrinks as a pattern grows.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .model import EventDataset, MaxTree, MiningConfig, PatternNode
-from .neighborhoods import NeighborhoodIndex
+from .neighborhoods import WORD_BITS, NeighborhoodIndex
 
 
 def mine_level1(dataset: EventDataset) -> list[PatternNode]:
@@ -32,35 +34,44 @@ def mine_level1(dataset: EventDataset) -> list[PatternNode]:
 
 
 def _children(level_prev: Sequence[PatternNode], index: NeighborhoodIndex,
-              cfg: MiningConfig) -> Iterator[PatternNode]:
-    # The verified children of level_prev, prefix by prefix, in canonical
-    # order; see gen_and_verify.
+              cfg: MiningConfig) -> Iterator[tuple[PatternNode, list[PatternNode]]]:
+    # (prefix, its verified children) for every prefix with candidates, one
+    # union_over batch at a time: prefixes grouped by final type, up to
+    # WORD_BITS per batch. See gen_and_verify.
     by_prefix = {p: list(g) for p, g in groupby(level_prev, lambda n: n.parent1)}
-    count = index.dataset.count
+    by_type: dict[int, list] = {}
     for si in level_prev:
         group = by_prefix.get(si.parent2)
-        pk, pc = si.pi.numerator, si.pi.denominator
         # A child's index never exceeds its prefix's: a failing prefix has none.
-        if not group or not cfg.passes_theta(pk, pc):
-            continue
-        targets = [sj.pattern[-1] for sj in group]
-        supports = index.union_over(si.last_support, si.pattern[-1], targets)
-        for sj, new_type, support in zip(group, targets, supports):
-            # pi = min(pi(si), k / c), tested cross-multiplied.
-            k, c = len(support), count(new_type)
-            if k * pc >= pk * c:
-                pi = si.pi
-            elif cfg.passes_theta(k, c):
-                pi = Fraction(k, c)
-            else:
-                continue
-            yield PatternNode(
-                pattern=si.pattern + (new_type,),
-                pi=pi,
-                last_support=support,
-                parent1=si,
-                parent2=sj,
-            )
+        if group and cfg.passes_theta(si.pi.numerator, si.pi.denominator):
+            by_type.setdefault(si.pattern[-1], []).append((si, group))
+    count = index.dataset.count
+    for source, work in by_type.items():
+        for lo in range(0, len(work), WORD_BITS):
+            batch = work[lo:lo + WORD_BITS]
+            targets = [[sj.pattern[-1] for sj in group] for _, group in batch]
+            unions = index.union_over([si.last_support for si, _ in batch], source, targets)
+            for (si, group), types, supports in zip(batch, targets, unions):
+                pk, pc = si.pi.numerator, si.pi.denominator
+                children = []
+                for sj, new_type, support in zip(group, types, supports):
+                    # pi = min(pi(si), k / c), tested cross-multiplied.
+                    k, c = len(support), count(new_type)
+                    if k * pc >= pk * c:
+                        pi = si.pi
+                    elif cfg.passes_theta(k, c):
+                        pi = Fraction(k, c)
+                    else:
+                        continue
+                    children.append(PatternNode(
+                        pattern=si.pattern + (new_type,),
+                        pi=pi,
+                        last_support=support,
+                        parent1=si,
+                        parent2=sj,
+                    ))
+                yield si, children
+            del unions  # freed before the next batch's are made
 
 
 def gen_and_verify(level_prev: Sequence[PatternNode], index: NeighborhoodIndex,
@@ -72,10 +83,12 @@ def gen_and_verify(level_prev: Sequence[PatternNode], index: NeighborhoodIndex,
     patterns overlapping it in all but the first position. Roots have
     neither, so every root pairs with every root, itself included. Each
     candidate comes exactly once and in canonical order, as a canonical
-    level lists each group as one run sorted by final element. A node's
-    whole group is verified from one ``union_over`` gather over its support.
+    level lists each group as one run sorted by final element. Prefixes
+    that end in one type are verified in batches of up to ``WORD_BITS``,
+    one ``union_over`` call per batch for all of their groups.
     """
-    return list(_children(level_prev, index, cfg))
+    children = dict(_children(level_prev, index, cfg))
+    return [child for si in level_prev for child in children.get(si, ())]
 
 
 def require_bounded(cfg: MiningConfig) -> None:
@@ -123,9 +136,10 @@ def mine_all(dataset: EventDataset, cfg: MiningConfig,
 
 def _capped(levels: list, index: NeighborhoodIndex, cfg: MiningConfig) -> bool:
     """Whether ``levels`` reach ``cfg.max_length`` with longer patterns passing:
-    the next level is verified until one candidate passes, keeping none."""
+    the next level is verified batch by batch until one candidate passes,
+    keeping none."""
     return (len(levels) == cfg.max_length
-            and next(_children(levels[-1], index, cfg), None) is not None)
+            and any(children for _, children in _children(levels[-1], index, cfg)))
 
 
 def _filter_tree(tree: MaxTree, cfg: MiningConfig, index: NeighborhoodIndex) -> MaxTree:

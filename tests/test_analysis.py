@@ -1,6 +1,7 @@
 """Closed-set extraction and interval estimates."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -319,3 +320,27 @@ def test_distinct_pis_that_round_to_one_float_rank_exactly():
     csts = CstsSet({(0, 1): low, (0, 2): high}, "0")
     assert approximate_pi((0,), csts).witness == (0, 2)
     assert approximate_pi((0,), csts) == scan_pi((0,), csts)
+
+
+def test_many_coprime_denominators_rank_in_small_memory():
+    # 2,000 members with pi 1/p for distinct primes p past 100,000: a rank
+    # key scaled to the members' common denominator has about 2,000 * 17
+    # bits per member (a 9.7 MB peak); one rank per distinct pi stays small.
+    # Member (i, i + 1) has pi 1/p_i, so (i,) is answered by (i - 1, i).
+    primes = []
+    k = 100_001
+    while len(primes) < 2000:
+        if all(k % d for d in range(3, int(k ** 0.5) + 1, 2)):
+            primes.append(k)
+        k += 2
+    pis = {(i, i + 1): Fraction(1, p) for i, p in enumerate(primes)}
+    tracemalloc.start()
+    try:
+        csts = CstsSet(pis, "0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+    assert approximate_pi((0,), csts).witness == (0, 1)
+    assert [approximate_pi((i,), csts).witness for i in range(1, 2001)] == \
+        [(i - 1, i) for i in range(1, 2001)]

@@ -211,6 +211,28 @@ def test_matches_oracle_on_deep_full_lattices(seed):
                 f"eps={eps} pattern={node.pattern}"
 
 
+def test_matches_oracle_across_a_batch_edge():
+    # At max_length 6 the full 3-type lattice holds 81 length-5 prefixes of
+    # each final type, so growing length 6 splits each type's prefixes into
+    # union_over batches of 64 and 17: 1,092 nodes in all.
+    ds = generate_random(RandomSpec(seed=1, n_types=3, n_instances=30,
+                                    area=60.0, horizon=200))
+    cfg = MiningConfig(radius=25.0, window=80.0, theta=0, strict_theta=False,
+                       max_length=6)
+    tree = mine_all(ds, cfg)
+    assert len(tree) == 3 + 9 + 27 + 81 + 243 + 729
+    universe = oracle_all_patterns(ds, cfg, max_len=6)
+    assert {n.pattern: n.pi for n in tree} == dict(universe)
+    for eps in ["0", "0.1"]:
+        cmax = run_bottom_up(tree, eps)
+        want_members, want_cmax = oracle_csts(universe, Fraction(eps))
+        assert {n.pattern for n in extract_csts(tree, cmax)} == \
+            {p for p, _ in want_members}, eps
+        for node in tree:
+            assert {t.pattern for t in cmax[node]} == set(want_cmax[node.pattern]), \
+                f"eps={eps} pattern={node.pattern}"
+
+
 def test_mine_csts_uses_config_epsilon():
     ds = example_dataset()
     tree, members = mine_csts(ds, example_config())  # epsilon 0.25

@@ -34,7 +34,7 @@ def _reaches(a, b, radius, metric="euclidean"):
     With one type, local ids are idx."""
     index = NeighborhoodIndex(
         _dataset([a, b]), MiningConfig(radius=radius, window=10.0, metric=metric))
-    return index.union_over([0], 0, [0])[0].tolist() == [1]
+    return index.union_over([[0]], 0, [[0]])[0][0].tolist() == [1]
 
 
 class TestEuclidean:
@@ -94,7 +94,7 @@ class TestHaversine:
         bound = math.pi * EARTH_RADIUS_KM * 1000.0
         index = NeighborhoodIndex(_dataset(points), MiningConfig(
             radius=bound + 1e-6, window=len(points), metric="geodesic"))
-        assert index.union_over([0], 0, [0])[0].tolist() == list(range(1, len(points)))
+        assert index.union_over([[0]], 0, [[0]])[0][0].tolist() == list(range(1, len(points)))
 
     def test_against_high_precision_reference(self):
         # Radii a millionth inside and outside the reference distance, for

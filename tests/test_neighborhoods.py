@@ -28,11 +28,11 @@ from expected import (
 
 def _neighbors(index, e_idx, type_id):
     """Sorted neighbor idx of one instance among one type's instances: the
-    miner's union kernel over a one-instance support."""
+    miner's union kernel over a batch of one one-instance support."""
     source = index.dataset.instances[e_idx].event_type
     local = index.instances_of(source, slice(None)).tolist().index(e_idx)
-    return tuple(index.instances_of(
-        type_id, index.union_over([local], source, [type_id])[0]).tolist())
+    [[union]] = index.union_over([[local]], source, [[type_id]])
+    return tuple(index.instances_of(type_id, union).tolist())
 
 
 def _assert_index_matches_naive(dataset, cfg):
@@ -213,19 +213,23 @@ def test_union_over_matches_per_instance_union():
     # Supports are local ids of one source type; their union at every
     # (source, target) pair decodes to the union of the sources' naive
     # neighborhoods and comes back as sorted local ids of the target type.
+    # Each source's 20 supports are one batch.
     geodesic = _random_geodesic(random.Random(2), 120)  # radius 20 km, 371 edges
     for ds, cfg in [(example_dataset(), example_config()), _planar_random(), geodesic]:
         index = NeighborhoodIndex(ds, cfg)
         rng = random.Random(7)
-        for _ in range(20):
-            for source in range(len(ds.types)):
-                count = ds.count(source)
-                local = rng.sample(range(count), rng.randint(1, min(count, 10)))
-                for target in range(len(ds.types)):
+        types = list(range(len(ds.types)))
+        for source in types:
+            count = ds.count(source)
+            supports = [sorted(rng.sample(range(count), rng.randint(1, min(count, 10))))
+                        for _ in range(20)]
+            unions = index.union_over(supports, source, [types] * len(supports))
+            assert len(unions) == len(supports)
+            for local, per_target in zip(supports, unions):
+                for target, got in zip(types, per_target, strict=True):
                     want = set()
                     for s in index.instances_of(source, local).tolist():
                         want.update(naive_neighborhood(ds, cfg, s, target))
-                    got = index.union_over(local, source, [target])[0]
                     assert got.dtype == np.int64
                     assert np.all(np.diff(got) > 0)
                     assert np.all((0 <= got) & (got < ds.count(target)))
@@ -233,29 +237,39 @@ def test_union_over_matches_per_instance_union():
 
 
 def test_edge_blocks_are_ordered_by_source():
-    # One contiguous run per source type, sorted by source local id, keeps
-    # union_over's gather cheap; together the runs are the whole relation.
+    # One run per source type, sorted by target type-major id and then by
+    # source local id, so the edges into one target instance are one
+    # segment for union_over's reduceat, and the segments into one target
+    # type one block; together the runs are the whole relation.
     for ds, cfg in [_planar_random(), _random_geodesic(random.Random(2), 120)]:
         index = NeighborhoodIndex(ds, cfg)
         n_types = len(ds.types)
-        assert len(index._cuts) == n_types + 1
+        starts = ds.type_starts
+        assert len(index._runs) == n_types
         sizes, edges = 0, set()
-        for source in range(n_types):
-            a, b = index._cuts[source], index._cuts[source + 1]
-            src, dst = index._src[a:b], index._dst[a:b]
-            sizes += b - a
-            assert np.all(src[:-1] <= src[1:]), f"run of {source}"
+        for source, (src, first, dst, blocks) in enumerate(index._runs):
+            sizes += src.size
             assert np.all((0 <= src) & (src < ds.count(source)))
-            assert np.all((0 <= dst) & (dst < len(ds)))
+            # Segments start at 0 and are never empty; blocks cut them by type.
+            assert first.size == dst.size and first[:1].tolist() == [0] * (src.size > 0)
+            assert np.all(np.diff(np.append(first, src.size)) > 0)
+            assert blocks.size == n_types + 1 and blocks[0] == 0 and blocks[-1] == dst.size
+            assert np.all(np.diff(blocks) >= 0)
+            seg = np.repeat(np.arange(first.size), np.diff(np.append(first, src.size)))
+            target_type = np.searchsorted(blocks, seg, side="right") - 1
+            assert np.all((0 <= dst[seg]) & (dst[seg] < np.diff(starts)[target_type]))
+            target = starts[target_type] + dst[seg]  # type-major ids
+            order = target * ds.count(source) + src
+            assert np.all(np.diff(order) > 0), f"run of {source}"
             edges.update(zip(index.instances_of(source, src).tolist(),
-                             ds.type_order[dst].tolist()))
+                             ds.type_order[target].tolist()))
         assert sizes == index.edge_count == len(edges) > 300
         assert edges == _spec_edges(ds, cfg)
 
 
 def test_one_union_equals_the_per_target_unions():
-    # One call for a list of targets, in any order and with repeats, returns
-    # what the naive union gives for each target on its own.
+    # One batch whose supports each list targets in any order and with
+    # repeats returns what the naive union gives for each target on its own.
     empty_type = EventDataset(
         [EventType(0, "A"), EventType(1, "B"), EventType(2, "C")],
         [EventInstance(i, i % 2 * 2, float(i % 5), float(i // 5), i) for i in range(30)])
@@ -265,30 +279,71 @@ def test_one_union_equals_the_per_target_unions():
         index = NeighborhoodIndex(ds, cfg)
         n_types = len(ds.types)
         rng = random.Random(11)
-        for _ in range(30):
+        for _ in range(10):
             source = rng.randrange(n_types)
             count = ds.count(source)
-            local = sorted(rng.sample(range(count), rng.randint(0, min(count, 12))))
-            targets = [rng.randrange(n_types) for _ in range(rng.randint(0, 2 * n_types))]
-            got = index.union_over(local, source, targets)
-            assert len(got) == len(targets)
-            for target, union in zip(targets, got):
-                want = set()
-                for s in index.instances_of(source, local).tolist():
-                    want.update(naive_neighborhood(ds, cfg, s, target))
-                assert union.dtype == np.int64
-                assert index.instances_of(target, union).tolist() == sorted(want)
-        assert index.union_over([0], 0, []) == []
+            supports = [sorted(rng.sample(range(count), rng.randint(0, min(count, 12))))
+                        for _ in range(3)]
+            target_lists = [[rng.randrange(n_types) for _ in range(rng.randint(0, 2 * n_types))]
+                            for _ in supports]
+            got = index.union_over(supports, source, target_lists)
+            assert [len(unions) for unions in got] == [len(t) for t in target_lists]
+            for local, targets, unions in zip(supports, target_lists, got):
+                for target, union in zip(targets, unions):
+                    want = set()
+                    for s in index.instances_of(source, local).tolist():
+                        want.update(naive_neighborhood(ds, cfg, s, target))
+                    assert union.dtype == np.int64
+                    assert index.instances_of(target, union).tolist() == sorted(want)
+        assert index.union_over([[0]], 0, [[]]) == [[]]
+        assert index.union_over([], 0, []) == []
         for support in ([], np.empty(0, np.int64)):
-            assert all(u.size == 0 for u in index.union_over(support, 0, range(n_types)))
+            [unions] = index.union_over([support], 0, [range(n_types)])
+            assert all(u.size == 0 for u in unions)
         for bad in ([0, n_types], [-1]):
             with pytest.raises(KeyError):
-                index.union_over([0], 0, bad)
+                index.union_over([[0], [0]], 0, [[0], bad])
     # A type with no instances has no support and is no one's neighbor.
     index = NeighborhoodIndex(empty_type, cases[-1][1])
     assert empty_type.count(1) == 0
-    assert [u.size for u in index.union_over([], 1, [0, 1, 2])] == [0, 0, 0]
-    assert index.union_over(list(range(15)), 0, [1])[0].size == 0
+    assert [u.size for u in index.union_over([[]], 1, [[0, 1, 2]])[0]] == [0, 0, 0]
+    assert index.union_over([list(range(15))], 0, [[1]])[0][0].size == 0
+
+
+@pytest.mark.parametrize("size", [0, 1, 64, 65, 130])
+def test_batches_of_any_size_match_the_spec(size):
+    # A batch spans words of 64 supports: 65 and 130 take two and three.
+    # Supports may be empty or repeated, and each has its own target list,
+    # in any order and with repeats; every answer is the union of its
+    # sources' neighbors from the spec.
+    ds, cfg = _planar_random()
+    index = NeighborhoodIndex(ds, cfg)
+    n_types = len(ds.types)
+    out = {}
+    for s, t in _spec_edges(ds, cfg):
+        out.setdefault(s, set()).add(t)
+    rng = random.Random(size)
+    for source in range(n_types):
+        count = ds.count(source)
+        supports = []
+        for j in range(size):
+            if j % 9 == 4 and supports:
+                supports.append(supports[rng.randrange(len(supports))])  # repeated
+            else:
+                k = rng.choice([0, 1, 5, count // 3, count])
+                supports.append(np.array(sorted(rng.sample(range(count), k)), np.int64))
+        target_lists = [[rng.randrange(n_types) for _ in range(rng.randint(0, 5))]
+                        for _ in supports]
+        unions = index.union_over(supports, source, target_lists)
+        assert len(unions) == size
+        for support, targets, per_target in zip(supports, target_lists, unions, strict=True):
+            sources = index.instances_of(source, support).tolist()
+            for target, got in zip(targets, per_target, strict=True):
+                want = {i for s in sources for i in out.get(s, ())
+                        if ds.type_ids[i] == target}
+                assert got.dtype == np.int64
+                assert np.all(np.diff(got) > 0)
+                assert index.instances_of(target, got).tolist() == sorted(want)
 
 
 def test_relabeling_instances_relabels_neighborhoods():
@@ -321,18 +376,23 @@ def test_unknown_ids_raise():
     index = NeighborhoodIndex(ds, example_config())
     for source, target in [(0, 99), (99, 0), (-1, 0)]:
         with pytest.raises(KeyError):
-            index.union_over([0], source, [target])
+            index.union_over([[0]], source, [[target]])
     with pytest.raises(KeyError):
         index.instances_of(99, [0])
     # Local ids outside [0, count) of the source type: A holds 2 instances
-    # and E 40, while every mask holds 40 entries.
+    # and E 40, while every word array holds 40 entries. One bad support
+    # anywhere in a batch raises, and the message names its type.
     a, b, c, e = (ds.parse_pattern(label)[0] for label in "ABCE")
     for support, source, target in [([2], a, b), ([3], a, b), ([40], a, b),
                                     ([-1], e, c), ([0, 40], e, c)]:
         count = ds.count(source)
-        with pytest.raises(ValueError, match=rf"'{ds.label_of(source)}'.*\[0, {count}\)"):
-            index.union_over(support, source, [target])
-    assert index.union_over([39], e, [c])[0].size == 2
+        for batch in ([support], [[0], support], [[0]] * 70 + [support] + [[1]]):
+            with pytest.raises(ValueError, match=rf"'{ds.label_of(source)}'.*\[0, {count}\)"):
+                index.union_over(batch, source, [[target]] * len(batch))
+    assert index.union_over([[39]], e, [[c]])[0][0].size == 2
+    # One target list per support.
+    with pytest.raises(ValueError, match="2 supports but 1 target lists"):
+        index.union_over([[0], [1]], a, [[b]])
 
 
 def test_empty_dataset_has_no_edges():
@@ -343,10 +403,10 @@ def test_empty_dataset_has_no_edges():
         index = NeighborhoodIndex(EventDataset([], []), cfg)
         assert index.edge_count == 0
         with pytest.raises(KeyError):
-            index.union_over(np.empty(0, np.int64), 0, [0])
+            index.union_over([np.empty(0, np.int64)], 0, [[0]])
         index = NeighborhoodIndex(EventDataset([EventType(0, "A")], []), cfg)
         assert index.edge_count == 0
-        [union] = index.union_over(np.empty(0, np.int64), 0, [0])
+        [[union]] = index.union_over([np.empty(0, np.int64)], 0, [[0]])
         assert union.size == 0 and union.dtype == np.int64
         assert index.instances_of(0, []).size == 0
 
@@ -408,13 +468,17 @@ def _spec_distance(source, target, metric):
 
 
 def _assert_index_matches_spec(dataset, cfg):
+    # Every instance's neighbors of every type, from one batch per source
+    # type whose supports are its instances, one each.
     index = NeighborhoodIndex(dataset, cfg)
     got = set()
-    for source in range(len(dataset.types)):
+    types = list(range(len(dataset.types)))
+    for source in types:
         ids = index.instances_of(source, slice(None)).tolist()
-        for target in range(len(dataset.types)):
-            for local, i in enumerate(ids):
-                [hits] = index.union_over([local], source, [target])
+        unions = index.union_over([[local] for local in range(len(ids))], source,
+                                  [types] * len(ids))
+        for i, per_target in zip(ids, unions, strict=True):
+            for target, hits in zip(types, per_target, strict=True):
                 got.update((i, j) for j in index.instances_of(target, hits).tolist())
     want = _spec_edges(dataset, cfg)
     assert got == want, f"{cfg}: extra {sorted(got - want)[:5]}, missing {sorted(want - got)[:5]}"

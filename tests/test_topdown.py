@@ -13,7 +13,7 @@ import pytest
 
 from csts import EventDataset, EventInstance, EventType, MiningConfig, PatternNode
 from csts.bottomup import mine_csts
-from csts.neighborhoods import NeighborhoodIndex
+from csts.neighborhoods import WORD_BITS, NeighborhoodIndex
 from csts.oracle import (
     RandomSpec,
     example_config,
@@ -21,7 +21,7 @@ from csts.oracle import (
     generate_random,
     oracle_all_patterns,
 )
-from csts.topdown import gen_and_verify, mine_all, mine_level1
+from csts.topdown import _capped, gen_and_verify, mine_all, mine_level1
 
 from expected import (
     EXPECTED_AT_04,
@@ -376,3 +376,33 @@ def test_every_cap_gives_the_uncapped_levels():
                 assert tree.capped is (max_length < full.depth)
                 assert [[(n.pattern, n.pi, n.last_support.tolist()) for n in level]
                         for level in tree.levels] == rows[:max_length]
+
+
+def test_levels_grow_in_batches_and_the_cap_probe_stops_at_the_first():
+    # A full 3-type lattice at theta 0 holds 81 prefixes of each final type
+    # at length 5, more than one batch. Growing length 6 takes two
+    # union_over calls per type, of 64 and 17 prefixes; the probe past a cap
+    # at length 5 stops after the first batch, whose candidates pass.
+    ds = generate_random(RandomSpec(seed=1, n_types=3, n_instances=30,
+                                    area=60.0, horizon=200))
+    cfg = MiningConfig(radius=25.0, window=80.0, theta=0, strict_theta=False,
+                       max_length=5)
+    index = NeighborhoodIndex(ds, cfg)
+    tree = mine_all(ds, cfg, index)
+    assert tree.capped and [len(level) for level in tree.levels] == [3, 9, 27, 81, 243]
+    calls = []
+    union_over = NeighborhoodIndex.union_over
+
+    def counting(self, supports, source_type, target_lists):
+        calls.append((source_type, len(supports)))
+        return union_over(self, supports, source_type, target_lists)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NeighborhoodIndex, "union_over", counting)
+        assert _capped(tree.levels, index, cfg)
+        assert calls == [(0, WORD_BITS)]
+        calls.clear()
+        level6 = gen_and_verify(tree.levels[-1], index, cfg)
+    assert calls == [(t, size) for t in range(3) for size in (WORD_BITS, 81 - WORD_BITS)]
+    assert [n.pattern for n in level6] == sorted(n.pattern for n in level6)
+    assert len(level6) == 729
