@@ -111,7 +111,6 @@ class NeighborhoodIndex:
         self._mask_size = int(type_counts.max(initial=0))
         major = np.empty(n, dtype=np.int64)
         major[dataset.type_order] = np.arange(n)
-        kinds = dataset.type_ids
 
         order = np.argsort(dataset.times, kind="stable")  # time position -> idx
         times = dataset.times[order]
@@ -144,8 +143,9 @@ class NeighborhoodIndex:
         # and stay below n**2 < 2**63 (up to 2**31 instances). Each time
         # position's parts of a key, as target and as source:
         dst_code = major[order]
-        src_base = (starts[kinds] * (n - 1) + major)[order]
-        src_mult = type_counts[kinds][order]
+        kinds = dataset.type_ids[order]
+        src_base = starts[kinds] * (n - 1) + dst_code  # starts[s] * n + l
+        src_mult = type_counts[kinds]
         del major, order, kinds
 
         # Each source's candidates [lo, hi) of strictly later instances. The
