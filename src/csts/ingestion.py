@@ -9,12 +9,13 @@ fields are ignored. The row pass counts each row, rejects it for a blank
 type, coordinate or time, in that order, and converts the coordinates with
 ``float``. The column pass parses the times, a time that does not parse
 becoming NaN, then rejects in one mask as unparseable a row whose time or
-coordinate is not finite, whose coordinate is out of degree range
-(portals), or whose type label holds the pattern separator ``->``
-(patterns over it could not be read back). Only then do a portal's date
-range and whitelist filter, so a row is counted under the first of
-:attr:`IngestReport.REASONS` that applies. Label tests run once per
-distinct label. Text that ``csv.reader`` or the UTF-8 decoder refuses
+coordinate is not finite, whose coordinate is out of degree range or
+whose location is exactly (-1, -1), the portals' placeholder for an
+unknown place (portals only), or whose type label holds the pattern
+separator ``->`` (patterns over it could not be read back). Only then do
+a portal's date range and whitelist filter, so a row is counted under the
+first of :attr:`IngestReport.REASONS` that applies. Label tests run once
+per distinct label. Text that ``csv.reader`` or the UTF-8 decoder refuses
 aborts the file with a ValueError naming it and the line.
 
 The generic format is this package's own interchange schema
@@ -167,7 +168,8 @@ def _build_dataset(rows: tuple[list[str], np.ndarray, np.ndarray, list[float]],
     """The per-column pass over :func:`_load_rows`' rows, their times parsed
     to minutes, NaN where a time does not parse. Only the portals give
     ``end``, keeping minutes in [0, end), and only their x and y are
-    degrees, bounded to [-180, 180] x [-90, 90]."""
+    degrees, bounded to [-180, 180] x [-90, 90] and never the placeholder
+    point (-1, -1)."""
     labels, x, y, minutes = rows
     names = sorted(set(labels))
     code = np.fromiter(map({lab: i for i, lab in enumerate(names)}.__getitem__,
@@ -176,7 +178,8 @@ def _build_dataset(rows: tuple[list[str], np.ndarray, np.ndarray, list[float]],
     times = np.array(minutes, dtype=np.float64)
     keep = np.isfinite(x) & np.isfinite(y) & np.isfinite(times)
     if end is not None:
-        keep &= (np.abs(x) <= 180.0) & (np.abs(y) <= 90.0)
+        # Rows at (-1, -1) would all neighbour each other at one point.
+        keep &= (np.abs(x) <= 180.0) & (np.abs(y) <= 90.0) & ((x != -1.0) | (y != -1.0))
     keep &= np.array(["->" not in lab for lab in names], dtype=bool)[code]
     report.unparseable += len(keep) - int(keep.sum())
     if end is not None:

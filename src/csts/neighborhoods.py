@@ -241,13 +241,14 @@ class NeighborhoodIndex:
         type's instances that neighbor some instance of the support. One list
         per support, holding one ``int64`` array per listed target, in order.
 
-        This is the miner's support-set step for a batch of prefixes that
-        end in ``source_type``, each with its candidates' final types. Up to
-        ``WORD_BITS`` supports share one pass over ``source_type``'s edges; a
-        longer batch takes ``WORD_BITS`` at a time.
+        This is the miner's support-set step for one batch of prefixes that
+        end in ``source_type``, each with its candidates' final types: the
+        batch's supports share one pass over ``source_type``'s edges, bit j
+        of a ``uint64`` word per source instance marking support j, so a
+        batch holds at most ``WORD_BITS`` supports.
         An unknown type id raises KeyError; a support whose first or last id
-        lies outside [0, count), or a batch whose two lists differ in
-        length, raises ValueError."""
+        lies outside [0, count), a batch whose two lists differ in length,
+        or a batch of more than ``WORD_BITS`` supports raises ValueError."""
         starts = self._starts
         n_types = len(starts) - 1
         asked = {t for targets in target_lists for t in targets}
@@ -263,18 +264,11 @@ class NeighborhoodIndex:
                 raise ValueError(
                     f"local ids of type {self.dataset.label_of(source_type)!r} must "
                     f"lie in [0, {count}), got {support[0]} .. {support[-1]}")
-        unions = []
-        for lo in range(0, len(supports), WORD_BITS):
-            unions += self._union_word(supports[lo:lo + WORD_BITS], source_type,
-                                       target_lists[lo:lo + WORD_BITS])
-        return unions
-
-    def _union_word(self, supports, source_type, target_lists):
-        # union_over for up to WORD_BITS checked supports. Words take the
-        # fewest bytes that hold one bit per support.
-        size = 1 << max(0, (len(supports) - 1).bit_length() - 3)
-        words = np.zeros(self._mask_size, dtype=f"<u{size}")
-        bits = [words.dtype.type(1 << j) for j in range(len(supports))]
+        if len(supports) > WORD_BITS:
+            raise ValueError(f"{len(supports)} supports in one batch; "
+                             f"at most {WORD_BITS} share a pass")
+        words = np.zeros(self._mask_size, dtype=np.uint64)
+        bits = [np.uint64(1 << j) for j in range(len(supports))]
         for support, bit in zip(supports, bits):
             words[support] |= bit
         src, first, dst, blocks = self._runs[source_type]

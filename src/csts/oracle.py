@@ -113,10 +113,13 @@ def oracle_search(
     """Enumerate every threshold-passing pattern with its exact pi.
 
     Depth-first over raw type sequences, evaluating support sets directly
-    from the neighborhood definition. When theta > 0 the search prunes
-    branches whose running pi already fails (extensions can only lower pi);
-    at theta = 0 it enumerates everything up to ``max_len`` so correctness
-    never depends on the pruning argument.
+    from the neighborhood definition. The running pi travels as a pair
+    (k, c) of integers standing for k / c, so the min and the theta test
+    compare cross-multiplied integers; each result's ``Fraction`` is built
+    once. When theta > 0 the search prunes branches whose running pi
+    already fails (extensions can only lower pi); at theta = 0 it
+    enumerates everything up to ``max_len`` so correctness never depends on
+    the pruning argument.
 
     Returns (pattern, pi) pairs sorted by canonical key, and whether a
     pattern one element longer than ``max_len`` passes (``MaxTree.capped``'s
@@ -131,36 +134,41 @@ def oracle_search(
 
     neighbors = _NaiveNeighbors(dataset, cfg)
     live_types = [t.id for t in dataset.types if dataset.count(t.id) > 0]
+    theta_n, theta_d = cfg.theta.numerator, cfg.theta.denominator
     results: list[tuple[Pattern, Fraction]] = []
     capped = False
 
-    def passes(pi: Fraction) -> bool:
+    def passes(k: int, c: int) -> bool:
         # The oracle's own theta test, kept apart from the miner's.
-        return pi > cfg.theta if cfg.strict_theta else pi >= cfg.theta
+        if cfg.strict_theta:
+            return k * theta_d > theta_n * c
+        return k * theta_d >= theta_n * c
 
-    def extend(support: frozenset[int], g: int) -> tuple[frozenset[int], Fraction]:
+    def extend(support: frozenset[int], k: int, c: int,
+               g: int) -> tuple[frozenset[int], int, int]:
+        # The support of the pattern grown by g, and min(k / c, its ratio).
         new_support = frozenset().union(*(neighbors(e, g) for e in support))
-        return new_support, Fraction(len(new_support), dataset.count(g))
+        k_g, c_g = len(new_support), len(neighbors.members[g])
+        if k_g * c < k * c_g:
+            return new_support, k_g, c_g
+        return new_support, k, c
 
-    def walk(pattern: Pattern, support: frozenset[int], pi: Fraction) -> None:
+    def walk(pattern: Pattern, support: frozenset[int], k: int, c: int) -> None:
         nonlocal capped
-        strong = passes(pi)
+        strong = passes(k, c)
         if strong:
-            results.append((pattern, pi))
-        elif cfg.theta > 0:
+            results.append((pattern, Fraction(k, c)))
+        elif theta_n:
             return  # pruning: no extension can raise the running pi
         if len(pattern) >= max_len:
             if strong and not capped:
-                capped = any(passes(min(pi, extend(support, g)[1]))
-                             for g in live_types)
+                capped = any(passes(*extend(support, k, c, g)[1:]) for g in live_types)
             return
         for g in live_types:
-            new_support, pr = extend(support, g)
-            walk(pattern + (g,), new_support, min(pi, pr))
+            walk(pattern + (g,), *extend(support, k, c, g))
 
     for f in live_types:
-        support = frozenset(neighbors.members[f])
-        walk((f,), support, Fraction(1))
+        walk((f,), frozenset(neighbors.members[f]), 1, 1)
 
     results.sort(key=lambda item: _canonical_key(item[0]))
     return results, capped

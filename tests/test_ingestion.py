@@ -405,6 +405,32 @@ def test_boston_coordinates_outside_degree_range_unparseable(tmp_path, lon_lat):
     assert [(i.x, i.y) for i in ds.instances] == [(-71.06, 42.35)]
 
 
+@pytest.mark.parametrize("portal", ["boston", "pittsburgh"])
+def test_portal_placeholder_location_unparseable(tmp_path, portal):
+    # The portals write (-1, -1) for an unknown location; such rows would all
+    # sit at one point and neighbour each other. One coordinate at -1 is a
+    # real place, and a generic file's (-1, -1) is an ordinary point.
+    points = [("-1.00000000", "-1.00000000"), ("-1", "-1"), ("-1", "42.35"),
+              ("-71.06", "-1"), ("-71.06", "42.35")]
+    if portal == "boston":
+        load, text = load_boston, BOS_HEADER + "".join(
+            f"I{n},Arson,2014-06-15 13:0{n}:00,{lat},{lon}\n"
+            for n, (lon, lat) in enumerate(points))
+    else:
+        load, text = load_pittsburgh, PGH_HEADER + "".join(
+            f"{n},2017-06-15T13:0{n}:00,THEFT,{lon},{lat}\n"
+            for n, (lon, lat) in enumerate(points))
+    ds, report = load(_write(tmp_path, "p.csv", text))
+    assert report.unparseable == 2
+    assert report.rows_read == report.instances_kept + report.rows_rejected == 5
+    assert [(i.x, i.y) for i in ds.instances] == [(-1.0, 42.35), (-71.06, -1.0),
+                                                  (-71.06, 42.35)]
+    ds, report = load_generic(_write(tmp_path, "g.csv", "type,x,y,time_minutes\n"
+                                     "A,-1,-1,0\nA,-1.00000000,-1.00000000,5\n"))
+    assert report.unparseable == 0
+    assert [(i.x, i.y) for i in ds.instances] == [(-1.0, -1.0), (-1.0, -1.0)]
+
+
 # -- portal reject precedence -----------------------------------------------
 
 # Each row but the last three has two faults or more; the one reason it is

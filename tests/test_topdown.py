@@ -20,6 +20,7 @@ from csts.oracle import (
     example_dataset,
     generate_random,
     oracle_all_patterns,
+    oracle_search,
 )
 from csts.topdown import _capped, gen_and_verify, mine_all, mine_level1
 
@@ -226,6 +227,26 @@ def test_matches_oracle_on_random_datasets():
             got = {n.pattern: n.pi for n in tree}
             want = dict(oracle_all_patterns(ds, cfg, max_len=7))
             assert got == want, f"seed={spec.seed} theta={theta} strict={strict}"
+
+
+def test_matches_oracle_on_many_type_datasets():
+    # The crime-sweep regime: 20-26 types of a few instances each and theta
+    # above 0, so a level spans many final types with few prefixes each. One
+    # threshold ends the search on its own, the other two are capped.
+    rng = random.Random(7)
+    for trial in range(3):
+        spec = RandomSpec(seed=rng.randrange(10**9), n_types=rng.randint(20, 26),
+                          n_instances=rng.randint(150, 200))
+        ds = generate_random(spec)
+        for theta, strict, max_length in [("0.25", True, 7), ("0.2", False, 7),
+                                          ("0.2", True, 3)]:
+            cfg = MiningConfig(radius=20.0, window=60.0, theta=theta,
+                               strict_theta=strict, max_length=max_length)
+            tree = mine_all(ds, cfg)
+            want, capped = oracle_search(ds, cfg, max_len=max_length)
+            label = f"seed={spec.seed} theta={theta} strict={strict}"
+            assert {n.pattern: n.pi for n in tree} == dict(want), label
+            assert tree.capped == capped, label
 
 
 def test_max_length_cap():
