@@ -585,6 +585,10 @@ def _load_saved_csts(path) -> tuple[CstsSet, list[str], Optional[int]]:
         capped_at = run_record["depth"] if capped else None
         if not (capped_at is None or type(capped_at) is int):
             raise ValueError("the run record's depth is not a length")
+        # A capped search stopped at its depth, so no member is longer.
+        if capped_at is not None and capped_at < max(map(len, members), default=1):
+            raise ValueError(f"the run was capped at depth {capped_at}, "
+                             "below 1 or a member's length")
         return summary, labels, capped_at
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc

@@ -27,14 +27,16 @@ with the source latitude's cosine from ``math.cos``.
 Each type numbers its instances 0..count-1 in idx order: their local ids.
 The edges out of one source type are one run of source local ids, sorted
 by (target type-major id, source local id); one sort of integer keys gives
-that order for every type at once. Within a run, the edges into one target
-instance are one segment, and the segments into one target type are one
-block. Supports are sorted, unique ``int64`` arrays of the local ids of one
-type. A union takes a batch of supports of one source type: bit j of a word
-per source instance marks support j, and one ``bitwise_or.reduceat`` of the
-run's words over its segments gives each target instance the OR of its
-in-neighbours' words, so one pass over the run answers up to ``WORD_BITS``
-supports. ``instances_of`` maps local ids back to idx.
+that order for every type at once, and each run's keys are then decoded on
+their own, in place, into source local ids. Within a run, the edges into
+one target instance are one segment, and the segments into one target type
+are one block. Supports are sorted, unique ``int64`` arrays of the local
+ids of one type. A union takes a batch of supports of one source type: bit
+j of a word per source instance marks support j, and one
+``bitwise_or.reduceat`` of the run's words over its segments gives each
+target instance the OR of its in-neighbours' words, so one pass over the
+run answers up to ``WORD_BITS`` supports. ``instances_of`` maps local ids
+back to idx.
 """
 
 from __future__ import annotations
@@ -191,41 +193,32 @@ class NeighborhoodIndex:
         # One sort of the keys leaves every source type's edges one
         # contiguous run in (target, source) order, the run of type s
         # [cuts[s], cuts[s + 1]). The parts are freed before the sort, which
-        # is in place, and so is the decoding of each key into its source
-        # local id, while dst gets its target type-major id.
+        # is in place, and so is the decoding of each run's keys into its
+        # source local ids.
         edges = np.concatenate(edge_parts)
         del edge_parts
         edges.sort()
         self.edge_count = int(edges.size)
-        n_types = type_counts.size
-        cuts = np.searchsorted(edges, starts * n)
-        lengths = np.diff(cuts)
-        edges -= np.repeat(starts[:-1] * n, lengths)
-        width = np.repeat(type_counts, lengths)
-        dst = edges // width
-        width *= dst
-        edges -= width
-        del width
-        # A segment, the edges of one run into one target instance, starts
-        # wherever (source type, target) changes; seg has each one's code
-        # s * n + target type-major id, and blocks[s, t] is where the
-        # segments from type s into type t start.
-        dst += np.repeat(np.arange(n_types, dtype=np.int64) * n, lengths)
-        first = np.ones(dst.size, dtype=bool)
-        np.not_equal(dst[1:], dst[:-1], out=first[1:])
-        first = np.flatnonzero(first)
-        seg = dst[first]
-        del dst
-        marks = np.arange(n_types, dtype=np.int64)[:, None] * n + starts
-        blocks = np.searchsorted(seg, marks.ravel()).reshape(marks.shape)
-        seg -= np.repeat(marks[:, :-1].ravel(), np.diff(blocks).ravel())  # target local ids
-        first -= np.repeat(cuts[:-1], blocks[:, -1] - blocks[:, 0])
+        cuts = np.searchsorted(edges, starts * n).tolist()
         # Per source type: its run of source local ids; where each of its
-        # segments starts in the run; each segment's target local id; and
-        # the bounds of each target type's block of its segments.
-        cuts = cuts.tolist()
-        self._runs = [(edges[a:b], first[g:h], seg[g:h], row - g) for a, b, row, (g, h)
-                      in zip(cuts, cuts[1:], blocks, blocks[:, [0, -1]].tolist())]
+        # segments, the edges into one target instance, starts in the run;
+        # each segment's target local id; and the bounds of each target
+        # type's block of its segments.
+        self._runs = []
+        for s, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            src = edges[a:b]
+            src -= self._starts[s] * n
+            # The key d * count_s + l splits into the target's type-major id
+            # d and the source's local id l, written back over the key.
+            dst, _ = np.divmod(src, type_counts[s], out=(None, src))
+            # Segments start where the target changes (np.diff is slower).
+            first = np.ones(dst.size, dtype=bool)
+            np.not_equal(dst[1:], dst[:-1], out=first[1:])
+            first = np.flatnonzero(first)
+            seg = dst[first]
+            blocks = np.searchsorted(seg, starts)
+            seg -= np.repeat(starts[:-1], np.diff(blocks))  # target local ids
+            self._runs.append((src, first, seg, blocks))
 
     def instances_of(self, type_id: int, local_ids) -> np.ndarray:
         """The idx of type ``type_id``'s instances with the given local ids."""

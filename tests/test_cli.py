@@ -336,8 +336,14 @@ class TestDeterminism:
         assert main(["mine", "--synthetic", "4,400,0.05,2000", "--seed", "2",
                      "--metric", "geodesic", "--radius", "800", "--window", "300",
                      "--theta", "0.1", "--epsilon", "0.1", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "9fbb0cee80c5457b080dd7e056ca24f5b97712716661aa2019eca258d4da020f")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GEODESIC_SHA256
+
+    @pytest.mark.parametrize("command", ["mine", "sweep"])
+    def test_dense_synthetic_stream_matches_pinned_hash(self, tmp_path, command):
+        thresholds, digest = DENSE_SHA256[command]
+        out = tmp_path / "dense.jsonl"
+        assert main([command] + DENSE_ARGV + thresholds + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_no_timing_keys_in_records(self, tmp_path):
         recs = run_records(tmp_path, "run.jsonl", BASE + [
@@ -684,6 +690,9 @@ class TestQuery:
                                       "csts-as-string",
                                       "capped-as-string",
                                       "capped-missing",
+                                      "capped-depth-negative",
+                                      "capped-depth-zero",
+                                      "capped-depth-below-a-member",
                                       "truncated",
                                       "count-mismatch",
                                       "member-label-unknown"])
@@ -714,6 +723,12 @@ class TestQuery:
             run["capped"] = "false"
         elif case == "capped-missing":
             del run["capped"]
+        elif case.startswith("capped-depth-"):
+            # A capped search stops at its depth, at least 1 and no shorter
+            # than any member; B->B->C->E is a member.
+            run["capped"] = True
+            run["depth"] = {"capped-depth-negative": -3, "capped-depth-zero": 0,
+                            "capped-depth-below-a-member": 3}[case]
         elif case == "count-mismatch":
             member, = [rec for rec in recs if rec.get("pattern") == "B->B->C->E"]
             member["csts"] = False
@@ -1044,6 +1059,18 @@ GEODESIC_ARGV = ["mine", "--synthetic", "4,400,0.05,2000", "--seed", "2",
                  "--metric", "geodesic", "--radius", "800", "--window", "300",
                  "--theta", "0.1", "--epsilon", "0.1"]
 GEODESIC_SHA256 = "9fbb0cee80c5457b080dd7e056ca24f5b97712716661aa2019eca258d4da020f"
+# Every pattern over 4 types up to the cap, length 6: unions in full batches
+# of 64 prefixes and a closure over 5,460 patterns, 5,189 of them closed and
+# 4,099 in the summary; the mine writes 884,197 bytes. Per command: its
+# thresholds and the sha256 of its records.
+DENSE_ARGV = ["--synthetic", "4,2000,1600,600", "--seed", "1", "--radius", "200",
+              "--window", "600", "--max-length", "6"]
+DENSE_SHA256 = {
+    "mine": (["--theta", "0.3", "--epsilon", "0.1"],
+             "15474fa51192f140c6818853c489dda7d822eb00a32bd7eb6e45b20adbee4708"),
+    "sweep": (["--theta", "0.3,0.4", "--epsilon", "0,0.1"],
+              "8a97f81e3f29df6c8a452a08b70e2acc41513a10e48ee54b7ba7c1019033978f"),
+}
 EXAMPLE_ARGV = BASE + ["--theta", "0.2", "--epsilon", "0.25"]
 
 

@@ -236,16 +236,34 @@ def test_union_over_matches_per_instance_union():
                     assert index.instances_of(target, got).tolist() == sorted(want)
 
 
+def _many_types():
+    """26 types, as many as the Boston offense groups: G has no instances,
+    and every D instance is later than all others, so D has no out-edges."""
+    rng = random.Random(5)
+    types = [EventType(i, chr(ord("A") + i)) for i in range(26)]
+    type_ids = [rng.choice([t for t in range(26) if t != 6]) for _ in range(600)]
+    xs = [round(rng.uniform(0.0, 100.0), 3) for _ in type_ids]
+    ys = [round(rng.uniform(0.0, 100.0), 3) for _ in type_ids]
+    times = [300 if t == 3 else rng.randint(0, 299) for t in type_ids]
+    return (EventDataset.from_columns(types, type_ids, xs, ys, times),
+            MiningConfig(radius=15.0, window=60.0))
+
+
 def test_edge_blocks_are_ordered_by_source():
     # One run per source type, sorted by target type-major id and then by
     # source local id, so the edges into one target instance are one
     # segment for union_over's reduceat, and the segments into one target
-    # type one block; together the runs are the whole relation.
-    for ds, cfg in [_planar_random(), _random_geodesic(random.Random(2), 120)]:
+    # type one block; together the runs are the whole relation. Each case
+    # names the source types whose runs are empty.
+    cases = [(*_planar_random(), set()),
+             (*_random_geodesic(random.Random(2), 120), set()),
+             (*_many_types(), {3, 6})]
+    for ds, cfg, idle in cases:
         index = NeighborhoodIndex(ds, cfg)
         n_types = len(ds.types)
         starts = ds.type_starts
         assert len(index._runs) == n_types
+        assert {s for s, run in enumerate(index._runs) if run[0].size == 0} == idle
         sizes, edges = 0, set()
         for source, (src, first, dst, blocks) in enumerate(index._runs):
             sizes += src.size
