@@ -1,33 +1,47 @@
 """CSV ingestion: generic event files plus the Pittsburgh and Boston
 crime-incident exports.
 
-Every loader makes one pass over ``csv.reader`` rows, then vets whole
-columns. The header is read once and each of the four mapped columns found
-by name (a repeated name maps to its last occurrence). Blank lines are
-skipped uncounted, a short row's missing fields read as blank, and extra
-fields are ignored. The row pass counts each row, rejects it for a blank
-type, coordinate or time, in that order, and converts the coordinates with
-``float``. The column pass parses the times, a time that does not parse
-becoming NaN, then rejects in one mask as unparseable a row whose time or
-coordinate is not finite, whose coordinate is out of degree range or
-whose location is exactly (-1, -1), the portals' placeholder for an
-unknown place (portals only), or whose type label holds the pattern
-separator ``->`` (patterns over it could not be read back). Only then do
-a portal's date range and whitelist filter, so a row is counted under the
-first of :attr:`IngestReport.REASONS` that applies. Label tests run once
-per distinct label. Text that ``csv.reader`` or the UTF-8 decoder refuses
-aborts the file with a ValueError naming it and the line.
+Every loader reads rows, then vets whole columns. The row loop, the spec,
+makes one pass over ``csv.reader`` rows. The header is read once and each
+of the four mapped columns found by name (a repeated name maps to its last
+occurrence). Blank lines are skipped uncounted, a short row's missing
+fields read as blank, and extra fields are ignored. The row pass counts
+each row, rejects it for a blank type, coordinate or time, in that order,
+and converts the coordinates with ``float``. The column pass parses the
+times, a time that does not parse becoming NaN, then rejects in one mask
+as unparseable a row whose time or coordinate is not finite, whose
+coordinate is out of degree range or whose location is exactly (-1, -1),
+the portals' placeholder for an unknown place (portals only), or whose
+type label holds the pattern separator ``->`` (patterns over it could not
+be read back). Only then do a portal's date range and whitelist filter, so
+a row is counted under the first of :attr:`IngestReport.REASONS` that
+applies. Label tests run once per distinct label. Text that ``csv.reader``
+or the UTF-8 decoder refuses aborts the file with a ValueError naming it
+and the line.
+
+A generic file that is provably clean takes a bulk route instead, with
+the identical dataset and report: its text is read once, split into cells
+with one ``split`` and converted a column at a time, then vetted by the
+same column pass. Clean means UTF-8 with no ``"``, CR or NUL, ending in a
+newline, every line as wide as the header and within csv's field size
+limit, no label blank or padded, and every coordinate read by ``float``
+and every time by ``int`` into [0, 2**53]. Any other file, and every
+portal file, takes the row loop.
 
 The generic format is this package's own interchange schema
 (``type,x,y,time_minutes``). The portal loaders map the public exports'
 column names, parse timestamps into whole minutes, floored, from a fixed
 naive local epoch, January 1 of the first year in scope (2017-01-01T00:00
 for Pittsburgh, 2014-01-01T00:00 for Boston), and apply the date-range /
-crime-type restrictions the experiments use. A timestamp carrying a UTC
-offset (``Z``, ``+00``, ``+00:00``) is unparseable, because it cannot be
-placed against a naive epoch. The Boston whitelists are edited in
-``data/boston_types.json``. Datasets carry no epoch: minute 0 means
-whatever the loader counted from.
+crime-type restrictions the experiments use. A timestamp is read as
+ISO-8601 only in the forms ``YYYY-MM-DD``, optionally followed by ``T`` or
+a space and ``HH``, ``HH:MM``, ``HH:MM:SS``, ``HH:MM:SS.fff`` or
+``HH:MM:SS.ffffff`` with an hour below 24, which every supported Python
+reads alike; any other stamp is tried in the portals' native spellings.
+So a timestamp carrying a UTC offset (``Z``, ``+00``, ``+00:00``), which
+could not be placed against a naive epoch, is unparseable. The Boston
+whitelists are edited in ``data/boston_types.json``. Datasets carry no
+epoch: minute 0 means whatever the loader counted from.
 """
 
 from __future__ import annotations
@@ -99,6 +113,35 @@ def _parse_timestamp(text: str) -> datetime:
     raise ValueError(f"unparseable timestamp: {text!r}")
 
 
+#: The ISO-8601 stamps the portals read, each digit written as 9: a date,
+#: then optionally T or a space and the time to the hour, minute, second,
+#: millisecond or microsecond. ``datetime.fromisoformat`` reads these alike
+#: on every supported Python. Python 3.11 and later also read forms that
+#: 3.10 refuses, such as 20140710, 2014-W28-4, 2014-07-10T2125 and
+#: 2014-07-10 21:25:00.5, so those would load differently by version.
+_ISO_SHAPES = frozenset(
+    [b"9999-99-99"] + [b"9999-99-99" + sep + b"99:99:99.999999"[:n]
+                       for sep in (b"T", b" ") for n in (2, 5, 8, 12, 15)])
+_DIGITS_AS_9 = bytes.maketrans(b"0123456789", b"9" * 10)
+
+
+def _off_iso_shape(stamps: list[str]) -> set[str]:
+    """The stamps ``fromisoformat`` must not read: those outside
+    :data:`_ISO_SHAPES` that open with four digits, as every form it reads
+    on any Python does, and those at hour 24, which 3.10 refuses and a newer
+    Python may read as the next midnight. Passes over the joined column
+    find them, so a column without them costs no test per stamp."""
+    joined = "\n".join(stamps)
+    shapes = joined.encode().translate(_DIGITS_AS_9).split(b"\n")
+    if len(shapes) != len(stamps):  # a stamp holds a newline
+        shapes = [text.encode().translate(_DIGITS_AS_9) for text in stamps]
+    odd = {s for s in set(shapes) if s[:4] == b"9999" and s not in _ISO_SHAPES}
+    refused = {text for text, s in zip(stamps, shapes) if s in odd} if odd else set()
+    if "T24" in joined or " 24" in joined:
+        refused.update(text for text in stamps if text[10:13] in ("T24", " 24"))
+    return refused
+
+
 def _load_rows(path, columns: tuple[str, str, str, str], report: IngestReport,
                ) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
     """The per-row pass: count each row, reject it for its first blank
@@ -162,11 +205,13 @@ def _load_rows(path, columns: tuple[str, str, str, str], report: IngestReport,
             np.array(ys, dtype=np.float64), stamps)
 
 
-def _build_dataset(rows: tuple[list[str], np.ndarray, np.ndarray, list[float]],
+def _build_dataset(rows: tuple[list[str], np.ndarray, np.ndarray,
+                              list[float] | np.ndarray],
                    report: IngestReport, end: Optional[int] = None,
                    whitelist: Optional[set[str]] = None) -> EventDataset:
-    """The per-column pass over :func:`_load_rows`' rows, their times parsed
-    to minutes, NaN where a time does not parse. Only the portals give
+    """The per-column pass over the rows of :func:`_load_rows` or
+    :func:`_bulk_rows`, their times in minutes, NaN where a time does not
+    parse. Only the portals give
     ``end``, keeping minutes in [0, end), and only their x and y are
     degrees, bounded to [-180, 180] x [-90, 90] and never the placeholder
     point (-1, -1)."""
@@ -197,20 +242,69 @@ def _build_dataset(rows: tuple[list[str], np.ndarray, np.ndarray, list[float]],
     return EventDataset.from_columns(types, type_ids, x[keep], y[keep], times[keep])
 
 
+def _bulk_rows(path, report: IngestReport,
+               ) -> Optional[tuple[list[str], np.ndarray, np.ndarray, np.ndarray]]:
+    """A generic file's rows as the row loop and the time loop of
+    :func:`load_generic` give them, read without ``csv.reader``, or None if
+    the file is not clean (module docstring). In a clean file no row is
+    blank or refused, so only :func:`_build_dataset` rejects rows, as it
+    would after the row loop."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return None
+    if not text.endswith("\n") or '"' in text or "\r" in text or "\0" in text:
+        return None
+    # Every line is as wide as the header exactly when every width-th comma
+    # or newline is a newline. They are ASCII, so the UTF-8 bytes place them,
+    # and a line's bytes are at least its longest field's characters.
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newline = buf == ord("\n")
+    breaks = np.flatnonzero(newline | (buf == ord(",")))
+    lines = text.count("\n")
+    width = len(breaks) // lines
+    ends = breaks[width - 1::width]
+    if (len(breaks) != width * lines or not newline[ends].all()
+            or np.diff(ends, prepend=-1).max() > csv.field_size_limit() + 1):
+        return None
+    cells = text.replace("\n", ",").split(",")
+    position = {name: i for i, name in enumerate(cells[:width])}
+    if any(c not in position for c in GENERIC_COLUMNS):
+        return None
+    labels, xs, ys, stamps = (cells[width + position[c]:lines * width:width]
+                              for c in GENERIC_COLUMNS)
+    n = lines - 1
+    if any(not label or label.strip() != label for label in set(labels)):
+        return None
+    try:
+        x = np.fromiter(map(float, xs), dtype=np.float64, count=n)
+        y = np.fromiter(map(float, ys), dtype=np.float64, count=n)
+        minutes = np.fromiter(map(int, stamps), dtype=np.int64, count=n)
+    except (ValueError, OverflowError):
+        return None
+    if n and not 0 <= minutes.min() <= minutes.max() <= 2**53:
+        return None
+    report.rows_read = n
+    return labels, x, y, minutes
+
+
 def load_generic(path) -> tuple[EventDataset, IngestReport]:
     """Load the generic schema: ``type,x,y,time_minutes`` with time already
     expressed as non-negative integer minutes. A time that float64 cannot
     hold exactly, such as 2**53 + 1, is unparseable."""
     report = IngestReport(source=str(path))
-    rows = _load_rows(path, GENERIC_COLUMNS, report)
-    times = rows[3]
-    for i, text in enumerate(times):
-        try:
-            m = int(text)
-            # float() raises OverflowError past float64's range.
-            times[i] = m if m >= 0 and float(m) == m else math.nan
-        except (ValueError, OverflowError):
-            times[i] = math.nan
+    rows = _bulk_rows(path, report)
+    if rows is None:
+        rows = _load_rows(path, GENERIC_COLUMNS, report)
+        times = rows[3]
+        for i, text in enumerate(times):
+            try:
+                m = int(text)
+                # float() raises OverflowError past float64's range.
+                times[i] = m if m >= 0 and float(m) == m else math.nan
+            except (ValueError, OverflowError):
+                times[i] = math.nan
     return _build_dataset(rows, report), report
 
 
@@ -224,16 +318,21 @@ def _portal_loader(path, columns: tuple[str, str, str, str], year_lo: int,
     minute = timedelta(minutes=1)
     rows = _load_rows(path, columns, report)
     times = rows[3]
+    from_iso = datetime.fromisoformat
+    refused = _off_iso_shape(times)
+    if refused:  # only such a column pays a test per stamp
+        def from_iso(text, read=from_iso):
+            if text in refused:
+                raise ValueError(f"not an ISO shape the portals read: {text!r}")
+            return read(text)
     for i, text in enumerate(times):
         try:
             try:
-                stamp = datetime.fromisoformat(text)
+                stamp = from_iso(text)
             except ValueError:
                 stamp = _parse_timestamp(text)
-            # A stamp with a UTC offset cannot be set against the naive
-            # epoch: the subtraction raises TypeError.
             times[i] = (stamp - epoch) // minute
-        except (ValueError, TypeError):
+        except ValueError:
             times[i] = math.nan
     end = (datetime(year_hi + 1, 1, 1) - epoch) // minute
     return _build_dataset(rows, report, end, whitelist), report

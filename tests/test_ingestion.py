@@ -5,11 +5,15 @@ import csv
 import json
 import math
 import random
+import re
+import sys
 from datetime import datetime, timedelta
 from functools import partial
+from unittest import mock
 
 import pytest
 
+import csts.ingestion
 from csts.ingestion import (
     BOSTON_COLUMNS,
     BOSTON_TYPES_FILE,
@@ -34,6 +38,42 @@ def _write(tmp_path, name, text):
 
 def _datasets_equal(a, b):
     return a.types == b.types and a.instances == b.instances
+
+
+def _load_by_both_routes(path):
+    """What load_generic gives for a file, as it runs and with its bulk
+    route declined, so that the row loop reads every file: each a
+    (dataset, report) pair or the type and text of the error raised."""
+    outcomes = []
+    for bulk in (csts.ingestion._bulk_rows, lambda path, report: None):
+        with mock.patch.object(csts.ingestion, "_bulk_rows", bulk):
+            try:
+                outcomes.append(load_generic(path))
+            except (ValueError, OSError) as exc:
+                outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _assert_same_outcome(a, b):
+    if isinstance(a[0], type) or isinstance(b[0], type):
+        assert a == b
+        return
+    (ds_a, report_a), (ds_b, report_b) = a, b
+    assert report_a == report_b
+    assert ds_a.types == ds_b.types
+    for name in ("type_ids", "xs", "ys", "times"):
+        col_a, col_b = getattr(ds_a, name), getattr(ds_b, name)
+        assert col_a.dtype == col_b.dtype and col_a.tobytes() == col_b.tobytes(), name
+
+
+@pytest.fixture(autouse=True)
+def _routes_agree_on_every_written_csv(tmp_path):
+    """After each test, both routes of load_generic must agree on every CSV
+    file it wrote, whatever its layout: a portal file's missing-column
+    error must be the same error."""
+    yield
+    for path in sorted(tmp_path.glob("*.csv")):
+        _assert_same_outcome(*_load_by_both_routes(path))
 
 
 # -- generic schema ---------------------------------------------------------
@@ -220,6 +260,167 @@ def test_loading_is_deterministic(tmp_path):
     assert ra == rb
 
 
+# -- the bulk route ---------------------------------------------------------
+
+def _clean_rows(seed=0, n=40):
+    """Rows in the style of a generated workload: letters, coordinates to
+    two decimals, integer minutes."""
+    rng = random.Random(seed)
+    return [[rng.choice("ABCD"), f"{rng.uniform(0, 1600):.2f}",
+             f"{rng.uniform(0, 1600):.2f}", str(rng.randrange(600))]
+            for _ in range(n)]
+
+
+def _lf_file(tmp_path, name, rows, header=GENERIC_COLUMNS):
+    return _write(tmp_path, name, "".join(",".join(row) + "\n"
+                                          for row in [list(header), *rows]))
+
+
+@pytest.fixture
+def reader_calls(monkeypatch):
+    """The number of csv.reader passes csts.ingestion starts."""
+    calls = []
+    reader = csv.reader
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return reader(*args, **kwargs)
+
+    monkeypatch.setattr(csts.ingestion.csv, "reader", counting)
+    return calls
+
+
+def _one_fault(field, value):
+    """Rows of a clean file with one fault planted in row 7."""
+    rows = _clean_rows()
+    if field == "row":
+        rows.insert(7, value)
+    else:
+        rows[7][GENERIC_COLUMNS.index(field)] = value
+    return rows
+
+
+# (field, planted value, whether the bulk route reads the file). The autouse
+# fixture holds the bulk route to the row loop's outcome on each file; the
+# flag pins which files it reads. A "row" value is a whole row.
+ONE_FAULTS = [
+    ("x", "nan", True), ("x", "inf", True), ("x", "1_0", True), ("x", "-0", True),
+    ("x", " 1e2 ", True), ("x", "+5", True), ("x", "\u0663\u0661", True),
+    ("x", str(2**53 + 1), True), ("x", "-7", True), ("x", "1e400", True),
+    ("x", "abc", False), ("x", "", False), ("x", " ", False),
+    ("time_minutes", "1_0", True), ("time_minutes", "-0", True),
+    ("time_minutes", "+5", True), ("time_minutes", "\u0663\u0661", True),
+    ("time_minutes", " 7 ", True), ("time_minutes", str(2**53), True),
+    ("time_minutes", "nan", False), ("time_minutes", "inf", False),
+    ("time_minutes", " 1e2 ", False), ("time_minutes", str(2**53 + 1), False),
+    ("time_minutes", str(2**53 + 2), False), ("time_minutes", "-7", False),
+    ("time_minutes", str(2**64), False), ("time_minutes", "3.5", False),
+    ("type", "A->B", True), ("type", "A\u00a0", False), ("type", "\u00a0A", False),
+    ("type", "A\x1c", False), ("type", "\x85A", False), ("type", " A", False),
+    ("type", "", False), ("type", '"A"', False), ("type", "A\rB", False),
+    ("type", "A\x1cB", True), ("type", "A\u2028B", True),
+    ("row", [], False), ("row", ["A", "1", "2"], False),
+    ("row", ["A", "1", "2", "3", "4"], False),
+]
+
+
+@pytest.mark.parametrize("field,value,bulk", ONE_FAULTS,
+                         ids=[f"{f}={v!r}" for f, v, _ in ONE_FAULTS])
+def test_one_fault_variants_of_a_clean_file(tmp_path, reader_calls, field, value,
+                                            bulk):
+    # The autouse fixture holds both routes to one outcome on this file.
+    path = _lf_file(tmp_path, "f.csv", _one_fault(field, value))
+    _, report = load_generic(path)
+    assert reader_calls == ([] if bulk else [1])
+    assert report.rows_read == report.instances_kept + report.rows_rejected
+
+
+def test_a_short_and_a_long_row_balancing_each_other_decline(tmp_path, reader_calls):
+    # The file's comma count is right, and read in lines of four fields its
+    # cells convert; the lines' own counts are wrong.
+    rows = _clean_rows()
+    rows[3].pop()
+    rows[4][0] = "5"
+    rows[4].append("6")
+    _, report = load_generic(_lf_file(tmp_path, "f.csv", rows))
+    assert reader_calls == [1]
+    assert report.missing_time == 1 and report.rows_read == 40
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_clean_workload_style_file_takes_the_bulk_route(tmp_path, reader_calls,
+                                                          seed):
+    rows = _clean_rows(seed, 2000)
+    ds, report = load_generic(_lf_file(tmp_path, "f.csv", rows))
+    assert reader_calls == []
+    assert report.rows_read == report.instances_kept == 2000
+    assert [t.label for t in ds.types] == ["A", "B", "C", "D"]
+
+
+@pytest.mark.parametrize("header,bulk", [
+    (("type", "x", "y", "time_minutes"), True),
+    (("\ufefftype", "x", "y", "time_minutes"), True),
+    (("PAD", "type", "x", "y", "time_minutes"), True),
+    (("type", "x", "y", "x", "time_minutes"), True),
+    (("type", "x", "y"), False),
+], ids=["plain", "bom", "unmapped-column", "repeated-column", "missing-column"])
+def test_headers_the_bulk_route_reads(tmp_path, reader_calls, header, bulk):
+    rows = [[dict(zip(GENERIC_COLUMNS, row), PAD="pad")[name.lstrip("\ufeff")]
+             for name in header] for row in _clean_rows()]
+    path = _lf_file(tmp_path, "f.csv", rows, header)
+    if bulk:
+        load_generic(path)
+    else:
+        with pytest.raises(ValueError, match="missing required column"):
+            load_generic(path)
+    assert reader_calls == ([] if bulk else [1])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace(b"\n", b"\r\n"),
+    lambda text: text[:-1],
+    lambda text: text + b"A",
+    lambda text: b"",
+], ids=["crlf", "no-final-newline", "unterminated-last-line", "empty"])
+def test_line_endings_the_bulk_route_declines(tmp_path, reader_calls, edit):
+    path = tmp_path / "f.csv"
+    path.write_bytes(edit(_lf_file(tmp_path, "f.csv", _clean_rows()).read_bytes()))
+    if path.stat().st_size:
+        load_generic(path)
+    else:
+        with pytest.raises(ValueError, match="missing required column"):
+            load_generic(path)
+    assert reader_calls == [1]
+
+
+def test_a_nul_byte_takes_the_row_loop(tmp_path, reader_calls):
+    rows = _clean_rows()
+    rows[5][0] = "A\0"
+    path = _lf_file(tmp_path, "f.csv", rows)
+    if sys.version_info < (3, 11):  # 3.10's csv refuses NUL
+        with pytest.raises(ValueError, match=r"f\.csv: line 7: .*NUL"):
+            load_generic(path)
+    else:
+        assert "A\0" in [t.label for t in load_generic(path)[0].types]
+    assert reader_calls == [1]
+
+
+def test_an_over_long_unmapped_field_is_refused_by_the_row_loop(tmp_path):
+    rows = _clean_rows()
+    for row in rows:
+        row.append("note")
+    rows[5][4] = "9" * (csv.field_size_limit() + 1)
+    path = _lf_file(tmp_path, "f.csv", rows, (*GENERIC_COLUMNS, "note"))
+    with pytest.raises(ValueError, match=r"f\.csv: line 7: field larger than field limit"):
+        load_generic(path)
+
+
+def test_bundled_example_takes_the_bulk_route(reader_calls):
+    bulk, rows = _load_by_both_routes(EXAMPLE_EVENTS_FILE)
+    assert reader_calls == [1]  # the declined run only
+    _assert_same_outcome(bulk, rows)
+
+
 # -- Pittsburgh schema ------------------------------------------------------
 
 PGH_HEADER = "PK,INCIDENTTIME,INCIDENTHIERARCHYDESC,X,Y\n"
@@ -328,6 +529,27 @@ def test_a_stamp_opening_with_no_digit_tries_no_spelling(tmp_path, monkeypatch):
     _, report = load_boston(native)
     assert set(calls) & set(PLANTED_WORDS) == {"2014?"}
     assert report.unparseable == 24
+
+
+# Stamps a Python newer than 3.10 reads but 3.10 does not (hour 24 may read
+# as the next midnight), and the ISO forms every supported Python reads alike.
+NEWER_ISO_STAMPS = ["20140710", "2014-W28-4", "2014-07-10T2125",
+                    "2014-07-10 21:25:00.5", "2014-07-10T21:25:00,500",
+                    "2014-07-10T21.500", "2014-07-10x21:25", "2014-07-10T24:00",
+                    "2014-07-10 24:00:00"]
+ISO_STAMPS = ["2014-07-10", "2014-07-10T21", "2014-07-10 21:25",
+              "2014-07-10T21:25:00", "2014-07-10 21:25:00.500",
+              "2014-07-10T21:25:00.500000"]
+
+
+def test_portal_stamps_read_alike_on_every_python(tmp_path):
+    path = _write(tmp_path, "b.csv", BOS_HEADER + "".join(
+        f"I{n},Arson,{stamp},42.35,-71.06\n"
+        for n, stamp in enumerate(NEWER_ISO_STAMPS + ISO_STAMPS)))
+    ds, report = load_boston(path)
+    assert report.unparseable == len(NEWER_ISO_STAMPS)
+    day = (datetime(2014, 7, 10) - datetime(2014, 1, 1)) // timedelta(minutes=1)
+    assert [int(t) - day for t in ds.times] == [0, 21 * 60] + [21 * 60 + 25] * 4
 
 
 def test_pittsburgh_range_is_inclusive_of_final_day(tmp_path):
@@ -522,9 +744,17 @@ def _generic_minutes(text):
     return minutes
 
 
+# The ISO-8601 forms the portals read on every Python, each of which
+# fromisoformat reads alike; 3.11 and later also read forms 3.10 refuses.
+ISO_STAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+                       r"([T ](?!24)[0-9]{2}(:[0-9]{2}(:[0-9]{2}(\.[0-9]{3}([0-9]{3})?)?)?)?)?")
+
+
 def _portal_minutes(epoch):
     def minutes_of(text):
         try:
+            if not ISO_STAMP.fullmatch(text):
+                raise ValueError(text)
             stamp = datetime.fromisoformat(text)
         except ValueError:
             for fmt in ("%m/%d/%Y %H:%M", "%m/%d/%Y %I:%M:%S %p", "%m/%d/%Y", "%Y-%m-%d"):
@@ -535,7 +765,7 @@ def _portal_minutes(epoch):
                     pass
             else:
                 raise ValueError(text) from None
-        return (stamp - epoch) // timedelta(minutes=1)  # TypeError with an offset
+        return (stamp - epoch) // timedelta(minutes=1)
     return minutes_of
 
 
@@ -547,7 +777,8 @@ FUZZ_TIMES = ["2014-06-15 13:00:00", "2014-06-15T13:00:00+00:00", "2014-06-15T13
               "2014-6-5", "2013-12-31 23:59:59.999999", "2014-01-01 00:00:59.999999",
               "2015-01-01 00:00:00", "2018-03-05T10:00", "2019-12-31 23:59:59",
               "2016-12-31 23:59", "0", "7", " 7 ", "-1", "-0", str(2**53 + 1),
-              str(2**53 + 2), "10" * 200, "1_000", "3.5", str(2**70), str(2**64)]
+              str(2**53 + 2), "10" * 200, "1_000", "3.5", str(2**70), str(2**64),
+              "20140710", "2014-W28-4", "2014-07-10T2125", "2014-07-10 21:25:00.5"]
 
 
 # schema: loader, mapped columns, epoch, first and last year, whitelist key
