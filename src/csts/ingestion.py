@@ -1,32 +1,31 @@
 """CSV ingestion: generic event files plus the Pittsburgh and Boston
 crime-incident exports.
 
-Every loader reads rows, then vets whole columns. The row loop, the spec,
-makes one pass over ``csv.reader`` rows. The header is read once and each
-of the four mapped columns found by name (a repeated name maps to its last
-occurrence). Blank lines are skipped uncounted, a short row's missing
-fields read as blank, and extra fields are ignored. The row pass counts
-each row, rejects it for a blank type, coordinate or time, in that order,
-and converts the coordinates with ``float``. The column pass parses the
-times, a time that does not parse becoming NaN, then rejects in one mask
-as unparseable a row whose time or coordinate is not finite, whose
-coordinate is out of degree range or whose location is exactly (-1, -1),
-the portals' placeholder for an unknown place (portals only), or whose
-type label holds the pattern separator ``->`` (patterns over it could not
-be read back). Only then do a portal's date range and whitelist filter, so
-a row is counted under the first of :attr:`IngestReport.REASONS` that
-applies. Label tests run once per distinct label. Text that ``csv.reader``
-or the UTF-8 decoder refuses aborts the file with a ValueError naming it
-and the line.
+Every loader cuts a file into cells, then decides its rows in one place,
+a column at a time. Two readers cut cells, with equal results, and neither
+rejects a row. The spec makes one pass over ``csv.reader`` rows. The header
+is read once and each of the four mapped columns found by name (a repeated
+name maps to its last occurrence). Blank lines are skipped uncounted, a
+short row's missing fields read as blank, and extra fields are ignored.
+Text that ``csv.reader`` or the UTF-8 decoder refuses aborts the file with
+a ValueError naming it and the line. A file whose structure is plain is
+cut with one ``split`` of its text instead: UTF-8 with no ``"``, CR or NUL,
+ending in a newline, every line as wide as the header and within csv's
+field size limit, and every mapped column present. Only the file's
+structure chooses the reader, never the content of a cell.
 
-A generic file that is provably clean takes a bulk route instead, with
-the identical dataset and report: its text is read once, split into cells
-with one ``split`` and converted a column at a time, then vetted by the
-same column pass. Clean means UTF-8 with no ``"``, CR or NUL, ending in a
-newline, every line as wide as the header and within csv's field size
-limit, no label blank or padded, and every coordinate read by ``float``
-and every time by ``int`` into [0, 2**53]. Any other file, and every
-portal file, takes the row loop.
+Then every row is counted and decided from its cells. Labels are stripped
+once per distinct label, coordinates read by ``float`` and times parsed by
+the loader, a cell that does not convert becoming NaN. One mask keeps a
+row whose label is not blank and holds no pattern separator ``->``
+(patterns over it could not be read back), whose coordinates and time are
+finite, and, for the portals, whose coordinates are within degree range
+and not exactly (-1, -1), the portals' placeholder for an unknown place.
+A row the mask drops counts as missing_type, missing_coordinates or
+missing_time for the first of its label, coordinates and time that is
+blank, and as unparseable if none is. Only then do a portal's date range
+and whitelist filter, so a row is counted under the first of
+:attr:`IngestReport.REASONS` that applies.
 
 The generic format is this package's own interchange schema
 (``type,x,y,time_minutes``). The portal loaders map the public exports'
@@ -49,6 +48,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -142,13 +143,11 @@ def _off_iso_shape(stamps: list[str]) -> set[str]:
     return refused
 
 
-def _load_rows(path, columns: tuple[str, str, str, str], report: IngestReport,
-               ) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
-    """The per-row pass: count each row, reject it for its first blank
-    mapped field or a coordinate ``float`` refuses, and return the other
-    rows' labels, x and y (as float64 arrays) and raw time texts, a list
-    the caller parses in place."""
-    labels, xs, ys, stamps = [], [], [], []
+def _load_rows(path, columns: tuple[str, str, str, str],
+               ) -> tuple[tuple[str, ...], ...]:
+    """The reader that is the spec: the four mapped columns' cells, one
+    entry per row, read by ``csv.reader``. Blank lines are skipped and a
+    short row's missing fields read as blank."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -159,37 +158,10 @@ def _load_rows(path, columns: tuple[str, str, str, str], report: IngestReport,
                 raise ValueError(
                     f"{path}: missing required column(s) {', '.join(missing_cols)}; "
                     f"found {', '.join(header) or 'no header'}")
-            i_label, i_x, i_y, i_time = (position[c] for c in columns)
-            width = max(i_label, i_x, i_y, i_time) + 1
-            for raw in reader:
-                if not raw:
-                    continue  # blank line
-                report.rows_read += 1
-                if len(raw) < width:
-                    raw += [""] * (width - len(raw))
-                label = raw[i_label].strip()
-                if not label:
-                    report.missing_type += 1
-                    continue
-                x_text = raw[i_x].strip()
-                y_text = raw[i_y].strip()
-                if not x_text or not y_text:
-                    report.missing_coordinates += 1
-                    continue
-                t_text = raw[i_time].strip()
-                if not t_text:
-                    report.missing_time += 1
-                    continue
-                try:
-                    x = float(x_text)
-                    y = float(y_text)
-                except ValueError:
-                    report.unparseable += 1
-                    continue
-                labels.append(label)
-                xs.append(x)
-                ys.append(y)
-                stamps.append(t_text)
+            picks = [position[c] for c in columns]
+            pick, width = operator.itemgetter(*picks), max(picks) + 1
+            rows = [pick(raw if len(raw) >= width else raw + [""] * (width - len(raw)))
+                    for raw in reader if raw]
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
@@ -201,54 +173,13 @@ def _load_rows(path, columns: tuple[str, str, str, str], report: IngestReport,
                 exc = whole
             line = len((data[:exc.start] + b".").splitlines())
             raise ValueError(f"{path}: line {line}: {exc}") from None
-    return (labels, np.array(xs, dtype=np.float64),
-            np.array(ys, dtype=np.float64), stamps)
+    return tuple(zip(*rows)) or ((),) * 4
 
 
-def _build_dataset(rows: tuple[list[str], np.ndarray, np.ndarray,
-                              list[float] | np.ndarray],
-                   report: IngestReport, end: Optional[int] = None,
-                   whitelist: Optional[set[str]] = None) -> EventDataset:
-    """The per-column pass over the rows of :func:`_load_rows` or
-    :func:`_bulk_rows`, their times in minutes, NaN where a time does not
-    parse. Only the portals give
-    ``end``, keeping minutes in [0, end), and only their x and y are
-    degrees, bounded to [-180, 180] x [-90, 90] and never the placeholder
-    point (-1, -1)."""
-    labels, x, y, minutes = rows
-    names = sorted(set(labels))
-    code = np.fromiter(map({lab: i for i, lab in enumerate(names)}.__getitem__,
-                           labels), dtype=np.int64, count=len(labels))
-    # Exact in float64: generic minutes are checked, portal ones lie within 2**33.
-    times = np.array(minutes, dtype=np.float64)
-    keep = np.isfinite(x) & np.isfinite(y) & np.isfinite(times)
-    if end is not None:
-        # Rows at (-1, -1) would all neighbour each other at one point.
-        keep &= (np.abs(x) <= 180.0) & (np.abs(y) <= 90.0) & ((x != -1.0) | (y != -1.0))
-    keep &= np.array(["->" not in lab for lab in names], dtype=bool)[code]
-    report.unparseable += len(keep) - int(keep.sum())
-    if end is not None:
-        in_scope = (times >= 0) & (times < end)
-        if whitelist is not None:
-            in_scope &= np.array([lab.lower() in whitelist for lab in names],
-                                 dtype=bool)[code]
-        report.filtered += int((keep & ~in_scope).sum())
-        keep &= in_scope
-    # The kept labels' codes index the sorted names, so ids stay label-sorted.
-    present, type_ids = np.unique(code[keep], return_inverse=True)
-    types = [EventType(i, names[c]) for i, c in enumerate(present)]
-    report.instances_kept = len(type_ids)
-    report.types_found = len(types)
-    return EventDataset.from_columns(types, type_ids, x[keep], y[keep], times[keep])
-
-
-def _bulk_rows(path, report: IngestReport,
-               ) -> Optional[tuple[list[str], np.ndarray, np.ndarray, np.ndarray]]:
-    """A generic file's rows as the row loop and the time loop of
-    :func:`load_generic` give them, read without ``csv.reader``, or None if
-    the file is not clean (module docstring). In a clean file no row is
-    blank or refused, so only :func:`_build_dataset` rejects rows, as it
-    would after the row loop."""
+def _bulk_rows(path, columns: tuple[str, str, str, str],
+               ) -> Optional[list[list[str]]]:
+    """The cells :func:`_load_rows` gives, cut with one ``split``, or None
+    if the file's structure is not plain (module docstring)."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8-sig")
@@ -270,23 +201,69 @@ def _bulk_rows(path, report: IngestReport,
         return None
     cells = text.replace("\n", ",").split(",")
     position = {name: i for i, name in enumerate(cells[:width])}
-    if any(c not in position for c in GENERIC_COLUMNS):
+    if any(c not in position for c in columns):
         return None
-    labels, xs, ys, stamps = (cells[width + position[c]:lines * width:width]
-                              for c in GENERIC_COLUMNS)
-    n = lines - 1
-    if any(not label or label.strip() != label for label in set(labels)):
-        return None
+    return [cells[width + position[c]:lines * width:width] for c in columns]
+
+
+def _floats(cells: Sequence[str]) -> np.ndarray:
+    """The cells read by ``float``, NaN where it refuses one."""
     try:
-        x = np.fromiter(map(float, xs), dtype=np.float64, count=n)
-        y = np.fromiter(map(float, ys), dtype=np.float64, count=n)
-        minutes = np.fromiter(map(int, stamps), dtype=np.int64, count=n)
-    except (ValueError, OverflowError):
-        return None
-    if n and not 0 <= minutes.min() <= minutes.max() <= 2**53:
-        return None
-    report.rows_read = n
-    return labels, x, y, minutes
+        return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:
+        return np.array([_float_or_nan(text) for text in cells], dtype=np.float64)
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _build_dataset(cells: Sequence[Sequence[str]], minutes: Sequence[float],
+                   report: IngestReport, end: Optional[int] = None,
+                   whitelist: Optional[set[str]] = None) -> EventDataset:
+    """Decide every row from its cells, as :func:`_bulk_rows` or
+    :func:`_load_rows` give them, and its time in minutes, NaN where the
+    time does not parse (module docstring). Only the portals give ``end``,
+    keeping minutes in [0, end), and only their x and y are degrees,
+    bounded to [-180, 180] x [-90, 90] and never the placeholder point
+    (-1, -1)."""
+    labels, xs, ys, stamps = cells
+    report.rows_read = len(labels)
+    stripped = {label: label.strip() for label in set(labels)}
+    names = sorted(set(stripped.values()))
+    index = {name: i for i, name in enumerate(names)}
+    code_of = {label: index[name] for label, name in stripped.items()}
+    code = np.fromiter(map(code_of.__getitem__, labels), dtype=np.int64, count=len(labels))
+    x, y = _floats(xs), _floats(ys)
+    # Exact in float64: generic minutes are checked, portal ones lie within 2**33.
+    times = np.array(minutes, dtype=np.float64)
+    keep = np.isfinite(x) & np.isfinite(y) & np.isfinite(times)
+    if end is not None:
+        # Rows at (-1, -1) would all neighbour each other at one point.
+        keep &= (np.abs(x) <= 180.0) & (np.abs(y) <= 90.0) & ((x != -1.0) | (y != -1.0))
+    keep &= np.array([bool(name) and "->" not in name for name in names],
+                     dtype=bool)[code]
+    for i in np.flatnonzero(~keep).tolist():
+        reason = ("missing_type" if not stripped[labels[i]] else
+                  "missing_coordinates" if not (xs[i].strip() and ys[i].strip()) else
+                  "missing_time" if not stamps[i].strip() else "unparseable")
+        setattr(report, reason, getattr(report, reason) + 1)
+    if end is not None:
+        in_scope = (times >= 0) & (times < end)
+        if whitelist is not None:
+            in_scope &= np.array([name.lower() in whitelist for name in names],
+                                 dtype=bool)[code]
+        report.filtered = int((keep & ~in_scope).sum())
+        keep &= in_scope
+    # The kept labels' codes index the sorted names, so ids stay label-sorted.
+    present, type_ids = np.unique(code[keep], return_inverse=True)
+    types = [EventType(i, names[c]) for i, c in enumerate(present)]
+    report.instances_kept = len(type_ids)
+    report.types_found = len(types)
+    return EventDataset.from_columns(types, type_ids, x[keep], y[keep], times[keep])
 
 
 def load_generic(path) -> tuple[EventDataset, IngestReport]:
@@ -294,18 +271,22 @@ def load_generic(path) -> tuple[EventDataset, IngestReport]:
     expressed as non-negative integer minutes. A time that float64 cannot
     hold exactly, such as 2**53 + 1, is unparseable."""
     report = IngestReport(source=str(path))
-    rows = _bulk_rows(path, report)
-    if rows is None:
-        rows = _load_rows(path, GENERIC_COLUMNS, report)
-        times = rows[3]
-        for i, text in enumerate(times):
+    cells = _bulk_rows(path, GENERIC_COLUMNS) or _load_rows(path, GENERIC_COLUMNS)
+    stamps = cells[3]
+    try:
+        minutes = np.fromiter(map(int, stamps), dtype=np.int64, count=len(stamps))
+        if len(stamps) and not 0 <= minutes.min() <= minutes.max() <= 2**53:
+            raise ValueError("a time outside [0, 2**53]")
+    except (ValueError, OverflowError):
+        minutes = []
+        for text in stamps:
             try:
                 m = int(text)
                 # float() raises OverflowError past float64's range.
-                times[i] = m if m >= 0 and float(m) == m else math.nan
+                minutes.append(m if m >= 0 and float(m) == m else math.nan)
             except (ValueError, OverflowError):
-                times[i] = math.nan
-    return _build_dataset(rows, report), report
+                minutes.append(math.nan)
+    return _build_dataset(cells, minutes, report), report
 
 
 def _portal_loader(path, columns: tuple[str, str, str, str], year_lo: int,
@@ -316,8 +297,8 @@ def _portal_loader(path, columns: tuple[str, str, str, str], year_lo: int,
     report = IngestReport(source=str(path))
     epoch = datetime(year_lo, 1, 1)
     minute = timedelta(minutes=1)
-    rows = _load_rows(path, columns, report)
-    times = rows[3]
+    cells = _bulk_rows(path, columns) or _load_rows(path, columns)
+    times = [text.strip() for text in cells[3]]
     from_iso = datetime.fromisoformat
     refused = _off_iso_shape(times)
     if refused:  # only such a column pays a test per stamp
@@ -335,7 +316,7 @@ def _portal_loader(path, columns: tuple[str, str, str, str], year_lo: int,
         except ValueError:
             times[i] = math.nan
     end = (datetime(year_hi + 1, 1, 1) - epoch) // minute
-    return _build_dataset(rows, report, end, whitelist), report
+    return _build_dataset(cells, times, report, end, whitelist), report
 
 
 def load_pittsburgh(path) -> tuple[EventDataset, IngestReport]:

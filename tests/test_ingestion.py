@@ -40,15 +40,18 @@ def _datasets_equal(a, b):
     return a.types == b.types and a.instances == b.instances
 
 
-def _load_by_both_routes(path):
-    """What load_generic gives for a file, as it runs and with its bulk
-    route declined, so that the row loop reads every file: each a
-    (dataset, report) pair or the type and text of the error raised."""
+LOADERS = [load_generic, load_pittsburgh, load_boston, partial(load_boston, reduced=True)]
+
+
+def _load_by_both_routes(path, load=load_generic):
+    """What a loader gives for a file, as it runs and with its bulk route
+    declined, so that the row loop reads every file: each a (dataset,
+    report) pair or the type and text of the error raised."""
     outcomes = []
-    for bulk in (csts.ingestion._bulk_rows, lambda path, report: None):
+    for bulk in (csts.ingestion._bulk_rows, lambda path, columns: None):
         with mock.patch.object(csts.ingestion, "_bulk_rows", bulk):
             try:
-                outcomes.append(load_generic(path))
+                outcomes.append(load(path))
             except (ValueError, OSError) as exc:
                 outcomes.append((type(exc), str(exc)))
     return outcomes
@@ -68,12 +71,13 @@ def _assert_same_outcome(a, b):
 
 @pytest.fixture(autouse=True)
 def _routes_agree_on_every_written_csv(tmp_path):
-    """After each test, both routes of load_generic must agree on every CSV
-    file it wrote, whatever its layout: a portal file's missing-column
-    error must be the same error."""
+    """After each test, both routes of every loader must agree on every CSV
+    file it wrote, whatever its layout: a file without a loader's columns
+    must give the same missing-column error."""
     yield
     for path in sorted(tmp_path.glob("*.csv")):
-        _assert_same_outcome(*_load_by_both_routes(path))
+        for load in LOADERS:
+            _assert_same_outcome(*_load_by_both_routes(path, load))
 
 
 # -- generic schema ---------------------------------------------------------
@@ -302,22 +306,24 @@ def _one_fault(field, value):
 
 # (field, planted value, whether the bulk route reads the file). The autouse
 # fixture holds the bulk route to the row loop's outcome on each file; the
-# flag pins which files it reads. A "row" value is a whole row.
+# flag pins which files it reads: only a fault in the file's structure (a
+# quote, a CR, a line of another width) sends it to the row loop. A "row"
+# value is a whole row.
 ONE_FAULTS = [
     ("x", "nan", True), ("x", "inf", True), ("x", "1_0", True), ("x", "-0", True),
     ("x", " 1e2 ", True), ("x", "+5", True), ("x", "\u0663\u0661", True),
     ("x", str(2**53 + 1), True), ("x", "-7", True), ("x", "1e400", True),
-    ("x", "abc", False), ("x", "", False), ("x", " ", False),
+    ("x", "abc", True), ("x", "", True), ("x", " ", True),
     ("time_minutes", "1_0", True), ("time_minutes", "-0", True),
     ("time_minutes", "+5", True), ("time_minutes", "\u0663\u0661", True),
     ("time_minutes", " 7 ", True), ("time_minutes", str(2**53), True),
-    ("time_minutes", "nan", False), ("time_minutes", "inf", False),
-    ("time_minutes", " 1e2 ", False), ("time_minutes", str(2**53 + 1), False),
-    ("time_minutes", str(2**53 + 2), False), ("time_minutes", "-7", False),
-    ("time_minutes", str(2**64), False), ("time_minutes", "3.5", False),
-    ("type", "A->B", True), ("type", "A\u00a0", False), ("type", "\u00a0A", False),
-    ("type", "A\x1c", False), ("type", "\x85A", False), ("type", " A", False),
-    ("type", "", False), ("type", '"A"', False), ("type", "A\rB", False),
+    ("time_minutes", "nan", True), ("time_minutes", "inf", True),
+    ("time_minutes", " 1e2 ", True), ("time_minutes", str(2**53 + 1), True),
+    ("time_minutes", str(2**53 + 2), True), ("time_minutes", "-7", True),
+    ("time_minutes", str(2**64), True), ("time_minutes", "3.5", True),
+    ("type", "A->B", True), ("type", "A\u00a0", True), ("type", "\u00a0A", True),
+    ("type", "A\x1c", True), ("type", "\x85A", True), ("type", " A", True),
+    ("type", "", True), ("type", '"A"', False), ("type", "A\rB", False),
     ("type", "A\x1cB", True), ("type", "A\u2028B", True),
     ("row", [], False), ("row", ["A", "1", "2"], False),
     ("row", ["A", "1", "2", "3", "4"], False),
@@ -355,6 +361,17 @@ def test_a_clean_workload_style_file_takes_the_bulk_route(tmp_path, reader_calls
     assert reader_calls == []
     assert report.rows_read == report.instances_kept == 2000
     assert [t.label for t in ds.types] == ["A", "B", "C", "D"]
+
+
+def test_a_bad_time_in_the_last_row_reads_the_file_once(tmp_path, reader_calls):
+    # The rows convert with one map(int); only the range test then finds the
+    # -1, and the per-cell loop, not a second read of the file, handles it.
+    rows = _clean_rows(3, 2000)
+    rows[-1][3] = "-1"
+    ds, report = load_generic(_lf_file(tmp_path, "f.csv", rows))
+    assert reader_calls == []
+    assert report.unparseable == report.rows_rejected == 1
+    assert report.rows_read == len(ds) + 1 == 2000
 
 
 @pytest.mark.parametrize("header,bulk", [
@@ -605,6 +622,28 @@ def test_boston_bad_whitelist_file(tmp_path, monkeypatch):
         load_boston(_boston_file(tmp_path), reduced=True)
 
 
+def test_a_boston_file_with_blank_and_bad_cells_takes_the_bulk_route(tmp_path,
+                                                                     reader_calls):
+    good = ["I0", "Arson", "2014-06-15 13:00:00", "42.35", "-71.06"]
+    spoilers = [("missing_type", 1, ""), ("missing_type", 1, "  "),
+                ("missing_coordinates", 3, ""), ("missing_coordinates", 4, " "),
+                ("missing_time", 2, ""), ("unparseable", 2, "sometime in 2014"),
+                ("unparseable", 3, "north"), ("filtered", 1, "Towed"),
+                ("filtered", 2, "2013-12-31 23:59:00")]
+    rows = [good] * 5
+    for _, column, value in spoilers:
+        rows.append(list(good))
+        rows[-1][column] = value
+    header = tuple(BOS_HEADER.strip().split(","))
+    ds, report = load_boston(_lf_file(tmp_path, "b.csv", rows, header))
+    assert reader_calls == []
+    expected = dict.fromkeys(report.REASONS, 0)
+    for reason, *_ in spoilers:
+        expected[reason] += 1
+    assert report.rejection_breakdown() == expected
+    assert report.rows_read == 14 and len(ds) == 5
+
+
 def test_boston_default_lists_are_sane():
     import json
 
@@ -778,7 +817,8 @@ FUZZ_TIMES = ["2014-06-15 13:00:00", "2014-06-15T13:00:00+00:00", "2014-06-15T13
               "2015-01-01 00:00:00", "2018-03-05T10:00", "2019-12-31 23:59:59",
               "2016-12-31 23:59", "0", "7", " 7 ", "-1", "-0", str(2**53 + 1),
               str(2**53 + 2), "10" * 200, "1_000", "3.5", str(2**70), str(2**64),
-              "20140710", "2014-W28-4", "2014-07-10T2125", "2014-07-10 21:25:00.5"]
+              "20140710", "2014-W28-4", "2014-07-10T2125", "2014-07-10 21:25:00.5",
+              " 2014-06-15 13:00:00 ", "\u00a006/15/2018 13:00"]
 
 
 # schema: loader, mapped columns, epoch, first and last year, whitelist key
@@ -794,7 +834,7 @@ REFERENCE_SCHEMAS = {
 
 
 @pytest.mark.parametrize("schema", list(REFERENCE_SCHEMAS))
-def test_loaders_agree_with_a_per_row_reference(tmp_path, schema):
+def test_loaders_agree_with_a_per_row_reference(tmp_path, reader_calls, schema):
     load, columns, epoch, years, key = REFERENCE_SCHEMAS[schema]
     minutes_of, in_scope, degrees = _generic_minutes, None, False
     if epoch is not None:
@@ -807,25 +847,36 @@ def test_loaders_agree_with_a_per_row_reference(tmp_path, schema):
         def in_scope(label, minutes):
             return lo <= minutes < hi and (allowed is None or label.lower() in allowed)
 
-    rng = random.Random(schema)
-    header = ["PAD", *columns]
-    lines = [header]
-    for n in range(1500):
-        row = [str(n), rng.choice(FUZZ_LABELS), rng.choice(FUZZ_COORDS),
-               rng.choice(FUZZ_COORDS), rng.choice(FUZZ_TIMES)]
-        if rng.random() < 0.5:
-            row[2:4] = ["-71.06", "42.35"]
-        lines.append(row[:rng.randrange(len(row))] if rng.random() < 0.05 else row)
-        if rng.random() < 0.02:
-            lines.append([])
-    path = tmp_path / "fuzz.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(lines)
+    # A ragged CRLF file, with short rows and blank lines, is read by the row
+    # loop; an LF file of full-width rows by the bulk route, and again by the
+    # row loop with the bulk route declined.
+    for form in ["ragged-crlf", "lf", "lf-row-loop"]:
+        ragged = form == "ragged-crlf"
+        rng = random.Random(schema)
+        lines = [["PAD", *columns]]
+        for n in range(1500):
+            row = [str(n), rng.choice(FUZZ_LABELS), rng.choice(FUZZ_COORDS),
+                   rng.choice(FUZZ_COORDS), rng.choice(FUZZ_TIMES)]
+            if rng.random() < 0.5:
+                row[2:4] = ["-71.06", "42.35"]
+            lines.append(row[:rng.randrange(len(row))] if ragged and rng.random() < 0.05
+                         else row)
+            if ragged and rng.random() < 0.02:
+                lines.append([])
+        path = tmp_path / f"fuzz-{form}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\r\n" if ragged else "\n").writerows(lines)
 
-    counts, kept = _reference_load(path, columns, minutes_of, in_scope, degrees)
-    ds, report = load(path)
-    assert {name: getattr(report, name) for name in counts} == counts
-    assert min(n for name, n in counts.items() if name != "filtered") > 0
-    assert (counts["filtered"] > 0) == (schema != "generic")
-    assert [(ds.label_of(i.event_type), i.x, i.y, i.time) for i in ds.instances] == kept
-    assert report.instances_kept == len(kept) > 0
+        reader_calls.clear()
+        bulk = ((lambda path, columns: None) if form == "lf-row-loop"
+                else csts.ingestion._bulk_rows)
+        with mock.patch.object(csts.ingestion, "_bulk_rows", bulk):
+            ds, report = load(path)
+        assert reader_calls == ([] if form == "lf" else [1]), form
+        counts, kept = _reference_load(path, columns, minutes_of, in_scope, degrees)
+        assert {name: getattr(report, name) for name in counts} == counts, form
+        assert min(n for name, n in counts.items() if name != "filtered") > 0
+        assert (counts["filtered"] > 0) == (schema != "generic")
+        assert [(ds.label_of(i.event_type), i.x, i.y, i.time)
+                for i in ds.instances] == kept, form
+        assert report.instances_kept == len(kept) > 0
