@@ -36,9 +36,16 @@ crime-type restrictions the experiments use. A timestamp is read as
 ISO-8601 only in the forms ``YYYY-MM-DD``, optionally followed by ``T`` or
 a space and ``HH``, ``HH:MM``, ``HH:MM:SS``, ``HH:MM:SS.fff`` or
 ``HH:MM:SS.ffffff`` with an hour below 24, which every supported Python
-reads alike; any other stamp is tried in the portals' native spellings.
-So a timestamp carrying a UTC offset (``Z``, ``+00``, ``+00:00``), which
-could not be placed against a naive epoch, is unparseable. The Boston
+reads alike; any other stamp is tried in the portals' native spellings,
+one by one. So a timestamp carrying a UTC offset (``Z``, ``+00``,
+``+00:00``), which could not be placed against a naive epoch, is
+unparseable. A column's ISO stamps, hour 24 aside, are found in one pass
+over their shapes, digits written as 9, and parsed by numpy together as
+``datetime64[us]``, which holds every form exactly; a year-0 stamp, which
+numpy reads and ``fromisoformat`` refuses, counts as unparseable. numpy
+refuses the whole column for one impossible field (``2014-02-30``, minute
+or second 60); the column's ISO stamps are then read one by one by
+``fromisoformat``, to the same minutes. The Boston
 whitelists are edited in ``data/boston_types.json``. Datasets carry no
 epoch: minute 0 means whatever the loader counted from.
 """
@@ -52,6 +59,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import compress
 from pathlib import Path
 from typing import ClassVar, Optional
 
@@ -126,23 +134,6 @@ _ISO_SHAPES = frozenset(
 _DIGITS_AS_9 = bytes.maketrans(b"0123456789", b"9" * 10)
 
 
-def _off_iso_shape(stamps: list[str]) -> set[str]:
-    """The stamps ``fromisoformat`` must not read: those outside
-    :data:`_ISO_SHAPES` that open with four digits, as every form it reads
-    on any Python does, and those at hour 24, which 3.10 refuses and a newer
-    Python may read as the next midnight. Passes over the joined column
-    find them, so a column without them costs no test per stamp."""
-    joined = "\n".join(stamps)
-    shapes = joined.encode().translate(_DIGITS_AS_9).split(b"\n")
-    if len(shapes) != len(stamps):  # a stamp holds a newline
-        shapes = [text.encode().translate(_DIGITS_AS_9) for text in stamps]
-    odd = {s for s in set(shapes) if s[:4] == b"9999" and s not in _ISO_SHAPES}
-    refused = {text for text, s in zip(stamps, shapes) if s in odd} if odd else set()
-    if "T24" in joined or " 24" in joined:
-        refused.update(text for text in stamps if text[10:13] in ("T24", " 24"))
-    return refused
-
-
 def _load_rows(path, columns: tuple[str, str, str, str],
                ) -> tuple[tuple[str, ...], ...]:
     """The reader that is the spec: the four mapped columns' cells, one
@@ -206,10 +197,16 @@ def _bulk_rows(path, columns: tuple[str, str, str, str],
     return [cells[width + position[c]:lines * width:width] for c in columns]
 
 
+_BLANK_AS_NAN = {"": "nan"}
+
+
 def _floats(cells: Sequence[str]) -> np.ndarray:
-    """The cells read by ``float``, NaN where it refuses one."""
+    """The cells read by ``float``, NaN where it refuses one. Blank cells are
+    read as ``"nan"`` in the one pass; only other refusals (``"abc"``,
+    ``" "``) send the column cell by cell."""
     try:
-        return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+        return np.fromiter(map(float, map(_BLANK_AS_NAN.get, cells, cells)),
+                           dtype=np.float64, count=len(cells))
     except ValueError:
         return np.array([_float_or_nan(text) for text in cells], dtype=np.float64)
 
@@ -298,25 +295,38 @@ def _portal_loader(path, columns: tuple[str, str, str, str], year_lo: int,
     epoch = datetime(year_lo, 1, 1)
     minute = timedelta(minutes=1)
     cells = _bulk_rows(path, columns) or _load_rows(path, columns)
-    times = [text.strip() for text in cells[3]]
-    from_iso = datetime.fromisoformat
-    refused = _off_iso_shape(times)
-    if refused:  # only such a column pays a test per stamp
-        def from_iso(text, read=from_iso):
-            if text in refused:
-                raise ValueError(f"not an ISO shape the portals read: {text!r}")
-            return read(text)
-    for i, text in enumerate(times):
+    stamps = [text.strip() for text in cells[3]]
+    joined = "\n".join(stamps)
+    shapes = joined.encode().translate(_DIGITS_AS_9).split(b"\n")
+    if len(shapes) != len(stamps):  # a stamp holds a newline
+        shapes = [text.encode().translate(_DIGITS_AS_9) for text in stamps]
+    iso = np.fromiter(map(_ISO_SHAPES.__contains__, shapes), dtype=bool, count=len(stamps))
+    if "T24" in joined or " 24" in joined:  # 3.10 refuses hour 24, a newer Python may not
+        iso &= [text[10:13] not in ("T24", " 24") for text in stamps]
+    marks = iso.tolist()
+    minutes = np.full(len(stamps), math.nan)
+    try:
+        at = np.array(list(compress(stamps, marks)), dtype="datetime64[us]")
+    except ValueError:  # an impossible field, such as 2014-02-30 or minute 60
+        rest = range(len(stamps))
+    else:
+        # numpy reads year 0, which fromisoformat refuses.
+        dated = at >= np.datetime64("0001-01-01")
+        iso[iso] = dated
+        minutes[iso] = (at[dated] - np.datetime64(epoch, "us")).astype(np.int64) // 60_000_000
+        marks = iso.tolist()
+        rest = np.flatnonzero(~iso).tolist()
+    values = []
+    for i in rest:
+        text = stamps[i]
         try:
-            try:
-                stamp = from_iso(text)
-            except ValueError:
-                stamp = _parse_timestamp(text)
-            times[i] = (stamp - epoch) // minute
+            stamp = datetime.fromisoformat(text) if marks[i] else _parse_timestamp(text)
+            values.append((stamp - epoch) // minute)
         except ValueError:
-            times[i] = math.nan
+            values.append(math.nan)
+    minutes[rest] = values
     end = (datetime(year_hi + 1, 1, 1) - epoch) // minute
-    return _build_dataset(cells, times, report, end, whitelist), report
+    return _build_dataset(cells, minutes, report, end, whitelist), report
 
 
 def load_pittsburgh(path) -> tuple[EventDataset, IngestReport]:

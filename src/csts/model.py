@@ -307,6 +307,11 @@ class MiningConfig:
         den *= self.theta.numerator
         return num > den if self.strict_theta else num >= den
 
+    def least_passing(self, den: int) -> int:
+        """The least num with ``passes_theta(num, den)``."""
+        num = den * self.theta.numerator // self.theta.denominator
+        return num if self.passes_theta(num, den) else num + 1
+
 
 # ---------------------------------------------------------------------------
 # Pattern tree

@@ -42,7 +42,7 @@ back to idx.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -228,11 +228,17 @@ class NeighborhoodIndex:
         return members[local_ids]
 
     def union_over(self, supports: Sequence[Sequence[int]], source_type: int,
-                   target_lists: Sequence[Sequence[int]]) -> list[list[np.ndarray]]:
+                   target_lists: Sequence[Sequence[int]],
+                   least: Optional[Sequence[int]] = None,
+                   ) -> list[list[Optional[np.ndarray]]]:
         """For each support, given as sorted local ids of ``source_type``, and
         each type in its target list: the sorted, unique local ids of that
         type's instances that neighbor some instance of the support. One list
         per support, holding one ``int64`` array per listed target, in order.
+        With ``least``, a count per type id, a union of fewer than
+        ``least[t]`` ids of type t is None instead, and is never gathered;
+        it is optional so that the three-argument call, which returns every
+        union, keeps its meaning for library callers.
 
         This is the miner's support-set step for one batch of prefixes that
         end in ``source_type``, each with its candidates' final types: the
@@ -274,5 +280,7 @@ class NeighborhoodIndex:
             # type's block.
             seg = np.not_equal(hit & bit, 0).nonzero()[0]
             ends = seg.searchsorted(blocks).tolist()
-            unions.append([dst[seg[ends[t]:ends[t + 1]]] for t in targets])
+            unions.append([dst[seg[ends[t]:ends[t + 1]]]
+                           if least is None or ends[t + 1] - ends[t] >= least[t] else None
+                           for t in targets])
         return unions

@@ -9,8 +9,9 @@ verified from the union of its support's neighborhoods, and the index and
 threshold tests compare cross-multiplied integers. Prefixes that end in one
 type share their unions: up to ``WORD_BITS`` of them at a time, each a bit
 of one word per source instance, take one pass over that type's edges.
-Candidates below the threshold are dropped with their would-be extensions,
-soundly: the index only shrinks as a pattern grows.
+Candidates below the threshold are dropped, their supports never gathered,
+with their would-be extensions, soundly: the index only shrinks as a pattern
+grows.
 """
 
 from __future__ import annotations
@@ -46,23 +47,25 @@ def _children(level_prev: Sequence[PatternNode], index: NeighborhoodIndex,
         if group and cfg.passes_theta(si.pi.numerator, si.pi.denominator):
             by_type.setdefault(si.pattern[-1], []).append((si, group))
     count = index.dataset.count
+    # A child passes theta exactly when its support holds at least its final
+    # type's least passing count, so union_over gathers no failing support.
+    least = [cfg.least_passing(count(t.id)) for t in index.dataset.types]
     for source, work in by_type.items():
         for lo in range(0, len(work), WORD_BITS):
             batch = work[lo:lo + WORD_BITS]
             targets = [[sj.pattern[-1] for sj in group] for _, group in batch]
-            unions = index.union_over([si.last_support for si, _ in batch], source, targets)
+            unions = index.union_over([si.last_support for si, _ in batch], source,
+                                      targets, least)
             for (si, group), types, supports in zip(batch, targets, unions):
                 pk, pc = si.pi.numerator, si.pi.denominator
                 children = []
                 for sj, new_type, support in zip(group, types, supports):
-                    # pi = min(pi(si), k / c), tested cross-multiplied.
-                    k, c = len(support), count(new_type)
-                    if k * pc >= pk * c:
-                        pi = si.pi
-                    elif cfg.passes_theta(k, c):
-                        pi = Fraction(k, c)
-                    else:
+                    if support is None:
                         continue
+                    # pi = min(pi(si), k / c), tested cross-multiplied; the
+                    # prefix passes theta, so a k / c at least its pi does too.
+                    k, c = len(support), count(new_type)
+                    pi = si.pi if k * pc >= pk * c else Fraction(k, c)
                     children.append(PatternNode(
                         pattern=si.pattern + (new_type,),
                         pi=pi,

@@ -818,7 +818,14 @@ FUZZ_TIMES = ["2014-06-15 13:00:00", "2014-06-15T13:00:00+00:00", "2014-06-15T13
               "2016-12-31 23:59", "0", "7", " 7 ", "-1", "-0", str(2**53 + 1),
               str(2**53 + 2), "10" * 200, "1_000", "3.5", str(2**70), str(2**64),
               "20140710", "2014-W28-4", "2014-07-10T2125", "2014-07-10 21:25:00.5",
-              " 2014-06-15 13:00:00 ", "\u00a006/15/2018 13:00"]
+              " 2014-06-15 13:00:00 ", "\u00a006/15/2018 13:00",
+              "0000-01-01", "0001-01-01 00:00", "9999-12-31 23:59:59.999999",
+              "2014-02-29", "2016-02-29 12:00", "2014-02-30", "2014-13-01",
+              "2014-07-10 21:60", "2016-12-31 23:59:60", "NaT", "nat"]
+# Stamps of an ISO shape with a field out of range, for which numpy refuses
+# a whole column of stamps.
+IMPOSSIBLE_TIMES = ["2014-02-29", "2014-02-30", "2014-13-01", "2014-07-10 21:60",
+                    "2016-12-31 23:59:60"]
 
 
 # schema: loader, mapped columns, epoch, first and last year, whitelist key
@@ -880,3 +887,67 @@ def test_loaders_agree_with_a_per_row_reference(tmp_path, reader_calls, schema):
         assert [(ds.label_of(i.event_type), i.x, i.y, i.time)
                 for i in ds.instances] == kept, form
         assert report.instances_kept == len(kept) > 0
+
+
+def test_a_column_with_one_impossible_date_loads_as_its_per_row_reference(
+        tmp_path, monkeypatch):
+    # One stamp numpy refuses sends the whole column to fromisoformat, stamp
+    # by stamp; without it, no stamp goes there, hour 24 included. Either way
+    # every row is decided as the per-row reference decides it, also where
+    # fromisoformat reads hour 24 as the next midnight, as a newer Python may.
+    calls = []
+
+    class Counting(datetime):
+        @classmethod
+        def fromisoformat(cls, text):
+            calls.append(text)
+            if text[11:13] == "24":
+                return datetime.fromisoformat(text[:11] + "00" + text[13:]) + timedelta(days=1)
+            return datetime.fromisoformat(text)
+
+    monkeypatch.setattr(csts.ingestion, "datetime", Counting)
+    allowed = set(json.loads(BOSTON_TYPES_FILE.read_text(encoding="utf-8"))["complete"])
+
+    def in_scope(label, minutes):
+        return 0 <= minutes < 365 * 24 * 60 and label.lower() in allowed
+
+    stamps = [t for t in FUZZ_TIMES + ISO_STAMPS + NEWER_ISO_STAMPS
+              if t not in IMPOSSIBLE_TIMES]
+    for n, impossible in enumerate([None, *IMPOSSIBLE_TIMES]):
+        column = stamps if impossible is None else stamps + [impossible]
+        path = _write(tmp_path, f"b{n}.csv", BOS_HEADER + "".join(
+            f"I{n},Arson,{stamp},42.35,-71.06\n" for n, stamp in enumerate(column)))
+        calls.clear()
+        ds, report = load_boston(path)
+        assert bool(calls) == (impossible is not None), impossible
+        counts, kept = _reference_load(path, BOSTON_COLUMNS, _portal_minutes(
+            datetime(2014, 1, 1)), in_scope, degrees=True)
+        assert {name: getattr(report, name) for name in counts} == counts, impossible
+        assert [(ds.label_of(i.event_type), i.x, i.y, i.time)
+                for i in ds.instances] == kept, impossible
+        assert report.unparseable > 0 and report.filtered > 0 and len(kept) > 1
+
+
+def test_a_clean_iso_column_is_parsed_by_numpy_alone(tmp_path, monkeypatch):
+    # numpy reads every stamp of every ISO shape, so none is tried in the
+    # portals' native spellings or read by fromisoformat.
+    calls = []
+    parse = csts.ingestion._parse_timestamp
+    monkeypatch.setattr(csts.ingestion, "_parse_timestamp",
+                        lambda text: calls.append(text) or parse(text))
+
+    class Counting(datetime):
+        @classmethod
+        def fromisoformat(cls, text):
+            calls.append(text)
+            return datetime.fromisoformat(text)
+
+    monkeypatch.setattr(csts.ingestion, "datetime", Counting)
+    column = ISO_STAMPS + ["2014-01-01 00:00:00", "2014-12-31T23:59:59.999999",
+                           "2013-12-31 23:59", "2016-02-29 12:00"]
+    path = _write(tmp_path, "b.csv", BOS_HEADER + "".join(
+        f"I{n},Arson,{stamp},42.35,-71.06\n" for n, stamp in enumerate(column)))
+    ds, report = load_boston(path)
+    assert calls == []
+    assert report.instances_kept == len(ISO_STAMPS) + 2 and report.filtered == 2
+    assert ds.times.max() == 365 * 24 * 60 - 1

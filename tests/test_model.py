@@ -136,6 +136,15 @@ class TestConfig:
         assert strict.passes_theta(26, 100) and loose.passes_theta(26, 100)
         assert not loose.passes_theta(24, 100)
 
+    @pytest.mark.parametrize("theta", ["0", "0.25", "0.3", "1/3", "0.99"])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_least_passing_count(self, theta, strict):
+        cfg = MiningConfig(radius=1, window=1, theta=theta, strict_theta=strict)
+        for den in range(1, 40):
+            least = cfg.least_passing(den)
+            assert [cfg.passes_theta(k, den) for k in range(den + 1)] == [
+                k >= least for k in range(den + 1)]
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -236,6 +236,33 @@ def test_union_over_matches_per_instance_union():
                     assert index.instances_of(target, got).tolist() == sorted(want)
 
 
+
+def test_union_over_skips_unions_below_the_least_counts():
+    # With least counts, a union of fewer ids than its type's count is None,
+    # and every other union is the array the call without them gives.
+    below = []
+    for ds, cfg in [(example_dataset(), example_config()), _planar_random()]:
+        index = NeighborhoodIndex(ds, cfg)
+        rng = random.Random(5)
+        types = list(range(len(ds.types)))
+        for source in types:
+            count = ds.count(source)
+            supports = [sorted(rng.sample(range(count), rng.randint(0, min(count, 10))))
+                        for _ in range(20)]
+            target_lists = [rng.sample(types, rng.randint(1, len(types))) for _ in supports]
+            full = index.union_over(supports, source, target_lists)
+            least = [rng.randint(0, 12) for _ in types]
+            got = index.union_over(supports, source, target_lists, least)
+            for targets, want, have in zip(target_lists, full, got, strict=True):
+                for t, a, b in zip(targets, want, have, strict=True):
+                    below.append(a.size < least[t])
+                    if below[-1]:
+                        assert b is None
+                    else:
+                        assert b.dtype == a.dtype and np.array_equal(a, b)
+    assert any(below) and not all(below)
+
+
 def _many_types():
     """26 types, as many as the Boston offense groups: G has no instances,
     and every D instance is later than all others, so D has no out-edges."""

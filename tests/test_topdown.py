@@ -414,9 +414,9 @@ def test_levels_grow_in_batches_and_the_cap_probe_stops_at_the_first():
     calls = []
     union_over = NeighborhoodIndex.union_over
 
-    def counting(self, supports, source_type, target_lists):
+    def counting(self, supports, source_type, *rest):
         calls.append((source_type, len(supports)))
-        return union_over(self, supports, source_type, target_lists)
+        return union_over(self, supports, source_type, *rest)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(NeighborhoodIndex, "union_over", counting)
